@@ -9,6 +9,13 @@ with a first-layer column; candidates are admitted either exhaustively
 (every candidate that enlarges the span) or under a width budget via a
 greedy target-driven selection. The full candidate matrix is never
 materialized: candidates are generated and tested one block at a time.
+
+Every admission goes through :meth:`BasisState.admit`, which tests the
+two-pass classical Gram-Schmidt (CGS2) residual against ``tol`` and writes
+its unit vector into a Q buffer the state owns. Width mode scores
+candidates from their projection onto Q, kept across the rounds of a layer
+and extended by the newly admitted columns only, with an explicit CGS2
+residual for near-dependent candidates (:class:`CandidateScores`).
 """
 
 from __future__ import annotations
@@ -59,14 +66,22 @@ class LayerBuildResult:
 class BasisState:
     """Feature matrix F, orthonormal companion Q, and per-layer extents.
 
-    Invariants: span(Q) = span(F), F's columns are linearly independent
-    with second moment 1, and ``layer_ranges`` partitions the columns in
-    construction order as half-open [start, stop) intervals.
+    Invariants: span(Q) = span(F) between layer builds, F's columns are
+    linearly independent with second moment 1, and ``layer_ranges``
+    partitions the columns in construction order as half-open
+    [start, stop) intervals. Q is the first ``rank`` columns of
+    ``Q_buf``, a buffer that grows only when an admission needs room.
     """
 
     F: np.ndarray
-    Q: np.ndarray
     layer_ranges: list[tuple[int, int]]
+    Q_buf: np.ndarray
+    rank: int = 0
+
+    @property
+    def Q(self) -> np.ndarray:
+        """The orthonormal columns admitted so far (a view of ``Q_buf``)."""
+        return self.Q_buf[:, : self.rank]
 
     @property
     def m(self) -> int:
@@ -83,6 +98,32 @@ class BasisState:
     @property
     def depth(self) -> int:
         return len(self.layer_ranges)
+
+    def reserve(self, cols: int) -> None:
+        """Make room for ``cols`` Q columns in all; Q never needs more than m."""
+        cols = min(cols, self.m)
+        if cols > self.Q_buf.shape[1]:
+            buf = np.empty((self.m, cols))
+            buf[:, : self.rank] = self.Q
+            self.Q_buf = buf
+
+    def admit(self, c: np.ndarray, tol: float) -> bool:
+        """Append c's unit CGS2 residual to Q if its norm exceeds ``tol``.
+
+        Returns whether c was admitted; F is left to the caller.
+        """
+        if self.rank == self.m:
+            return False  # span is all of R^m
+        Q = self.Q
+        r = residual(residual(c, Q), Q)
+        nr = np.linalg.norm(r)
+        if nr <= tol:
+            return False
+        if self.rank == self.Q_buf.shape[1]:
+            self.reserve(2 * self.rank + 1)
+        np.divide(r, nr, out=self.Q_buf[:, self.rank])
+        self.rank += 1
+        return True
 
 
 def lift_input(X) -> np.ndarray:
@@ -151,18 +192,14 @@ def build_basis1_width(
 def initial_state(layer1: LayerBuildResult, tol: float | None = None) -> BasisState:
     """Basis state holding exactly the first layer's columns."""
     B = layer1.new_columns
-    m = B.shape[0]
+    m, k = B.shape
     if tol is None:
         tol = default_tol(m)
-    Q = np.zeros((m, 0))
-    for j in range(B.shape[1]):
-        c = B[:, j]
-        r = residual(residual(c, Q), Q)
-        nr = np.linalg.norm(r)
-        if nr <= tol:
+    state = BasisState(F=B.copy(), layer_ranges=[(0, k)], Q_buf=np.empty((m, k)))
+    for j in range(k):
+        if not state.admit(B[:, j], tol):
             raise ValueError("first-layer columns must be linearly independent")
-        Q = np.hstack([Q, (r / nr)[:, None]])
-    return BasisState(F=B.copy(), Q=Q, layer_ranges=[(0, B.shape[1])])
+    return state
 
 
 def candidate_column(state: BasisState, ref: CandidateRef) -> np.ndarray:
@@ -201,30 +238,95 @@ def build_basis_t_exact(state: BasisState, tol: float | None = None) -> LayerBui
     if tol is None:
         tol = default_tol(m)
     lo, hi = state.layer_ranges[-1]
+    n1 = state.layer1_cols
     sqrt_m = math.sqrt(m)
-    Q = state.Q
     cols: list[np.ndarray] = []
     nodes: list[tuple[CandidateRef, float]] = []
     for prev in range(hi - lo):
-        if Q.shape[1] == m:
+        if state.rank == m:
             break  # span is all of R^m, nothing left to add
         block = _candidate_block(state, prev)
-        for j in range(block.shape[1]):
+        for j in range(n1):
             c = block[:, j]
-            r = residual(residual(c, Q), Q)
-            nr = np.linalg.norm(r)
-            if nr > tol:
+            if state.admit(c, tol):
                 w = sqrt_m / np.linalg.norm(c)
                 cols.append(w * c)
                 nodes.append((CandidateRef(prev, j), w))
-                Q = np.hstack([Q, (r / nr)[:, None]])
-                if Q.shape[1] == m:
+                if state.rank == m:
                     break
-    state.Q = Q
     if not cols:
         return LayerBuildResult(new_columns=np.zeros((m, 0)))
     _commit_layer(state, cols)
     return LayerBuildResult(new_columns=state.F[:, -len(cols):].copy(), nodes=nodes)
+
+
+# Below this residual ratio ||r|| / ||c||, ||c||^2 - ||Q^T c||^2 has lost
+# about eight of its sixteen digits to cancellation, so the candidate's
+# residual norm is taken from an explicit CGS2 residual instead.
+_EXPLICIT_RATIO = 1e-4
+
+
+class CandidateScores:
+    """Width-mode scores of one layer's product candidates, kept across rounds.
+
+    Candidate ``p * n1 + j`` is previous-layer column p times layer-1
+    column j. For each candidate c this keeps ||c||^2 and ||Q^T c||^2 over
+    the Q columns seen so far. Q only grows within a layer, so a round
+    projects c onto the columns admitted since the previous round and onto
+    the deflated target's basis O_V, both in one product. The CGS2
+    residual r of c then has ||r||^2 = ||c||^2 - ||Q^T c||^2, and
+    O_V^T r = O_V^T c because O_V is orthogonal to Q, so the score
+    ||O_V^T r|| / ||r|| needs no residual. Candidates whose residual ratio
+    ||r|| / ||c|| is below ``_EXPLICIT_RATIO`` take ||r|| from an explicit
+    CGS2 residual, so near-dependent columns are still judged against ``tol``.
+    A candidate found dependent stays out (``live`` is cleared): its
+    residual can only shrink as Q grows.
+    """
+
+    def __init__(self, state: BasisState):
+        lo, hi = state.layer_ranges[-1]
+        n1 = state.layer1_cols
+        # ||F[:, lo+p] * F[:, j]||^2 for every (p, j) in one product
+        self.norm2 = ((state.F[:, lo:hi] ** 2).T @ state.F[:, :n1] ** 2).ravel()
+        self.proj2 = np.zeros_like(self.norm2)
+        self.seen = 0  # leading Q columns already folded into proj2
+        self.live = np.ones(self.norm2.size, dtype=bool)
+        # candidates whose ||r|| came from an explicit residual last round
+        self.explicit = np.zeros(self.norm2.size, dtype=bool)
+
+    def round(self, state: BasisState, O_V: np.ndarray, tol: float) -> np.ndarray:
+        """Score every live candidate against the current Q and target basis.
+
+        A candidate's score is ||O_V^T r|| / ||r||; -1 marks one whose
+        residual norm is at most ``tol``.
+        """
+        Q = state.Q
+        nq = state.rank - self.seen
+        P = np.hstack([Q[:, self.seen:], O_V])
+        n1 = state.layer1_cols
+        scores = np.full(self.norm2.size, -1.0)
+        self.explicit[:] = False
+        for prev in range(self.norm2.size // n1):
+            sl = slice(prev * n1, (prev + 1) * n1)
+            live = self.live[sl]
+            if not live.any():
+                continue
+            block = _candidate_block(state, prev)
+            T = P.T @ block
+            proj2 = self.proj2[sl]
+            proj2 += np.einsum("ij,ij->j", T[:nq], T[:nq])
+            r2 = self.norm2[sl] - proj2
+            nr = np.sqrt(np.maximum(r2, 0.0))
+            num = np.linalg.norm(T[nq:], axis=0)
+            explicit = live & (r2 < _EXPLICIT_RATIO**2 * self.norm2[sl])
+            if explicit.any():
+                R = residual(residual(block[:, explicit], Q), Q)
+                nr[explicit] = np.linalg.norm(R, axis=0)
+                self.explicit[sl] = explicit
+            live &= nr > tol
+            scores[sl][live] = num[live] / nr[live]
+        self.seen = state.rank
+        return scores
 
 
 def build_basis_t_width(
@@ -240,9 +342,12 @@ def build_basis_t_width(
     residual against the current Q is numerically nonzero: the score is
     the norm of the projection of the unit residual onto the column space
     of the deflated target V, so candidates aligned with what the current
-    features cannot yet express rank first. The top ``b`` by score are
-    taken greedily, skipping any that became dependent on this round's
-    earlier picks; then Q grows and V is deflated. Stops early once no
+    features cannot yet express rank first. Scores come from a projection
+    of the candidates onto Q kept across rounds, with an explicit CGS2
+    residual for near-dependent candidates (:class:`CandidateScores`).
+    The top ``b`` by score are taken greedily through
+    :meth:`BasisState.admit`, skipping any that became dependent on this
+    round's earlier picks; then V is deflated. Stops early once no
     eligible candidate remains; at most ``gamma`` columns total.
 
     Mutates ``state`` in place and also returns the added columns.
@@ -258,12 +363,12 @@ def build_basis_t_width(
     if V.shape[0] != m:
         raise ValueError("V must have one row per training instance")
 
-    lo, hi = state.layer_ranges[-1]
-    n_prev = hi - lo
+    lo, _ = state.layer_ranges[-1]
     n1 = state.layer1_cols
     sqrt_m = math.sqrt(m)
-    Q = state.Q
-    Vd = residual(V, Q)
+    state.reserve(state.rank + gamma)
+    Vd = residual(V, state.Q)
+    scorer = CandidateScores(state)
 
     cols: list[np.ndarray] = []
     nodes: list[tuple[CandidateRef, float]] = []
@@ -271,24 +376,7 @@ def build_basis_t_width(
     for _ in range(rounds):
         if len(cols) >= gamma:
             break
-        O_V = thin_svd(Vd).U
-
-        # score all candidates against the current Q and deflated target
-        scores = np.full(n_prev * n1, -1.0)
-        for prev in range(n_prev):
-            block = _candidate_block(state, prev)
-            R = block - Q @ (Q.T @ block)
-            R -= Q @ (Q.T @ R)
-            norms = np.linalg.norm(R, axis=0)
-            ok = norms > tol
-            if not ok.any():
-                continue
-            unit = R[:, ok] / norms[ok]
-            if O_V.shape[1]:
-                sc = np.linalg.norm(O_V.T @ unit, axis=0)
-            else:
-                sc = np.zeros(int(ok.sum()))
-            scores[prev * n1 + np.flatnonzero(ok)] = sc
+        scores = scorer.round(state, thin_svd(Vd).U, tol)
 
         # descending score; stable sort breaks ties by lowest candidate index
         order = np.argsort(-scores, kind="stable")
@@ -299,20 +387,18 @@ def build_basis_t_width(
                 break
             prev, j = divmod(int(flat), n1)
             c = state.F[:, lo + prev] * state.F[:, j]
-            r = residual(residual(c, Q), Q)
-            nr = np.linalg.norm(r)
-            if nr <= tol:
-                continue  # dependent on an earlier pick this round
+            # admitted or dependent on this round's picks: in span(Q) either way
+            scorer.live[flat] = False
+            if not state.admit(c, tol):
+                continue
             w = sqrt_m / np.linalg.norm(c)
             cols.append(w * c)
             nodes.append((CandidateRef(prev, j), w))
-            Q = np.hstack([Q, (r / nr)[:, None]])
             picked += 1
         if picked == 0:
             break
-        Vd = residual(Vd, Q)
+        Vd = residual(Vd, state.Q)
 
-    state.Q = Q
     if not cols:
         return LayerBuildResult(new_columns=np.zeros((m, 0)))
     _commit_layer(state, cols)

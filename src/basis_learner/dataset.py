@@ -170,6 +170,8 @@ def _parse_sparse(lines, path: str, skip_header: bool, dims: int | None):
                 raise DatasetFormatError(
                     f"{path}:{lineno}: index {idx} exceeds --dims {dims}"
                 )
+            if idx - 1 in feat:
+                raise DatasetFormatError(f"{path}:{lineno}: index {idx} repeated")
             feat[idx - 1] = val
             max_idx = max(max_idx, idx)
         labels.append(label)

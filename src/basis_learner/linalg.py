@@ -3,8 +3,7 @@
 Matrices are plain 2-d float64 numpy arrays throughout the package. This
 module wraps the few factorizations the construction needs: a thin SVD with
 a numerical-rank cutoff, a seeded randomized range-finder SVD for wide data,
-residual projection against an orthonormal basis, and incremental
-Gram-Schmidt extension of such a basis.
+and residual projection against an orthonormal basis.
 """
 
 from __future__ import annotations
@@ -135,27 +134,3 @@ def residual(v, Q) -> np.ndarray:
     if Q.shape[1] == 0:
         return v.copy()
     return v - Q @ (Q.T @ v)
-
-
-def append_orthonormal(Q, cols, tol: float = 1e-8) -> np.ndarray:
-    """Extend orthonormal ``Q`` with the normalized residuals of ``cols``.
-
-    Columns are processed sequentially with one re-orthogonalization pass.
-    A column whose residual norm is at most ``tol`` times its original norm
-    is considered dependent and skipped.
-    """
-    Q = check_matrix(Q, "Q")
-    cols = check_matrix(cols, "cols")
-    if cols.shape[0] != Q.shape[0]:
-        raise ValueError("Q and cols must have the same number of rows")
-    for j in range(cols.shape[1]):
-        c = cols[:, j]
-        norm0 = np.linalg.norm(c)
-        if norm0 == 0.0:
-            continue
-        r = residual(c, Q)
-        r = residual(r, Q)
-        nr = np.linalg.norm(r)
-        if nr > tol * norm0:
-            Q = np.hstack([Q, (r / nr)[:, None]])
-    return Q

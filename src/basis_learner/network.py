@@ -159,6 +159,15 @@ def _require(cond: bool, msg: str) -> None:
         raise ModelFormatError(msg)
 
 
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, which is a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def serialize(net: PolyNetwork) -> bytes:
     """Canonical JSON encoding; identical networks give identical bytes."""
     layers: list[dict] = [
@@ -212,21 +221,24 @@ def deserialize(data) -> PolyNetwork:
         _require(key in doc, f"missing field {key!r}")
     d = doc["input_dim"]
     task = doc["task"]
-    _require(isinstance(d, int) and d >= 1, "input_dim must be a positive integer")
+    _require(_is_int(d) and d >= 1, "input_dim must be a positive integer")
     _require(task in ("regression", "binary", "multiclass"), f"unknown task {task!r}")
     n_classes = doc.get("n_classes", 0)
-    _require(isinstance(n_classes, int) and n_classes >= 0, "n_classes must be a count")
+    _require(_is_int(n_classes) and n_classes >= 0, "n_classes must be a count")
     if task == "multiclass":
         _require(n_classes >= 2, "multiclass model needs n_classes >= 2")
 
     layers = doc["layers"]
     _require(isinstance(layers, list) and layers, "layers must be a nonempty list")
+    for li, spec in enumerate(layers, start=1):
+        _require(isinstance(spec, dict), f"layer {li} must be an object")
     _require(layers[0].get("kind") == "linear", "first layer must be linear")
     try:
         W1 = np.array(layers[0]["weights"], dtype=np.float64)
     except (KeyError, ValueError):
         raise ModelFormatError("linear layer weights malformed") from None
-    _require(W1.ndim == 2 and W1.shape == (d + 1, layers[0].get("cols", -1)),
+    cols = layers[0].get("cols")
+    _require(_is_int(cols) and W1.ndim == 2 and W1.shape == (d + 1, cols),
              f"linear layer must be {d + 1} x cols")
     _require(bool(np.isfinite(W1).all()), "linear layer weights must be finite")
     n1 = W1.shape[1]
@@ -241,16 +253,18 @@ def deserialize(data) -> PolyNetwork:
         for r, t in enumerate(triples):
             _require(isinstance(t, list) and len(t) == 3, f"layer {li} node {r}: malformed triple")
             p, f, w = t
-            _require(isinstance(p, int) and 0 <= p < prev_width,
+            _require(_is_int(p) and 0 <= p < prev_width,
                      f"layer {li} node {r}: prev_index {p} out of range "
                      f"(previous layer has {prev_width} nodes)")
-            _require(isinstance(f, int) and 0 <= f < n1,
+            _require(_is_int(f) and 0 <= f < n1,
                      f"layer {li} node {r}: first_index {f} out of range "
                      f"(first layer has {n1} nodes)")
-            _require(isinstance(w, (int, float)) and np.isfinite(w) and w != 0,
+            _require(_is_number(w) and np.isfinite(w) and w != 0,
                      f"layer {li} node {r}: weight must be finite and nonzero")
         L = product_layer(triples)
-        _require(len(L) == spec.get("width"), f"layer {li}: width field disagrees with triples")
+        width = spec.get("width")
+        _require(_is_int(width) and width == len(L),
+                 f"layer {li}: width field disagrees with triples")
         product_layers.append(L)
         prev_width = len(L)
 
@@ -259,7 +273,7 @@ def deserialize(data) -> PolyNetwork:
     loss = head_doc.get("loss")
     _require(loss in ("squared", "hinge", "logistic", "mc-hinge"), f"unknown loss {loss!r}")
     lam = head_doc.get("lambda")
-    _require(isinstance(lam, (int, float)) and lam >= 0, "lambda must be nonnegative")
+    _require(_is_number(lam) and lam >= 0, "lambda must be nonnegative")
     try:
         Wh = np.array(head_doc["weights"], dtype=np.float64)
     except (KeyError, ValueError):
@@ -269,7 +283,9 @@ def deserialize(data) -> PolyNetwork:
     _require(Wh.ndim == 2 and Wh.shape == (total, expected_outputs),
              f"head weights must be {total} x {expected_outputs}, got {Wh.shape}")
     _require(bool(np.isfinite(Wh).all()), "head weights must be finite")
-    _require(head_doc.get("outputs") == expected_outputs, "head outputs field inconsistent")
+    outputs = head_doc.get("outputs")
+    _require(_is_int(outputs) and outputs == expected_outputs,
+             "head outputs field inconsistent")
 
     provenance = doc.get("provenance", {})
     _require(isinstance(provenance, dict), "provenance must be an object")

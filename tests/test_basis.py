@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from basis_learner.basis import (
     BasisState,
     CandidateRef,
+    CandidateScores,
+    LayerBuildResult,
     build_basis1_exact,
     build_basis1_width,
     build_basis_t_exact,
@@ -16,6 +18,7 @@ from basis_learner.basis import (
     initial_state,
     lift_input,
 )
+from basis_learner.linalg import residual, thin_svd
 from basis_learner.oracle import monomial_matrix, span_equal
 
 
@@ -262,6 +265,158 @@ class TestWidthLayers:
         state = exact_state(X)
         res = build_basis_t_width(state, np.ones((4, 1)), gamma=3, b=1)
         assert res.width == 0
+
+
+def q_state(Q):
+    """State whose Q holds exactly the given orthonormal columns."""
+    m, k = Q.shape
+    return BasisState(F=Q.copy(), layer_ranges=[(0, k)], Q_buf=Q.copy(), rank=k)
+
+
+class TestAdmit:
+    def test_dependent_column_skipped(self):
+        Q = np.linalg.qr(np.random.default_rng(9).standard_normal((7, 3)))[0]
+        state = q_state(Q)
+        assert not state.admit(Q[:, 1] * 2.5, default_tol(7))
+        assert state.rank == 3
+
+    def test_normalizes_from_empty(self):
+        state = q_state(np.zeros((2, 0)))
+        assert state.admit(np.array([3.0, 4.0]), default_tol(2))
+        np.testing.assert_allclose(state.Q, [[0.6], [0.8]])
+
+    def test_identical_columns_collapse(self):
+        c = np.random.default_rng(1).standard_normal(6)
+        state = q_state(np.zeros((6, 0)))
+        assert state.admit(c, default_tol(6))
+        assert not state.admit(c.copy(), default_tol(6))
+        assert state.Q.shape == (6, 1)
+
+    def test_zero_column_skipped(self):
+        state = q_state(np.zeros((4, 0)))
+        assert not state.admit(np.zeros(4), default_tol(4))
+        assert state.Q.shape == (4, 0)
+
+    def test_full_span_admits_nothing(self):
+        # even at tol 0, where the rounding left in the residual would pass
+        Q = np.linalg.qr(np.random.default_rng(2).standard_normal((3, 3)))[0]
+        state = q_state(Q)
+        assert not state.admit(np.ones(3), 0.0)
+        assert state.rank == 3
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6))
+    def test_output_orthonormal_and_in_buffer(self, seed, q0, extra):
+        rng = np.random.default_rng(seed)
+        state = q_state(np.linalg.qr(rng.standard_normal((12, q0)))[0])
+        for c in rng.standard_normal((extra, 12)):
+            assert state.admit(c, default_tol(12))
+        Q = state.Q
+        assert Q.shape == (12, q0 + extra)
+        assert np.shares_memory(Q, state.Q_buf)
+        assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() <= 1e-8
+
+
+def reference_scores(state, O_V, tol):
+    """Width-mode scores from an explicit CGS2 residual of every candidate."""
+    lo, hi = state.layer_ranges[-1]
+    n1 = state.layer1_cols
+    Q = state.Q
+    scores = np.full((hi - lo) * n1, -1.0)
+    for p in range(hi - lo):
+        for j in range(n1):
+            c = state.F[:, lo + p] * state.F[:, j]
+            r = c - Q @ (Q.T @ c)
+            r -= Q @ (Q.T @ r)
+            nr = np.linalg.norm(r)
+            if nr > tol:
+                scores[p * n1 + j] = np.linalg.norm(O_V.T @ r) / nr
+    return scores
+
+
+def admit_top(state, scores, count, tol):
+    lo, _ = state.layer_ranges[-1]
+    n1 = state.layer1_cols
+    for flat in np.argsort(-scores, kind="stable")[:count]:
+        p, j = divmod(int(flat), n1)
+        state.admit(state.F[:, lo + p] * state.F[:, j], tol)
+
+
+def sign_state(m, noise):
+    """Layer 1 [1, s, t] with s = +-1 plus ``noise`` times a random vector,
+    so the candidate s*s is 1 plus a residual of relative size ~noise."""
+    rng = np.random.default_rng(15)
+    s = np.where(np.arange(m) % 2 == 0, 1.0, -1.0) + noise * rng.standard_normal(m)
+    B = np.column_stack([np.ones(m), s, rng.standard_normal(m)])
+    B *= math.sqrt(m) / np.linalg.norm(B, axis=0)
+    return initial_state(LayerBuildResult(new_columns=B))
+
+
+class TestCandidateScores:
+    def test_rounds_match_explicit_cgs2(self):
+        rng = np.random.default_rng(14)
+        m = 60
+        X = rng.standard_normal((m, 3))
+        V = np.column_stack([X[:, 0] * X[:, 1], X[:, 2] ** 3]) + 0.1 * rng.standard_normal((m, 2))
+        tol = default_tol(m)
+        state = initial_state(build_basis1_width(lift_input(X), gamma=4))
+        build_basis_t_width(state, V, gamma=6, b=3)
+        scorer = CandidateScores(state)
+        Vd = residual(V, state.Q)
+        for _ in range(4):
+            O_V = thin_svd(Vd).U
+            got = scorer.round(state, O_V, tol)
+            want = reference_scores(state, O_V, tol)
+            np.testing.assert_array_equal(got >= 0, want >= 0)
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+            admit_top(state, want, 3, tol)
+            Vd = residual(Vd, state.Q)
+        # admitted candidates went through the explicit path and dropped out
+        assert scorer.explicit.any()
+        assert (~scorer.live).sum() >= 12
+
+    def test_near_dependent_candidate_scored_explicitly(self):
+        state = sign_state(40, 1e-6)
+        tol = default_tol(40)
+        V = np.random.default_rng(16).standard_normal((40, 1))
+        O_V = thin_svd(residual(V, state.Q)).U
+        scorer = CandidateScores(state)
+        got = scorer.round(state, O_V, tol)
+        want = reference_scores(state, O_V, tol)
+        ss = 1 * 3 + 1  # candidate s * s
+        assert scorer.explicit[ss]
+        assert want[ss] >= 0 and got[ss] >= 0
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+    def test_exactly_dependent_candidate_never_admitted(self):
+        state = sign_state(40, 0.0)  # s * s == 1 exactly
+        tol = default_tol(40)
+        t = state.F[:, 2]
+        res = build_basis_t_width(state, (t * t)[:, None], gamma=3, b=3)
+        # of the 9 products only s*t (twice, as t*s) and t*t are independent
+        refs = {(ref.prev_col, ref.first_col) for ref, _ in res.nodes}
+        assert res.width == 2
+        assert (2, 2) in refs and len(refs & {(1, 2), (2, 1)}) == 1
+        check_state_invariants(state)
+
+    @pytest.mark.parametrize("mode", ["exact", "width"])
+    def test_q_orthonormal_within_buffer(self, mode):
+        rng = np.random.default_rng(17)
+        X = rng.standard_normal((40, 3))
+        y = rng.standard_normal((40, 1))
+        if mode == "exact":
+            state = exact_state(X)
+        else:
+            state = initial_state(build_basis1_width(lift_input(X), gamma=3))
+        for _ in range(4):
+            if mode == "exact":
+                build_basis_t_exact(state)
+            else:
+                build_basis_t_width(state, y, gamma=5, b=2)
+            Q = state.Q
+            assert state.rank == state.ncols <= state.Q_buf.shape[1] <= state.m
+            assert np.shares_memory(Q, state.Q_buf)
+            assert np.abs(Q.T @ Q - np.eye(state.rank)).max() <= 1e-8
 
 
 class TestDeterminism:

@@ -1,17 +1,21 @@
 """End-to-end command-line tests, run in-process through main(argv).
 
-One subprocess test exercises the installed console script; everything
-else stays in-process so assertions can reuse library calls directly.
+A few subprocess tests exercise ``python -m basis_learner`` and the
+installed console script; everything else stays in-process so assertions
+can reuse library calls directly.
 """
 
+import os
 import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import basis_learner
 from basis_learner.cli import main
 from basis_learner.network import load_model, predict
 
@@ -349,16 +353,33 @@ class TestHeaderFlag:
         assert load_model(model).input_dim == 2
 
 
+def run_module(argv):
+    # the child imports the package from where this process found it
+    src = str(Path(basis_learner.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "basis_learner", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
 class TestConsoleScript:
     def test_module_invocation(self, toy, tmp_path):
         model = tmp_path / "m.bl"
-        proc = subprocess.run(
-            [sys.executable, "-m", "basis_learner", "train", "--data", str(toy),
-             "--lambda", "0", "--depth", "3", "--out", str(model)],
-            capture_output=True, text=True,
-        )
+        proc = run_module(["train", "--data", str(toy), "--lambda", "0",
+                           "--depth", "3", "--out", str(model)])
         assert proc.returncode == 0, proc.stderr
         assert "trained depth=" in proc.stdout
+
+    def test_malformed_model_reports_error_without_traceback(self, toy, tmp_path):
+        bad = tmp_path / "bad.bl"
+        bad.write_text('{"schema": "basis-learner/1", "input_dim": 2, '
+                       '"task": "regression", "layers": [3], "head": {}}')
+        proc = run_module(["predict", "--model", str(bad), "--data", str(toy)])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "layer 1 must be an object" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_entry_point_installed(self, trained):
         exe = shutil.which("basis-learner")

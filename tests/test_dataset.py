@@ -79,6 +79,11 @@ class TestSparseLoading:
         with pytest.raises(DatasetFormatError, match="1-based"):
             load_dense(p, format="sparse")
 
+    def test_repeated_index_rejected(self, tmp_path):
+        p = write(tmp_path, "1 1:0.5\n-1 2:1.0 3:0.5 2:4.0\n", "d.sp")
+        with pytest.raises(DatasetFormatError, match=r"d\.sp:2: index 2 repeated"):
+            load_dense(p, format="sparse")
+
     def test_malformed_pair_rejected(self, tmp_path):
         p = write(tmp_path, "1 3-0.5\n", "d.sp")
         with pytest.raises(DatasetFormatError, match=":1:"):

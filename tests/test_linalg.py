@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from basis_learner.linalg import (
-    append_orthonormal,
     check_matrix,
     randomized_range_svd,
     residual,
@@ -161,35 +160,6 @@ class TestResidual:
         M = random_matrix(5, 8, 4)
         R = residual(M, Q)
         assert np.abs(Q.T @ R).max() <= 1e-8 * np.linalg.norm(M)
-
-
-class TestAppendOrthonormal:
-    def test_dependent_column_skipped(self):
-        Q = np.linalg.qr(random_matrix(9, 7, 3))[0]
-        out = append_orthonormal(Q, Q[:, 1:2] * 2.5)
-        assert out.shape == Q.shape
-
-    def test_normalizes_from_empty(self):
-        out = append_orthonormal(np.zeros((2, 0)), np.array([[3.0], [4.0]]))
-        np.testing.assert_allclose(out, [[0.6], [0.8]])
-
-    def test_identical_new_columns_collapse(self):
-        c = random_matrix(1, 6, 1)
-        out = append_orthonormal(np.zeros((6, 0)), np.hstack([c, c]))
-        assert out.shape == (6, 1)
-
-    def test_zero_column_skipped(self):
-        out = append_orthonormal(np.zeros((4, 0)), np.zeros((4, 1)))
-        assert out.shape == (4, 0)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6))
-    def test_output_orthonormal(self, seed, q0, extra):
-        rng = np.random.default_rng(seed)
-        Q = np.linalg.qr(rng.standard_normal((12, q0)))[0]
-        out = append_orthonormal(Q, rng.standard_normal((12, extra)))
-        G = out.T @ out
-        assert np.abs(G - np.eye(out.shape[1])).max() <= 1e-8
 
 
 class TestCheckMatrix:

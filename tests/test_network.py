@@ -328,6 +328,50 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="JSON object"):
             deserialize(b"[1,2,3]")
 
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_layer_entry_not_object(self, index):
+        import json
+
+        net = hand_net(np.eye(2), [[(0, 1, 1.0)]], np.zeros((3, 1)))
+        doc = json.loads(serialize(net))
+        doc["layers"][index] = 7
+        with pytest.raises(ModelFormatError, match=f"layer {index + 1} must be an object"):
+            deserialize(json.dumps(doc))
+
+    # where the document holds 1, a bool true compares equal to it, so it
+    # is only refused when bools are refused outright
+    @pytest.mark.parametrize("path", [
+        ("input_dim",),
+        ("n_classes",),
+        ("layers", 0, "cols"),
+        ("layers", 1, "width"),
+        ("layers", 1, "triples", 0, 0),
+        ("layers", 1, "triples", 0, 1),
+        ("layers", 1, "triples", 0, 2),
+        ("head", "lambda"),
+        ("head", "outputs"),
+    ])
+    def test_bool_rejected_where_number_required(self, path):
+        import json
+
+        doc = {
+            "schema": "basis-learner/1", "input_dim": 1, "task": "regression",
+            "n_classes": 1,
+            "layers": [
+                {"kind": "linear", "rows": 2, "cols": 2, "weights": [[1, 0], [0, 1]]},
+                {"kind": "product", "width": 1, "triples": [[1, 1, 1]]},
+            ],
+            "head": {"loss": "squared", "lambda": 1, "outputs": 1,
+                     "weights": [[0], [0], [0]]},
+        }
+        deserialize(json.dumps(doc))  # valid with the numbers in place
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = True
+        with pytest.raises(ModelFormatError):
+            deserialize(json.dumps(doc))
+
 
 class TestProperties:
     def test_layer_widths_and_depth(self):
