@@ -13,17 +13,8 @@ import argparse
 import sys
 import time
 
-from basis_learner import TrainConfig, evaluate, train
-from basis_learner.dataset import LabeledDataset
+from basis_learner import SplitSpec, TrainConfig, evaluate, split, train
 from basis_learner.synthetic import rectangles
-
-
-def head_tail(ds, n_head):
-    head = LabeledDataset(X=ds.X[:n_head], labels=ds.labels[:n_head],
-                          task=ds.task, n_classes=ds.n_classes, distinct=ds.distinct)
-    tail = LabeledDataset(X=ds.X[n_head:], labels=ds.labels[n_head:],
-                          task=ds.task, n_classes=ds.n_classes, distinct=ds.distinct)
-    return head, tail
 
 
 def main(argv=None):
@@ -42,8 +33,8 @@ def main(argv=None):
     total = args.train + args.test
     print(f"rendering {total} distinct rectangle images (seed {args.seed})")
     full = rectangles(total, seed=args.seed, min_gap=args.min_gap)
-    train_block, test_ds = head_tail(full, args.train)
-    fit_ds, valid_ds = head_tail(train_block, args.train - args.valid)
+    train_block, test_ds = split(full, SplitSpec(args.test))
+    fit_ds, valid_ds = split(train_block, SplitSpec(args.valid))
 
     runs = [
         ("deep", TrainConfig(mode="width", gamma=args.width, batch=args.batch,

@@ -34,27 +34,17 @@ def default_tol(m: int) -> float:
 
 
 @dataclass(frozen=True)
-class CandidateRef:
-    """Addresses a product candidate: previous-layer column x layer-1 column.
-
-    Both indices are relative to their layer (0-based).
-    """
-
-    prev_col: int
-    first_col: int
-
-
-@dataclass(frozen=True)
 class LayerBuildResult:
     """Columns added by one layer build.
 
     Layer 1 carries the (d+1) x k weight matrix ``W1``; product layers
-    instead carry one (ref, weight) node per column, where the column
-    equals weight times the Hadamard product the ref addresses.
+    instead carry one (prev, first, weight) node per column: the column
+    equals weight times previous-layer column ``prev`` times layer-1
+    column ``first`` (both indices 0-based within their layer).
     """
 
     new_columns: np.ndarray
-    nodes: list[tuple[CandidateRef, float]] = field(default_factory=list)
+    nodes: list[tuple[int, int, float]] = field(default_factory=list)
     W1: np.ndarray | None = None
 
     @property
@@ -202,14 +192,6 @@ def initial_state(layer1: LayerBuildResult, tol: float | None = None) -> BasisSt
     return state
 
 
-def candidate_column(state: BasisState, ref: CandidateRef) -> np.ndarray:
-    """Hadamard product of the referenced columns; O(m) work and memory."""
-    lo, hi = state.layer_ranges[-1]
-    if not (0 <= ref.prev_col < hi - lo and 0 <= ref.first_col < state.layer1_cols):
-        raise IndexError(f"candidate ref out of range: {ref}")
-    return state.F[:, lo + ref.prev_col] * state.F[:, ref.first_col]
-
-
 def _candidate_block(state: BasisState, prev: int) -> np.ndarray:
     # all products of one previous-layer column with every layer-1 column
     lo, _ = state.layer_ranges[-1]
@@ -241,7 +223,7 @@ def build_basis_t_exact(state: BasisState, tol: float | None = None) -> LayerBui
     n1 = state.layer1_cols
     sqrt_m = math.sqrt(m)
     cols: list[np.ndarray] = []
-    nodes: list[tuple[CandidateRef, float]] = []
+    nodes: list[tuple[int, int, float]] = []
     for prev in range(hi - lo):
         if state.rank == m:
             break  # span is all of R^m, nothing left to add
@@ -251,7 +233,7 @@ def build_basis_t_exact(state: BasisState, tol: float | None = None) -> LayerBui
             if state.admit(c, tol):
                 w = sqrt_m / np.linalg.norm(c)
                 cols.append(w * c)
-                nodes.append((CandidateRef(prev, j), w))
+                nodes.append((prev, j, w))
                 if state.rank == m:
                     break
     if not cols:
@@ -371,7 +353,7 @@ def build_basis_t_width(
     scorer = CandidateScores(state)
 
     cols: list[np.ndarray] = []
-    nodes: list[tuple[CandidateRef, float]] = []
+    nodes: list[tuple[int, int, float]] = []
     rounds = -(-gamma // b)
     for _ in range(rounds):
         if len(cols) >= gamma:
@@ -393,7 +375,7 @@ def build_basis_t_width(
                 continue
             w = sqrt_m / np.linalg.norm(c)
             cols.append(w * c)
-            nodes.append((CandidateRef(prev, j), w))
+            nodes.append((prev, j, w))
             picked += 1
         if picked == 0:
             break

@@ -22,6 +22,7 @@ from .network import (
     predict,
     save_model,
 )
+from .output import LOSS_KINDS, decide
 from .oracle import monomial_count, monomial_matrix, span_equal, span_rank
 from .trainer import DEFAULT_LAMBDA_GRID, TrainConfig, evaluate, train
 
@@ -61,8 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="max depth counting the output layer (default: uncapped)")
     tr.add_argument("--batch", type=int, default=50,
                     help="columns admitted per selection round (default 50)")
-    tr.add_argument("--loss", choices=("squared", "hinge", "logistic", "mc-hinge"),
-                    default="squared")
+    tr.add_argument("--loss", choices=LOSS_KINDS, default="squared")
     tr.add_argument("--lambda", dest="lambdas", type=_parse_lambdas, default=None,
                     metavar="LIST", help="comma-separated regularization grid "
                     "(default: 10^-7 .. 10^1 in half-decade steps)")
@@ -104,10 +104,6 @@ def _load(args, task=None):
 
 def _cmd_train(args) -> int:
     ds = _load(args)
-    if args.loss in ("hinge", "logistic") and ds.task != "binary":
-        raise ValueError(f"--loss {args.loss} needs -1/+1 labels, data looks {ds.task}")
-    if args.loss == "mc-hinge" and ds.task != "multiclass":
-        raise ValueError(f"--loss mc-hinge needs class-id labels, data looks {ds.task}")
     train_part, valid_part = split(ds, SplitSpec(args.valid_count))
     config = TrainConfig(
         mode=args.mode,
@@ -144,12 +140,11 @@ def _cmd_predict(args) -> int:
     net = load_model(args.model)
     ds = _load(args, task=net.task)
     scores = np.atleast_2d(predict(net, ds.X))
+    labels = decide(net.task, scores)
     if net.task == "binary":
-        labels = np.where(scores[:, 0] >= 0.0, 1, -1)
         for s, lab in zip(scores[:, 0], labels):
-            print(f"{float(s)!r} {lab:+d}")
+            print(f"{float(s)!r} {int(lab):+d}")
     elif net.task == "multiclass":
-        labels = scores.argmax(axis=1)
         for row, lab in zip(scores, labels):
             print(" ".join(repr(float(s)) for s in row) + f" {lab}")
     else:

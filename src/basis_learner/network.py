@@ -14,12 +14,14 @@ are deterministic for a given network.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import lift_input
 from .linalg import check_matrix
+from .output import LOSS_KINDS, decide
 
 SCHEMA = "basis-learner/1"
 
@@ -95,6 +97,12 @@ class PolyNetwork:
         return self.head.weights.shape[1]
 
 
+def layer_values(N1: np.ndarray, prev: np.ndarray, L: ProductLayer) -> np.ndarray:
+    """Values of product layer ``L`` from the first-layer values ``N1`` and
+    the previous layer's values ``prev`` (one row per input)."""
+    return prev[:, L.prev] * N1[:, L.first] * L.weight
+
+
 def feature_matrix(net: PolyNetwork, X) -> np.ndarray:
     """All node values for each row of X, in layer order."""
     X = check_matrix(X, "X")
@@ -102,19 +110,9 @@ def feature_matrix(net: PolyNetwork, X) -> np.ndarray:
         raise ValueError(f"expected {net.input_dim} features, got {X.shape[1]}")
     N1 = lift_input(X) @ net.W1
     blocks = [N1]
-    prev = N1
     for L in net.product_layers:
-        prev = prev[:, L.prev] * N1[:, L.first] * L.weight
-        blocks.append(prev)
+        blocks.append(layer_values(N1, blocks[-1], L))
     return np.hstack(blocks)
-
-
-def forward_features(net: PolyNetwork, x) -> np.ndarray:
-    """Node values for a single input point."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("forward_features expects a single input vector")
-    return feature_matrix(net, x[None, :])[0]
 
 
 def predict(net: PolyNetwork, X) -> np.ndarray:
@@ -128,14 +126,8 @@ def predict(net: PolyNetwork, X) -> np.ndarray:
 
 
 def decisions(net: PolyNetwork, X) -> np.ndarray:
-    """Predicted labels: sign for binary (0 counts as +1), argmax with
-    lowest-id tie-break for multiclass, raw scores for regression."""
-    scores = np.atleast_2d(predict(net, X))
-    if net.task == "binary":
-        return np.where(scores[:, 0] >= 0.0, 1.0, -1.0)
-    if net.task == "multiclass":
-        return scores.argmax(axis=1).astype(np.int64)
-    return scores[:, 0]
+    """Predicted labels under :func:`output.decide` for the net's task."""
+    return decide(net.task, np.atleast_2d(predict(net, X)))
 
 
 def arithmetic_cost(net: PolyNetwork) -> int:
@@ -164,8 +156,22 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+def _is_finite(x) -> bool:
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # a JSON integer too large for a float
+        return False
+
+
+def _weight_matrix(rows, what: str) -> np.ndarray:
+    """A JSON list of rows of numbers (bools refused) as a float64 array."""
+    _require(isinstance(rows, list)
+             and all(isinstance(r, list) and set(map(type, r)) <= {int, float} for r in rows),
+             f"{what} weights malformed")
+    try:
+        return np.array(rows, dtype=np.float64)
+    except (ValueError, OverflowError):
+        raise ModelFormatError(f"{what} weights malformed") from None
 
 
 def serialize(net: PolyNetwork) -> bytes:
@@ -212,7 +218,7 @@ def deserialize(data) -> PolyNetwork:
         data = data.decode("utf-8", errors="replace")
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # also too many digits or too deep
         raise ModelFormatError(f"not a valid model document: {e}") from None
     _require(isinstance(doc, dict), "model document must be a JSON object")
     schema = doc.get("schema")
@@ -233,10 +239,7 @@ def deserialize(data) -> PolyNetwork:
     for li, spec in enumerate(layers, start=1):
         _require(isinstance(spec, dict), f"layer {li} must be an object")
     _require(layers[0].get("kind") == "linear", "first layer must be linear")
-    try:
-        W1 = np.array(layers[0]["weights"], dtype=np.float64)
-    except (KeyError, ValueError):
-        raise ModelFormatError("linear layer weights malformed") from None
+    W1 = _weight_matrix(layers[0].get("weights"), "linear layer")
     cols = layers[0].get("cols")
     _require(_is_int(cols) and W1.ndim == 2 and W1.shape == (d + 1, cols),
              f"linear layer must be {d + 1} x cols")
@@ -259,7 +262,7 @@ def deserialize(data) -> PolyNetwork:
             _require(_is_int(f) and 0 <= f < n1,
                      f"layer {li} node {r}: first_index {f} out of range "
                      f"(first layer has {n1} nodes)")
-            _require(_is_number(w) and np.isfinite(w) and w != 0,
+            _require(_is_finite(w) and w != 0,
                      f"layer {li} node {r}: weight must be finite and nonzero")
         L = product_layer(triples)
         width = spec.get("width")
@@ -271,13 +274,10 @@ def deserialize(data) -> PolyNetwork:
     head_doc = doc["head"]
     _require(isinstance(head_doc, dict), "head must be an object")
     loss = head_doc.get("loss")
-    _require(loss in ("squared", "hinge", "logistic", "mc-hinge"), f"unknown loss {loss!r}")
+    _require(loss in LOSS_KINDS, f"unknown loss {loss!r}")
     lam = head_doc.get("lambda")
-    _require(_is_number(lam) and lam >= 0, "lambda must be nonnegative")
-    try:
-        Wh = np.array(head_doc["weights"], dtype=np.float64)
-    except (KeyError, ValueError):
-        raise ModelFormatError("head weights malformed") from None
+    _require(_is_finite(lam) and lam >= 0, "lambda must be finite and nonnegative")
+    Wh = _weight_matrix(head_doc.get("weights"), "head")
     total = n1 + sum(len(L) for L in product_layers)
     expected_outputs = n_classes if task == "multiclass" else 1
     _require(Wh.ndim == 2 and Wh.shape == (total, expected_outputs),

@@ -5,9 +5,12 @@ logistic, and multiclass hinge. The regularized objective is always
 
     loss(F w, y) + (lambda / 2) ||w||^2
 
-Squared loss is minimized exactly through the normal equations; the
-margin losses run averaged stochastic subgradient descent with a seeded
-shuffle, so a fit is deterministic given its config.
+Squared loss is minimized exactly by least squares on the augmented
+system [F; sqrt(lambda m / 2) I] w = [y; 0], or on F alone (minimum
+norm) at lambda = 0; the margin losses run averaged stochastic
+subgradient descent with a seeded shuffle, so a fit is deterministic
+given its config. Scores become decisions by one rule, :func:`decide`,
+keyed by task.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ class OptimizerConfig:
 class FitResult:
     weights: np.ndarray          # n_features x n_outputs
     train_loss: float            # regularized objective at the returned weights
-    train_error_rate: float      # misclassification rate, or MSE for regression
 
 
 def _scores_matrix(scores) -> np.ndarray:
@@ -84,29 +86,18 @@ def loss_value(kind: str, scores, y) -> float:
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
-def decide(kind: str, scores) -> np.ndarray:
+def decide(task: str, scores) -> np.ndarray:
     """Decision rule: sign for binary (0 counts as +1), argmax for
-    multiclass with ties going to the lowest class id, identity for
-    squared scores."""
+    multiclass with ties going to the lowest class id, the raw score for
+    regression."""
     S = _scores_matrix(scores)
-    if kind == "squared":
+    if task == "regression":
         return S[:, 0]
-    if kind in ("hinge", "logistic"):
+    if task == "binary":
         return np.where(S[:, 0] >= 0.0, 1.0, -1.0)
-    if kind == "mc-hinge":
+    if task == "multiclass":
         return S.argmax(axis=1).astype(np.int64)
-    raise ValueError(f"unknown loss kind {kind!r}")
-
-
-def error_rate(kind: str, scores, y) -> float:
-    """Misclassification rate under :func:`decide`; MSE for squared."""
-    y = np.asarray(y)
-    if kind == "squared":
-        S = _scores_matrix(scores)
-        Y = y[:, None] if y.ndim == 1 else y
-        return float(np.mean((S - Y) ** 2))
-    pred = decide(kind, scores)
-    return float(np.mean(pred != y))
+    raise ValueError(f"unknown task {task!r}")
 
 
 def loss_gradient(kind: str, scores, y) -> np.ndarray:
@@ -219,17 +210,14 @@ def fit_head(
     lam: float,
     opt: OptimizerConfig | None = None,
     n_classes: int | None = None,
-    task: str | None = None,
 ) -> FitResult:
     """Fit output weights over the feature matrix ``F``.
 
     Squared loss is solved exactly (minimum-norm at lambda = 0); the
     margin losses use the averaged subgradient method configured by
     ``opt``. ``n_classes`` fixes the weight-column count for mc-hinge;
-    by default it is one more than the largest class id seen. ``task``
-    selects the error metric when it differs from the loss's natural one
-    (a binary task fit with squared loss reports misclassification, not
-    MSE).
+    by default it is one more than the largest class id seen. Errors are
+    scored separately, by :func:`validation_error`.
     """
     F = np.asarray(F, dtype=np.float64)
     y = np.asarray(y)
@@ -245,7 +233,6 @@ def fit_head(
     if kind == "squared":
         Y = y[:, None] if y.ndim == 1 else np.asarray(y, dtype=np.float64)
         W = _solve_squared(F, Y, lam)
-        y_eval = y
     else:
         if y.ndim != 1:
             raise ValueError(f"{kind} expects a label vector")
@@ -256,31 +243,16 @@ def fit_head(
         else:
             k = 1
         W = _sgd(F, np.asarray(y, dtype=np.float64), kind, lam, opt, k)
-        y_eval = y
-    scores = F @ W
-    if task is None or y_eval.ndim != 1:
-        err = error_rate(kind, scores, y_eval)
-    else:
-        err = validation_error(F, W, y_eval, task)
-    return FitResult(
-        weights=W,
-        train_loss=loss_value(kind, scores, y_eval) + 0.5 * lam * float(np.sum(W ** 2)),
-        train_error_rate=err,
-    )
+    return FitResult(weights=W, train_loss=objective(kind, F, W, y, lam))
 
 
 def validation_error(features, weights, y, task: str) -> float:
-    """Held-out error of a linear head: misclassification rate for the
-    classification tasks, MSE for regression."""
+    """Error of a linear head under :func:`decide`: misclassification
+    rate for the classification tasks, MSE for regression."""
     features = np.asarray(features, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
-    scores = features @ weights
+    pred = decide(task, features @ weights)
     y = np.asarray(y)
     if task == "regression":
-        return float(np.mean((scores[:, 0] - y) ** 2))
-    if task == "binary":
-        pred = np.where(scores[:, 0] >= 0.0, 1.0, -1.0)
-        return float(np.mean(pred != y))
-    if task == "multiclass":
-        return float(np.mean(scores.argmax(axis=1) != y))
-    raise ValueError(f"unknown task {task!r}")
+        return float(np.mean((pred - y) ** 2))
+    return float(np.mean(pred != y))

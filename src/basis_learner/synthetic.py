@@ -26,19 +26,6 @@ def random_regression(m: int, d: int, seed: int) -> LabeledDataset:
     return ds
 
 
-def random_quadratic_classification(m: int, d: int, seed: int) -> LabeledDataset:
-    """Binary labels from the sign of a random quadratic, median-centered
-    so the classes are balanced."""
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((m, d))
-    A = rng.standard_normal((d, d)) / d
-    b = rng.standard_normal(d)
-    q = np.einsum("ij,jk,ik->i", X, A, X) + X @ b
-    q = q - np.median(q)
-    y = np.where(q >= 0, 1.0, -1.0)
-    return make_dataset(X, y, task="binary")
-
-
 def _render_outline(size: int, top: int, left: int, h: int, w: int) -> np.ndarray:
     img = np.zeros((size, size))
     img[top, left:left + w] = 1.0

@@ -28,8 +28,8 @@ from .basis import (
     lift_input,
 )
 from .dataset import LabeledDataset, target_matrix
-from .network import OutputHead, PolyNetwork, feature_matrix, product_layer
-from .output import OptimizerConfig, fit_head, loss_value, validation_error
+from .network import OutputHead, PolyNetwork, feature_matrix, layer_values, product_layer
+from .output import LOSS_KINDS, OptimizerConfig, decide, fit_head, loss_value, validation_error
 
 # 10^-7, 10^-6.5, ..., 10^1 (17 values)
 DEFAULT_LAMBDA_GRID: tuple[float, ...] = tuple(
@@ -65,7 +65,7 @@ class TrainConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.svd not in ("exact", "randomized"):
             raise ValueError(f"unknown svd choice {self.svd!r}")
-        if self.loss not in ("squared", "hinge", "logistic", "mc-hinge"):
+        if self.loss not in LOSS_KINDS:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.mode == "width":
             if self.gamma < 1:
@@ -150,25 +150,6 @@ def _head_seed(seed: int, depth: int, lam_index: int) -> int:
     return int(np.random.SeedSequence((seed, depth, lam_index)).generate_state(1)[0])
 
 
-class _ValidFeatures:
-    """Validation-set node values, grown one layer at a time through the
-    same (W1, triples) evaluation the deployed network uses."""
-
-    def __init__(self, X: np.ndarray, W1: np.ndarray):
-        self.N1 = lift_input(X) @ W1
-        self.blocks = [self.N1]
-
-    def add_layer(self, nodes) -> None:
-        prev = self.blocks[-1]
-        idx_p = np.array([ref.prev_col for ref, _ in nodes], dtype=np.int64)
-        idx_f = np.array([ref.first_col for ref, _ in nodes], dtype=np.int64)
-        w = np.array([wt for _, wt in nodes], dtype=np.float64)
-        self.blocks.append(prev[:, idx_p] * self.N1[:, idx_f] * w)
-
-    def matrix(self) -> np.ndarray:
-        return np.hstack(self.blocks)
-
-
 def train(
     train_ds: LabeledDataset,
     valid_ds: LabeledDataset | None,
@@ -193,6 +174,7 @@ def train(
             "guarantees do not apply"
         )
 
+    fit_y = _fit_target(train_ds, config.loss)
     m = train_ds.m
     tol = config.tol if config.tol is not None else default_tol(m)
     lifted = lift_input(train_ds.X)
@@ -203,12 +185,13 @@ def train(
             lifted, config.gamma, svd_mode=config.svd, seed=config.seed
         )
     state = initial_state(layer1, tol)
-    layer_results = [layer1]
+    # product layers admitted so far; the validation rows' node values are
+    # grown through the same layer_values the deployed network uses
+    layers = []
+    valid_blocks = [lift_input(valid_ds.X) @ layer1.W1] if has_valid else None
 
-    fit_y = _fit_target(train_ds, config.loss)
     n_classes = train_ds.n_classes if train_ds.task == "multiclass" else None
     select_target = target_matrix(train_ds)
-    vf = _ValidFeatures(valid_ds.X, layer1.W1) if has_valid else None
 
     records: list[DepthRecord] = []
     best: dict | None = None
@@ -220,17 +203,14 @@ def train(
         t0 = time.perf_counter()
         F = state.F
         ncols = state.ncols
-        valid_F = vf.matrix() if has_valid else None
+        valid_F = np.hstack(valid_blocks) if has_valid else None
 
         depth_best: dict | None = None
         for li, lam in enumerate(config.lambda_grid):
             opt = OptimizerConfig(
                 epochs=config.sgd_epochs, seed=_head_seed(config.seed, t, li)
             )
-            fit = fit_head(
-                F, fit_y, config.loss, lam, opt,
-                n_classes=n_classes, task=train_ds.task,
-            )
+            fit = fit_head(F, fit_y, config.loss, lam, opt, n_classes=n_classes)
             t_err = validation_error(F, fit.weights, train_ds.labels, train_ds.task)
             if has_valid:
                 v_err = validation_error(
@@ -290,18 +270,13 @@ def train(
             termination = "empty_layer"
             record(time.perf_counter() - t0)
             break
-        layer_results.append(built)
+        layers.append(product_layer(built.nodes))
         if has_valid:
-            vf.add_layer(built.nodes)
+            valid_blocks.append(layer_values(valid_blocks[0], valid_blocks[-1], layers[-1]))
         record(time.perf_counter() - t0)
         t += 1
 
     assert best is not None
-    n_feature_layers = best["depth"] - 1
-    product_layers = tuple(
-        product_layer([(r.prev_col, r.first_col, w) for r, w in lr.nodes])
-        for lr in layer_results[1:n_feature_layers]
-    )
     head = OutputHead(
         weights=np.asarray(best["weights"], dtype=np.float64),
         loss=config.loss,
@@ -326,7 +301,7 @@ def train(
         input_dim=train_ds.dim,
         task=train_ds.task,
         W1=layer1.W1,
-        product_layers=product_layers,
+        product_layers=tuple(layers[: best["depth"] - 2]),
         head=head,
         n_classes=train_ds.n_classes if train_ds.task == "multiclass" else 0,
         provenance={"config": cfg_doc, "trace": trace.header()},
@@ -357,7 +332,7 @@ def evaluate(net: PolyNetwork, ds: LabeledDataset) -> dict:
     }
     if ds.task == "multiclass":
         k = net.n_classes
-        pred = scores.argmax(axis=1)
+        pred = decide(ds.task, scores)
         conf = np.zeros((k, k), dtype=np.int64)
         np.add.at(conf, (ds.labels, pred), 1)
         metrics["confusion"] = conf

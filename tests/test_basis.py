@@ -6,19 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from basis_learner.basis import (
     BasisState,
-    CandidateRef,
     CandidateScores,
     LayerBuildResult,
     build_basis1_exact,
     build_basis1_width,
     build_basis_t_exact,
     build_basis_t_width,
-    candidate_column,
     default_tol,
     initial_state,
     lift_input,
 )
 from basis_learner.linalg import residual, thin_svd
+from basis_learner.network import layer_values, product_layer
 from basis_learner.oracle import monomial_matrix, span_equal
 
 
@@ -123,19 +122,6 @@ class TestFirstLayerWidth:
             build_basis1_width(np.ones((2, 2)), 1, svd_mode="qr")
 
 
-class TestCandidateColumn:
-    def test_hadamard_by_definition(self, line_points):
-        state = exact_state(line_points)
-        ref = CandidateRef(prev_col=0, first_col=1)
-        expect = state.F[:, 0] * state.F[:, 1]
-        np.testing.assert_array_equal(candidate_column(state, ref), expect)
-
-    def test_out_of_range(self, line_points):
-        state = exact_state(line_points)
-        with pytest.raises(IndexError):
-            candidate_column(state, CandidateRef(5, 0))
-
-
 class TestExactLayers:
     def test_line_saturates_at_three(self, line_points):
         state = exact_state(line_points)
@@ -147,13 +133,28 @@ class TestExactLayers:
         assert res2.width == 0
         assert len(state.layer_ranges) == 2
 
-    def test_nodes_reproduce_columns(self, line_points):
-        state = exact_state(line_points)
-        lo, hi = state.layer_ranges[-1]
-        res = build_basis_t_exact(state)
-        for col, (ref, w) in zip(res.new_columns.T, res.nodes):
-            raw = state.F[:, lo + ref.prev_col] * state.F[:, ref.first_col]
-            np.testing.assert_allclose(col, w * raw, rtol=1e-12)
+    def test_nodes_reproduce_columns(self):
+        # node (p, f, w) is w times previous-layer column p (0-based within
+        # its layer) times layer-1 column f, and the network's layer
+        # evaluator reads the triples the same way
+        X = np.random.default_rng(21).standard_normal((30, 3))
+        for mode in ("exact", "width"):
+            state = exact_state(X)
+            n1 = state.layer1_cols
+            for _ in range(2):
+                lo, hi = state.layer_ranges[-1]
+                if mode == "exact":
+                    res = build_basis_t_exact(state)
+                else:
+                    res = build_basis_t_width(state, X[:, :1] ** 3, gamma=6, b=2)
+                assert res.width > 0 and len(res.nodes) == res.width
+                for col, (p, f, w) in zip(res.new_columns.T, res.nodes):
+                    assert 0 <= p < hi - lo and 0 <= f < n1
+                    np.testing.assert_array_equal(
+                        col, w * (state.F[:, lo + p] * state.F[:, f]))
+                L = product_layer(res.nodes)
+                np.testing.assert_array_equal(
+                    layer_values(state.F[:, :n1], state.F[:, lo:hi], L), res.new_columns)
 
     def test_full_state_yields_empty_layer(self):
         rng = np.random.default_rng(6)
@@ -394,7 +395,7 @@ class TestCandidateScores:
         t = state.F[:, 2]
         res = build_basis_t_width(state, (t * t)[:, None], gamma=3, b=3)
         # of the 9 products only s*t (twice, as t*s) and t*t are independent
-        refs = {(ref.prev_col, ref.first_col) for ref, _ in res.nodes}
+        refs = {(p, f) for p, f, _ in res.nodes}
         assert res.width == 2
         assert (2, 2) in refs and len(refs & {(1, 2), (2, 1)}) == 1
         check_state_invariants(state)

@@ -373,13 +373,24 @@ class TestConsoleScript:
 
     def test_malformed_model_reports_error_without_traceback(self, toy, tmp_path):
         bad = tmp_path / "bad.bl"
-        bad.write_text('{"schema": "basis-learner/1", "input_dim": 2, '
-                       '"task": "regression", "layers": [3], "head": {}}')
-        proc = run_module(["predict", "--model", str(bad), "--data", str(toy)])
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error: ")
-        assert "layer 1 must be an object" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        overflowing_lambda = (
+            '{"schema": "basis-learner/1", "input_dim": 1, "task": "regression", '
+            '"layers": [{"kind": "linear", "cols": 2, "weights": [[1, 0], [0, 1]]}], '
+            '"head": {"loss": "squared", "lambda": 1' + "0" * 400 + ', "outputs": 1, '
+            '"weights": [[0], [0]]}}'
+        )
+        for text, message in [
+            ('{"schema": "basis-learner/1", "input_dim": 2, '
+             '"task": "regression", "layers": [3], "head": {}}',
+             "layer 1 must be an object"),
+            (overflowing_lambda, "lambda must be finite"),
+        ]:
+            bad.write_text(text)
+            proc = run_module(["predict", "--model", str(bad), "--data", str(toy)])
+            assert proc.returncode == 1
+            assert proc.stderr.startswith("error: ")
+            assert message in proc.stderr
+            assert "Traceback" not in proc.stderr
 
     def test_entry_point_installed(self, trained):
         exe = shutil.which("basis-learner")

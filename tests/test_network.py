@@ -5,10 +5,12 @@ loops, counting every multiply and add, so the reported cost is checked
 against an actual operation count rather than the same formula twice.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from basis_learner import TrainConfig, make_dataset, train
 from basis_learner.network import (
@@ -19,7 +21,6 @@ from basis_learner.network import (
     decisions,
     deserialize,
     feature_matrix,
-    forward_features,
     load_model,
     predict,
     product_layer,
@@ -50,6 +51,30 @@ def chain_net(degree):
     return hand_net(np.eye(2), layers, head)
 
 
+def small_doc():
+    """A valid model document: d=1, two linear nodes, one product node."""
+    return {
+        "schema": "basis-learner/1", "input_dim": 1, "task": "regression",
+        "n_classes": 1,
+        "layers": [
+            {"kind": "linear", "rows": 2, "cols": 2, "weights": [[1, 0], [0, 1]]},
+            {"kind": "product", "width": 1, "triples": [[1, 1, 1]]},
+        ],
+        "head": {"loss": "squared", "lambda": 1, "outputs": 1,
+                 "weights": [[0], [1], [0]]},
+        "provenance": {},
+    }
+
+
+def replaced(doc, path, value):
+    """``doc`` with the field at ``path`` (keys and list indices) set to ``value``."""
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
 def trained_regression_net(m=12, d=2, seed=77, mode="exact", **kw):
     rng = np.random.default_rng(seed)
     ds = make_dataset(rng.standard_normal((m, d)), rng.standard_normal(m))
@@ -58,30 +83,27 @@ def trained_regression_net(m=12, d=2, seed=77, mode="exact", **kw):
 
 
 class TestForwardFeatures:
+    """Node values of single input points: feature_matrix on one row."""
+
     def test_constant_node(self):
         # W1 = e_1 * s ignores x entirely
         net = hand_net([[2.5], [0.0]], [], [[1.0]])
         for x in ([0.0], [3.0], [-7.0]):
-            assert forward_features(net, x)[0] == 2.5
+            assert feature_matrix(net, [x])[0, 0] == 2.5
 
     def test_lifted_identity(self):
         net = hand_net(np.eye(3), [], np.zeros((3, 1)))
-        assert np.array_equal(forward_features(net, [4.0, -1.0]), [1.0, 4.0, -1.0])
+        assert np.array_equal(feature_matrix(net, [[4.0, -1.0]]), [[1.0, 4.0, -1.0]])
 
     def test_product_node_value(self):
         # nodes valued 2 and 3, weight 0.5 -> 3.0
         net = hand_net([[2.0, 3.0], [0.0, 0.0]], [[(0, 1, 0.5)]], np.zeros((3, 1)))
-        assert forward_features(net, [9.0])[2] == 3.0
+        assert feature_matrix(net, [[9.0]])[0, 2] == 3.0
 
     def test_dimension_mismatch(self):
         net = hand_net(np.eye(3), [], np.zeros((3, 1)))
         with pytest.raises(ValueError, match="expected 2 features"):
-            forward_features(net, [1.0])
-
-    def test_rejects_matrix_input(self):
-        net = hand_net(np.eye(2), [], np.zeros((2, 1)))
-        with pytest.raises(ValueError, match="single input"):
-            forward_features(net, np.ones((2, 1)))
+            feature_matrix(net, [[1.0]])
 
     def test_reproduces_training_columns(self):
         # the bridge between construction and deployment: node values on
@@ -91,7 +113,7 @@ class TestForwardFeatures:
         assert F.shape == trace.feature_columns.shape
         assert np.max(np.abs(F - trace.feature_columns)) <= 1e-8
         for i in (0, 5, 11):
-            assert np.allclose(forward_features(net, ds.X[i]), F[i], atol=1e-12)
+            assert np.allclose(feature_matrix(net, ds.X[i:i + 1])[0], F[i], atol=1e-12)
 
     def test_reproduces_training_columns_width_mode(self):
         ds, net, trace = trained_regression_net(m=30, d=3, seed=78, mode="width",
@@ -350,27 +372,83 @@ class TestSerialization:
         ("layers", 1, "triples", 0, 2),
         ("head", "lambda"),
         ("head", "outputs"),
+        ("layers", 0, "weights", 0, 0),
+        ("head", "weights", 1, 0),
     ])
     def test_bool_rejected_where_number_required(self, path):
-        import json
-
-        doc = {
-            "schema": "basis-learner/1", "input_dim": 1, "task": "regression",
-            "n_classes": 1,
-            "layers": [
-                {"kind": "linear", "rows": 2, "cols": 2, "weights": [[1, 0], [0, 1]]},
-                {"kind": "product", "width": 1, "triples": [[1, 1, 1]]},
-            ],
-            "head": {"loss": "squared", "lambda": 1, "outputs": 1,
-                     "weights": [[0], [0], [0]]},
-        }
-        deserialize(json.dumps(doc))  # valid with the numbers in place
-        target = doc
-        for key in path[:-1]:
-            target = target[key]
-        target[path[-1]] = True
+        deserialize(json.dumps(small_doc()))  # valid with the numbers in place
         with pytest.raises(ModelFormatError):
-            deserialize(json.dumps(doc))
+            deserialize(json.dumps(replaced(small_doc(), path, True)))
+
+    # each of these used to escape as TypeError or OverflowError
+    @pytest.mark.parametrize("path,value", [
+        (("layers", 0, "weights"), {"0": [1, 0], "1": [0, 1]}),
+        (("head", "weights"), {"0": [0]}),
+        (("head", "lambda"), 10**400),
+        (("layers", 1, "triples", 0, 2), 10**400),
+        (("layers", 0, "weights", 0, 0), 10**400),
+    ], ids=["linear-weights-object", "head-weights-object", "lambda-overflow",
+            "node-weight-overflow", "linear-weight-overflow"])
+    def test_untyped_failures_raise_model_format_error(self, path, value):
+        with pytest.raises(ModelFormatError):
+            deserialize(json.dumps(replaced(small_doc(), path, value)))
+
+    @pytest.mark.parametrize("text", [
+        json.dumps(small_doc()).replace('"lambda": 1', '"lambda": 1' + "0" * 5000),
+        "[" * 100000 + "]" * 100000,
+    ], ids=["integer-beyond-digit-limit", "nested-too-deep"])
+    def test_unparseable_json(self, text):
+        with pytest.raises(ModelFormatError, match="not a valid model document"):
+            deserialize(text)
+
+
+def field_paths(doc, prefix=()):
+    """Every key and list index path in a JSON document, containers included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from field_paths(value, prefix + (key,))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats()
+    | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids,
+                                                            max_size=3),
+    max_leaves=6,
+)
+
+
+class TestModelDocumentProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(path=st.sampled_from(list(field_paths(small_doc()))), value=json_values)
+    def test_one_field_replaced_loads_or_raises_model_format_error(self, path, value):
+        text = json.dumps(replaced(small_doc(), path, value))
+        try:
+            net = deserialize(text)
+        except ModelFormatError:
+            return
+        assert isinstance(net, PolyNetwork)
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["exact", "width"]),
+           loss=st.sampled_from(["squared", "hinge", "logistic", "mc-hinge"]))
+    def test_trained_network_round_trips(self, seed, mode, loss):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((12, 2))
+        if loss == "squared":
+            ds = make_dataset(X, rng.standard_normal(12), task="regression")
+        elif loss == "mc-hinge":
+            ds = make_dataset(X, rng.permutation(np.arange(12) % 3), task="multiclass")
+        else:
+            ds = make_dataset(X, rng.permutation(np.arange(12) % 2 * 2.0 - 1.0),
+                              task="binary")
+        cfg = TrainConfig(mode=mode, gamma=4, batch=2, max_depth=4, loss=loss,
+                          lambda_grid=(0.0, 0.1), sgd_epochs=3, seed=seed)
+        net, _ = train(ds, None, cfg)
+        blob = serialize(net)
+        assert serialize(deserialize(blob)) == blob
 
 
 class TestProperties:

@@ -14,7 +14,6 @@ from basis_learner.output import (
     LOSS_KINDS,
     OptimizerConfig,
     decide,
-    error_rate,
     fit_head,
     loss_gradient,
     loss_value,
@@ -69,29 +68,37 @@ class TestLossValues:
 
 class TestDecide:
     def test_sign_with_zero_positive(self):
-        out = decide("hinge", [0.3, -0.1, 0.0])
+        out = decide("binary", [0.3, -0.1, 0.0])
         assert np.array_equal(out, [1.0, -1.0, 1.0])
 
     def test_argmax_tie_lowest_class(self):
-        out = decide("mc-hinge", np.array([[1.0, 1.0, 0.0]]))
+        out = decide("multiclass", np.array([[1.0, 1.0, 0.0]]))
         assert out.tolist() == [0]
 
     def test_squared_is_identity(self):
-        assert np.array_equal(decide("squared", [1.5, -2.0]), [1.5, -2.0])
+        assert np.array_equal(decide("regression", [1.5, -2.0]), [1.5, -2.0])
+
+    def test_keyed_by_task_not_loss(self):
+        with pytest.raises(ValueError, match="unknown task"):
+            decide("hinge", [0.3])
 
 
 class TestErrorRate:
+    """validation_error with identity features scores the given values."""
+
     def test_binary_counts_misclassified(self):
-        v = [1.0, -1.0, -1.0, 1.0]
+        v = np.array([[1.0], [-1.0], [-1.0], [1.0]])
         y = [1.0, 1.0, -1.0, -1.0]
-        assert error_rate("hinge", v, y) == 0.5
+        assert validation_error(v, [[1.0]], y, "binary") == 0.5
 
     def test_squared_is_mse(self):
-        assert error_rate("squared", [1.0, 3.0], [0.0, 0.0]) == 5.0
+        v = np.array([[1.0], [3.0]])
+        assert validation_error(v, [[1.0]], [0.0, 0.0], "regression") == 5.0
 
     def test_multiclass(self):
         S = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-        assert error_rate("mc-hinge", S, [0, 1, 1]) == pytest.approx(1.0 / 3.0)
+        err = validation_error(S, np.eye(2), [0, 1, 1], "multiclass")
+        assert err == pytest.approx(1.0 / 3.0)
 
 
 def fd_gradient(kind, S, y, h=1e-6):
@@ -211,9 +218,9 @@ class TestSquaredFit:
         rng = np.random.default_rng(8)
         F = rng.standard_normal((6, 6)) + 3.0 * np.eye(6)
         y = rng.standard_normal(6)
-        fit = fit_head(F, y, "squared", 0.0, task="regression")
+        fit = fit_head(F, y, "squared", 0.0)
         assert fit.train_loss <= 1e-18
-        assert fit.train_error_rate <= 1e-18
+        assert validation_error(F, fit.weights, y, "regression") <= 1e-18
 
     def test_objective_never_below_optimum(self):
         rng = np.random.default_rng(9)
@@ -261,9 +268,9 @@ class TestMarginFits:
 
     def test_hinge_beats_zero_and_classifies(self):
         F, y = classification_features(100, 4, 12, separation=2.5)
-        fit = fit_head(F, y, "hinge", 0.1, task="binary")
+        fit = fit_head(F, y, "hinge", 0.1)
         assert fit.train_loss < loss_value("hinge", np.zeros(100), y)
-        assert fit.train_error_rate <= 0.05
+        assert validation_error(F, fit.weights, y, "binary") <= 0.05
 
     def test_mc_hinge_separable_three_class(self):
         rng = np.random.default_rng(13)
@@ -272,9 +279,9 @@ class TestMarginFits:
         F = np.hstack([np.ones((m, 1)), rng.standard_normal((m, 3)) * 0.2])
         for c in range(3):
             F[y == c, 1 + c] += 3.0
-        fit = fit_head(F, y, "mc-hinge", 0.1, n_classes=3, task="multiclass")
+        fit = fit_head(F, y, "mc-hinge", 0.1, n_classes=3)
         assert fit.weights.shape == (4, 3)
-        assert fit.train_error_rate <= 0.05
+        assert validation_error(F, fit.weights, y, "multiclass") <= 0.05
 
     @pytest.mark.parametrize(
         "kind,lam",
@@ -312,8 +319,8 @@ class TestMarginFits:
 
     def test_zero_lambda_uses_eta0_schedule(self):
         F, y = classification_features(60, 4, 18, separation=3.0)
-        fit = fit_head(F, y, "hinge", 0.0, OptimizerConfig(epochs=30), task="binary")
-        assert fit.train_error_rate <= 0.05
+        fit = fit_head(F, y, "hinge", 0.0, OptimizerConfig(epochs=30))
+        assert validation_error(F, fit.weights, y, "binary") <= 0.05
 
 
 class TestFitHeadValidation:

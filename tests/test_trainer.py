@@ -19,7 +19,8 @@ from basis_learner import (
     train,
 )
 from basis_learner.dataset import LabeledDataset, SplitSpec
-from basis_learner.network import predict
+from basis_learner import trainer
+from basis_learner.network import feature_matrix, predict
 from basis_learner.trainer import _head_seed
 
 
@@ -136,6 +137,33 @@ class TestModelSelection:
         net, trace = train(tr, va, TrainConfig(lambda_grid=(1e-6, 1e-3), patience=2))
         # returned head reproduces the best recorded validation error
         assert evaluate(net, va)["error"] == pytest.approx(trace.best_valid_err, rel=1e-12)
+
+    def test_validation_columns_are_the_deployed_features(self, monkeypatch):
+        # heads are scored on exactly the node values the returned network
+        # computes for the validation rows, also when it is cut back to an
+        # earlier depth than the last one built
+        rng = np.random.default_rng(28)
+        X = rng.standard_normal((70, 3))
+        y = rng.standard_normal(70)
+        tr, va = split(make_dataset(X, y), SplitSpec(validation_count=25))
+        seen = []
+        score = trainer.validation_error
+
+        def spy(features, weights, labels, task):
+            if len(labels) == va.m:
+                seen.append(np.array(features, copy=True))
+            return score(features, weights, labels, task)
+
+        monkeypatch.setattr(trainer, "validation_error", spy)
+        cfg = TrainConfig(mode="width", gamma=8, batch=4, lambda_grid=(1e-3,), patience=2)
+        net, trace = train(tr, va, cfg)
+        assert trace.best_depth < trace.records[-1].depth
+        deployed = feature_matrix(net, va.X)
+        scored = [F for F in seen if F.shape[1] == net.total_nodes]
+        assert scored and all(np.array_equal(F, deployed) for F in scored)
+        for F in seen:  # other depths score a prefix or an extension of them
+            k = min(F.shape[1], deployed.shape[1])
+            assert np.array_equal(F[:, :k], deployed[:, :k])
 
     def test_best_depth_matches_network_shape(self):
         ds = regression_ds(12, 2, 27)
