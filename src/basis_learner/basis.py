@@ -12,7 +12,8 @@ materialized: candidates are generated and tested one block at a time.
 
 Every admission goes through :meth:`BasisState.admit`, which tests the
 two-pass classical Gram-Schmidt (CGS2) residual against ``tol`` and writes
-its unit vector into a Q buffer the state owns. Width mode scores
+the node's values to F and its unit residual to Q, buffers the state owns;
+the layer builders only record the admitted nodes. Width mode scores
 candidates from their projection onto Q, kept across the rounds of a layer
 and extended by the newly admitted columns only, with an explicit CGS2
 residual for near-dependent candidates (:class:`CandidateScores`).
@@ -35,20 +36,23 @@ def default_tol(m: int) -> float:
 
 @dataclass(frozen=True)
 class LayerBuildResult:
-    """Columns added by one layer build.
+    """Nodes added by one layer build.
 
-    Layer 1 carries the (d+1) x k weight matrix ``W1``; product layers
-    instead carry one (prev, first, weight) node per column: the column
-    equals weight times previous-layer column ``prev`` times layer-1
-    column ``first`` (both indices 0-based within their layer).
+    Layer 1 carries its columns ``new_columns`` and the (d+1) x k weight
+    matrix ``W1``. A product layer carries one (prev, first, weight) node
+    per column it admitted: the column equals weight times previous-layer
+    column ``prev`` times layer-1 column ``first`` (both indices 0-based
+    within their layer); its values live in the state's F.
     """
 
-    new_columns: np.ndarray
     nodes: list[tuple[int, int, float]] = field(default_factory=list)
+    new_columns: np.ndarray | None = None
     W1: np.ndarray | None = None
 
     @property
     def width(self) -> int:
+        if self.new_columns is None:
+            return len(self.nodes)
         return self.new_columns.shape[1]
 
 
@@ -56,70 +60,80 @@ class LayerBuildResult:
 class BasisState:
     """Feature matrix F, orthonormal companion Q, and per-layer extents.
 
-    Invariants: span(Q) = span(F) between layer builds, F's columns are
-    linearly independent with second moment 1, and ``layer_ranges``
-    partitions the columns in construction order as half-open
-    [start, stop) intervals. Q is the first ``rank`` columns of
-    ``Q_buf``, a buffer that grows only when an admission needs room.
+    F and Q are the first ``ncols`` columns of ``F_buf`` and ``Q_buf``,
+    buffers the state owns and grows together. Every column enters
+    through one admission, which writes the node's values to F and their
+    CGS2 orthonormalisation against the earlier columns to Q, so
+    span(Q) = span(F) after every admission and Q^T F is upper
+    triangular. F's columns are linearly independent with second moment
+    1, and ``layer_ranges`` partitions the columns of the finished layers
+    in construction order as half-open [start, stop) intervals.
     """
 
-    F: np.ndarray
-    layer_ranges: list[tuple[int, int]]
+    F_buf: np.ndarray
     Q_buf: np.ndarray
-    rank: int = 0
+    layer_ranges: list[tuple[int, int]]
+    ncols: int = 0
+
+    @property
+    def F(self) -> np.ndarray:
+        """The node values admitted so far (a view of ``F_buf``)."""
+        return self.F_buf[:, : self.ncols]
 
     @property
     def Q(self) -> np.ndarray:
         """The orthonormal columns admitted so far (a view of ``Q_buf``)."""
-        return self.Q_buf[:, : self.rank]
+        return self.Q_buf[:, : self.ncols]
 
     @property
     def m(self) -> int:
-        return self.F.shape[0]
-
-    @property
-    def ncols(self) -> int:
-        return self.F.shape[1]
+        return self.F_buf.shape[0]
 
     @property
     def layer1_cols(self) -> int:
         return self.layer_ranges[0][1]
 
-    @property
-    def depth(self) -> int:
-        return len(self.layer_ranges)
-
     def reserve(self, cols: int) -> None:
-        """Make room for ``cols`` Q columns in all; Q never needs more than m."""
+        """Make room for ``cols`` columns in all; F and Q never need more than m."""
         cols = min(cols, self.m)
-        if cols > self.Q_buf.shape[1]:
-            buf = np.empty((self.m, cols))
-            buf[:, : self.rank] = self.Q
-            self.Q_buf = buf
+        if cols > self.F_buf.shape[1]:
+            F, Q = np.empty((self.m, cols)), np.empty((self.m, cols))
+            F[:, : self.ncols] = self.F
+            Q[:, : self.ncols] = self.Q
+            self.F_buf, self.Q_buf = F, Q
 
-    def admit(self, c: np.ndarray, tol: float) -> bool:
-        """Append c's unit CGS2 residual to Q if its norm exceeds ``tol``.
+    def admit(self, c: np.ndarray, tol: float) -> float:
+        """Admit product candidate c as the next node if it enlarges the span.
 
-        Returns whether c was admitted; F is left to the caller.
+        c's unit CGS2 residual against Q goes to Q and c scaled to norm √m
+        goes to F. Returns the scale, which is the node's weight, or 0.0
+        when the residual norm is at most ``tol``.
         """
-        if self.rank == self.m:
-            return False  # span is all of R^m
+        return self._admit(c, tol, scale=True)
+
+    def _admit(self, c: np.ndarray, tol: float, scale: bool) -> float:
+        # scale=False stores c as given (layer 1, whose columns must stay
+        # bit-equal to lift_input(X) @ W1); multiplying by 1.0 is exact
+        if self.ncols == self.m:
+            return 0.0  # span is all of R^m
         Q = self.Q
         r = residual(residual(c, Q), Q)
         nr = np.linalg.norm(r)
         if nr <= tol:
-            return False
-        if self.rank == self.Q_buf.shape[1]:
-            self.reserve(2 * self.rank + 1)
-        np.divide(r, nr, out=self.Q_buf[:, self.rank])
-        self.rank += 1
-        return True
+            return 0.0
+        if self.ncols == self.F_buf.shape[1]:
+            self.reserve(2 * self.ncols + 1)
+        w = math.sqrt(self.m) / np.linalg.norm(c) if scale else 1.0
+        np.divide(r, nr, out=self.Q_buf[:, self.ncols])
+        np.multiply(w, c, out=self.F_buf[:, self.ncols])
+        self.ncols += 1
+        return w
 
 
 def lift_input(X) -> np.ndarray:
     """Prepend the all-ones column: [1 X]."""
     X = check_matrix(X, "X")
-    return np.hstack([np.ones((X.shape[0], 1)), X])
+    return np.concatenate([np.ones((X.shape[0], 1)), X], axis=1)
 
 
 def _scaled_projection(F1_tilde: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,11 +152,11 @@ def build_basis1_exact(F1_tilde) -> LayerBuildResult:
     The right singular vectors of [1 X] give linear combinations whose
     values on the training rows are orthogonal; each is rescaled to norm
     √m. Rank deficiency (dependent input features) just drops columns.
+    This is :func:`build_basis1_width` on the exact SVD, keeping every
+    column.
     """
     F1_tilde = check_matrix(F1_tilde, "F1_tilde")
-    svd = thin_svd(F1_tilde)
-    B, W1 = _scaled_projection(F1_tilde, svd.V)
-    return LayerBuildResult(new_columns=B, W1=W1)
+    return build_basis1_width(F1_tilde, max(F1_tilde.shape[1], 1))
 
 
 def build_basis1_width(
@@ -150,8 +164,6 @@ def build_basis1_width(
     gamma: int,
     svd_mode: str = "exact",
     seed: int = 0,
-    oversample: int = 10,
-    power_iters: int = 2,
 ) -> LayerBuildResult:
     """Width-limited first layer: top-``gamma`` singular directions only.
 
@@ -168,10 +180,8 @@ def build_basis1_width(
     elif svd_mode == "randomized":
         small = min(F1_tilde.shape)
         k = min(gamma, small)
-        # keep the sketch within the matrix dimensions
-        ov = min(oversample, small - k)
-        svd = randomized_range_svd(F1_tilde, k, oversample=ov,
-                                   power_iters=power_iters, seed=seed)
+        # oversample by up to 10, keeping the sketch within the matrix
+        svd = randomized_range_svd(F1_tilde, k, oversample=min(10, small - k), seed=seed)
         V = svd.V
     else:
         raise ValueError(f"unknown svd_mode {svd_mode!r}")
@@ -185,10 +195,11 @@ def initial_state(layer1: LayerBuildResult, tol: float | None = None) -> BasisSt
     m, k = B.shape
     if tol is None:
         tol = default_tol(m)
-    state = BasisState(F=B.copy(), layer_ranges=[(0, k)], Q_buf=np.empty((m, k)))
+    state = BasisState(F_buf=np.empty((m, k)), Q_buf=np.empty((m, k)), layer_ranges=[])
     for j in range(k):
-        if not state.admit(B[:, j], tol):
+        if not state._admit(B[:, j], tol, scale=False):
             raise ValueError("first-layer columns must be linearly independent")
+    state.layer_ranges.append((0, k))
     return state
 
 
@@ -199,47 +210,38 @@ def _candidate_block(state: BasisState, prev: int) -> np.ndarray:
     return state.F[:, lo + prev][:, None] * state.F[:, :n1]
 
 
-def _commit_layer(state: BasisState, cols: list[np.ndarray]) -> None:
-    start = state.ncols
-    state.F = np.hstack([state.F] + [c[:, None] for c in cols])
-    state.layer_ranges.append((start, state.ncols))
+def _close_layer(state: BasisState, nodes: list) -> LayerBuildResult:
+    # the columns admitted since the previous layer form the new one
+    if nodes:
+        state.layer_ranges.append((state.ncols - len(nodes), state.ncols))
+    return LayerBuildResult(nodes=nodes)
 
 
 def build_basis_t_exact(state: BasisState, tol: float | None = None) -> LayerBuildResult:
     """Next layer, exact mode: admit every candidate that enlarges the span.
 
     Candidates are scanned in a fixed order (previous-layer index outer,
-    layer-1 index inner) and accepted when their residual against the
+    layer-1 index inner) and admitted when their residual against the
     current Q has norm above ``tol``; Q grows as the scan proceeds, so
-    later candidates are tested against earlier acceptances. A zero-width
+    later candidates are tested against earlier admissions. A zero-width
     result means the span is saturated and construction can stop.
 
-    Mutates ``state`` in place and also returns the added columns.
+    Mutates ``state`` in place and returns the admitted nodes.
     """
     m = state.m
     if tol is None:
         tol = default_tol(m)
     lo, hi = state.layer_ranges[-1]
-    n1 = state.layer1_cols
-    sqrt_m = math.sqrt(m)
-    cols: list[np.ndarray] = []
     nodes: list[tuple[int, int, float]] = []
     for prev in range(hi - lo):
-        if state.rank == m:
+        if state.ncols == m:
             break  # span is all of R^m, nothing left to add
         block = _candidate_block(state, prev)
-        for j in range(n1):
-            c = block[:, j]
-            if state.admit(c, tol):
-                w = sqrt_m / np.linalg.norm(c)
-                cols.append(w * c)
+        for j in range(block.shape[1]):
+            w = state.admit(block[:, j], tol)
+            if w:
                 nodes.append((prev, j, w))
-                if state.rank == m:
-                    break
-    if not cols:
-        return LayerBuildResult(new_columns=np.zeros((m, 0)))
-    _commit_layer(state, cols)
-    return LayerBuildResult(new_columns=state.F[:, -len(cols):].copy(), nodes=nodes)
+    return _close_layer(state, nodes)
 
 
 # Below this residual ratio ||r|| / ||c||, ||c||^2 - ||Q^T c||^2 has lost
@@ -283,8 +285,8 @@ class CandidateScores:
         residual norm is at most ``tol``.
         """
         Q = state.Q
-        nq = state.rank - self.seen
-        P = np.hstack([Q[:, self.seen:], O_V])
+        nq = state.ncols - self.seen
+        P = np.concatenate([Q[:, self.seen:], O_V], axis=1)
         n1 = state.layer1_cols
         scores = np.full(self.norm2.size, -1.0)
         self.explicit[:] = False
@@ -307,7 +309,7 @@ class CandidateScores:
                 self.explicit[sl] = explicit
             live &= nr > tol
             scores[sl][live] = num[live] / nr[live]
-        self.seen = state.rank
+        self.seen = state.ncols
         return scores
 
 
@@ -332,7 +334,7 @@ def build_basis_t_width(
     round's earlier picks; then V is deflated. Stops early once no
     eligible candidate remains; at most ``gamma`` columns total.
 
-    Mutates ``state`` in place and also returns the added columns.
+    Mutates ``state`` in place and returns the admitted nodes.
     """
     m = state.m
     if tol is None:
@@ -347,41 +349,32 @@ def build_basis_t_width(
 
     lo, _ = state.layer_ranges[-1]
     n1 = state.layer1_cols
-    sqrt_m = math.sqrt(m)
-    state.reserve(state.rank + gamma)
+    state.reserve(state.ncols + gamma)
     Vd = residual(V, state.Q)
     scorer = CandidateScores(state)
 
-    cols: list[np.ndarray] = []
     nodes: list[tuple[int, int, float]] = []
     rounds = -(-gamma // b)
     for _ in range(rounds):
-        if len(cols) >= gamma:
+        if len(nodes) >= gamma:
             break
         scores = scorer.round(state, thin_svd(Vd).U, tol)
 
         # descending score; stable sort breaks ties by lowest candidate index
         order = np.argsort(-scores, kind="stable")
-        quota = min(b, gamma - len(cols))
+        quota = min(b, gamma - len(nodes))
         picked = 0
         for flat in order:
             if picked == quota or scores[flat] < 0:
                 break
             prev, j = divmod(int(flat), n1)
-            c = state.F[:, lo + prev] * state.F[:, j]
             # admitted or dependent on this round's picks: in span(Q) either way
             scorer.live[flat] = False
-            if not state.admit(c, tol):
-                continue
-            w = sqrt_m / np.linalg.norm(c)
-            cols.append(w * c)
-            nodes.append((prev, j, w))
-            picked += 1
+            w = state.admit(state.F[:, lo + prev] * state.F[:, j], tol)
+            if w:
+                nodes.append((prev, j, w))
+                picked += 1
         if picked == 0:
             break
         Vd = residual(Vd, state.Q)
-
-    if not cols:
-        return LayerBuildResult(new_columns=np.zeros((m, 0)))
-    _commit_layer(state, cols)
-    return LayerBuildResult(new_columns=state.F[:, -len(cols):].copy(), nodes=nodes)
+    return _close_layer(state, nodes)

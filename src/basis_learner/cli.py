@@ -17,13 +17,11 @@ from .dataset import DatasetFormatError, SplitSpec, load_dense, split
 from .network import (
     ModelFormatError,
     arithmetic_cost,
-    feature_matrix,
     load_model,
     predict,
     save_model,
 )
 from .output import LOSS_KINDS, decide
-from .oracle import monomial_count, monomial_matrix, span_equal, span_rank
 from .trainer import DEFAULT_LAMBDA_GRID, TrainConfig, evaluate, train
 
 
@@ -88,12 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ins = sub.add_parser("inspect", help="print model architecture summary")
     ins.add_argument("--model", required=True)
-
-    # debugging helper, deliberately undocumented in the top-level help
-    orc = sub.add_parser("oracle")
-    orc.add_argument("--degree", type=int, required=True)
-    orc.add_argument("--model", default=None)
-    _add_data_flags(orc)
     return ap
 
 
@@ -185,24 +177,11 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    ds = _load(args)
-    M = monomial_matrix(ds.X, args.degree)
-    print(f"monomials: {monomial_count(ds.dim, args.degree)}")
-    print(f"rank: {span_rank(M)}")
-    if args.model:
-        net = load_model(args.model)
-        F = feature_matrix(net, ds.X)
-        print(f"span_equal: {span_equal(F, M)}")
-    return 0
-
-
 _COMMANDS = {
     "train": _cmd_train,
     "predict": _cmd_predict,
     "evaluate": _cmd_evaluate,
     "inspect": _cmd_inspect,
-    "oracle": _cmd_oracle,
 }
 
 

@@ -34,14 +34,11 @@ class SvdResult:
 
     ``U`` is m x r, ``s`` the r positive singular values in nonincreasing
     order, ``V`` is n x r, so that A is approximately U @ diag(s) @ V.T.
-    ``truncated`` is set by the randomized path when fewer than the
-    requested number of factors were available.
     """
 
     U: np.ndarray
     s: np.ndarray
     V: np.ndarray
-    truncated: bool = False
 
     @property
     def rank(self) -> int:
@@ -91,8 +88,7 @@ def randomized_range_svd(
 
     Subspace iteration with QR re-orthonormalization at every step; the
     result is deterministic for a fixed seed. If the numerical rank of
-    ``A`` is below ``k``, only rank-many factors are returned and
-    ``truncated`` is set.
+    ``A`` is below ``k``, only rank-many factors are returned.
     """
     A = check_matrix(A)
     m, n = A.shape
@@ -112,11 +108,9 @@ def randomized_range_svd(
     Ub, s, Vt = np.linalg.svd(B, full_matrices=False)
     smax = s[0] if s.size else 0.0
     cutoff = default_rank_tol(A.shape) * smax
-    r = int(np.count_nonzero(s > cutoff)) if smax > 0 else 0
-    truncated = r < k
-    r = min(r, k)
+    r = min(int(np.count_nonzero(s > cutoff)) if smax > 0 else 0, k)
     U, V = _flip_signs((Q @ Ub)[:, :r], Vt[:r].T)
-    return SvdResult(U, s[:r].copy(), V, truncated=truncated)
+    return SvdResult(U, s[:r].copy(), V)
 
 
 def residual(v, Q) -> np.ndarray:

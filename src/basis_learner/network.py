@@ -21,7 +21,7 @@ import numpy as np
 
 from .basis import lift_input
 from .linalg import check_matrix
-from .output import LOSS_KINDS, decide
+from .output import LOSS_KINDS
 
 SCHEMA = "basis-learner/1"
 
@@ -123,11 +123,6 @@ def predict(net: PolyNetwork, X) -> np.ndarray:
         X = X[None, :]
     scores = feature_matrix(net, X) @ net.head.weights
     return scores[0] if single else scores
-
-
-def decisions(net: PolyNetwork, X) -> np.ndarray:
-    """Predicted labels under :func:`output.decide` for the net's task."""
-    return decide(net.task, np.atleast_2d(predict(net, X)))
 
 
 def arithmetic_cost(net: PolyNetwork) -> int:
@@ -289,6 +284,10 @@ def deserialize(data) -> PolyNetwork:
 
     provenance = doc.get("provenance", {})
     _require(isinstance(provenance, dict), "provenance must be an object")
+    try:  # serialize must be able to write it back (no NaN or infinity)
+        json.dumps(provenance, allow_nan=False)
+    except (ValueError, RecursionError):
+        raise ModelFormatError("provenance must hold only finite numbers") from None
     return PolyNetwork(
         input_dim=d,
         task=task,

@@ -27,13 +27,12 @@ LOSS_KINDS = ("squared", "hinge", "logistic", "mc-hinge")
 class OptimizerConfig:
     """Subgradient-descent budget for the non-squared losses.
 
-    Step size is 1/(lambda * s) when lambda > 0 and eta0/sqrt(s) when
+    Step size is 1/(lambda * s) when lambda > 0 and 1/sqrt(s) when
     lambda = 0, s counting steps from 1. The returned weights are the
     average of the iterates from the second half of the run.
     """
 
     epochs: int = 50
-    eta0: float = 1.0
     seed: int = 0
 
 
@@ -145,8 +144,10 @@ def objective(kind: str, F, w, y, lam: float) -> float:
 def _solve_squared(F: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
     m, n = F.shape
     if lam == 0.0:
-        # minimum-norm solution when F is rank deficient
-        w, *_ = np.linalg.lstsq(F, Y, rcond=None)
+        # minimum-norm solution when F is rank deficient; the cutoff is
+        # eps, not lstsq's default eps * max(m, n), which drops singular
+        # values of a full-rank F the admission test has already kept
+        w, *_ = np.linalg.lstsq(F, Y, rcond=np.finfo(np.float64).eps)
         return w
     # minimizing (1/m)||Fw - y||^2 + (lam/2)||w||^2 is the augmented
     # least-squares problem [F; sqrt(lam m / 2) I] w = [y; 0]
@@ -178,7 +179,7 @@ def _sgd(F, y, kind, lam, opt, k):
         order = rng.permutation(m)
         for i in order:
             s += 1
-            eta = 1.0 / (lam * s) if lam > 0.0 else opt.eta0 / math.sqrt(s)
+            eta = 1.0 / (lam * s) if lam > 0.0 else 1.0 / math.sqrt(s)
             f = F[i]
             if lam > 0.0:
                 W *= 1.0 - eta * lam

@@ -197,7 +197,6 @@ def train(
     best: dict | None = None
     best_valid_so_far = math.inf
     no_improve = 0
-    termination = "depth_cap"
     t = 2
     while True:
         t0 = time.perf_counter()
@@ -237,43 +236,36 @@ def train(
                 no_improve += 1
 
         layer_width = state.layer_ranges[-1][1] - state.layer_ranges[-1][0]
-
-        def record(secs: float) -> None:
-            records.append(DepthRecord(
-                depth=t, layer_width=layer_width, total_cols=ncols,
-                lam=depth_best["lam"], train_loss=depth_best["train_loss"],
-                train_err=depth_best["train_err"],
-                valid_err=depth_best["valid_err"], secs=secs,
-            ))
-
         if (config.error_threshold is not None
                 and depth_best["train_loss"] <= config.error_threshold):
             termination = "error_threshold"
-            record(time.perf_counter() - t0)
-            break
-        if has_valid and no_improve >= config.patience:
+        elif has_valid and no_improve >= config.patience:
             termination = "validation_stop"
-            record(time.perf_counter() - t0)
-            break
-        if config.max_depth is not None and t >= config.max_depth:
+        elif config.max_depth is not None and t >= config.max_depth:
             termination = "depth_cap"
-            record(time.perf_counter() - t0)
-            break
-
-        if config.mode == "exact":
-            built = build_basis_t_exact(state, tol)
         else:
-            built = build_basis_t_width(
-                state, select_target, config.gamma, config.batch, tol
-            )
-        if built.width == 0:
-            termination = "empty_layer"
-            record(time.perf_counter() - t0)
+            if config.mode == "exact":
+                built = build_basis_t_exact(state, tol)
+            else:
+                built = build_basis_t_width(
+                    state, select_target, config.gamma, config.batch, tol
+                )
+            if built.width == 0:
+                termination = "empty_layer"
+            else:
+                termination = None
+                layers.append(product_layer(built.nodes))
+                if has_valid:
+                    valid_blocks.append(
+                        layer_values(valid_blocks[0], valid_blocks[-1], layers[-1]))
+        records.append(DepthRecord(
+            depth=t, layer_width=layer_width, total_cols=ncols,
+            lam=depth_best["lam"], train_loss=depth_best["train_loss"],
+            train_err=depth_best["train_err"],
+            valid_err=depth_best["valid_err"], secs=time.perf_counter() - t0,
+        ))
+        if termination is not None:
             break
-        layers.append(product_layer(built.nodes))
-        if has_valid:
-            valid_blocks.append(layer_values(valid_blocks[0], valid_blocks[-1], layers[-1]))
-        record(time.perf_counter() - t0)
         t += 1
 
     assert best is not None

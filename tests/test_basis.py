@@ -148,13 +148,16 @@ class TestExactLayers:
                 else:
                     res = build_basis_t_width(state, X[:, :1] ** 3, gamma=6, b=2)
                 assert res.width > 0 and len(res.nodes) == res.width
-                for col, (p, f, w) in zip(res.new_columns.T, res.nodes):
+                start, stop = state.layer_ranges[-1]
+                assert (start, stop) == (hi, hi + res.width)
+                new_columns = state.F[:, start:stop]
+                for col, (p, f, w) in zip(new_columns.T, res.nodes):
                     assert 0 <= p < hi - lo and 0 <= f < n1
                     np.testing.assert_array_equal(
                         col, w * (state.F[:, lo + p] * state.F[:, f]))
                 L = product_layer(res.nodes)
                 np.testing.assert_array_equal(
-                    layer_values(state.F[:, :n1], state.F[:, lo:hi], L), res.new_columns)
+                    layer_values(state.F[:, :n1], state.F[:, lo:hi], L), new_columns)
 
     def test_full_state_yields_empty_layer(self):
         rng = np.random.default_rng(6)
@@ -269,9 +272,9 @@ class TestWidthLayers:
 
 
 def q_state(Q):
-    """State whose Q holds exactly the given orthonormal columns."""
+    """State whose F and Q hold exactly the given orthonormal columns."""
     m, k = Q.shape
-    return BasisState(F=Q.copy(), layer_ranges=[(0, k)], Q_buf=Q.copy(), rank=k)
+    return BasisState(F_buf=Q.copy(), Q_buf=Q.copy(), layer_ranges=[(0, k)], ncols=k)
 
 
 class TestAdmit:
@@ -279,12 +282,14 @@ class TestAdmit:
         Q = np.linalg.qr(np.random.default_rng(9).standard_normal((7, 3)))[0]
         state = q_state(Q)
         assert not state.admit(Q[:, 1] * 2.5, default_tol(7))
-        assert state.rank == 3
+        assert state.ncols == 3
 
     def test_normalizes_from_empty(self):
         state = q_state(np.zeros((2, 0)))
-        assert state.admit(np.array([3.0, 4.0]), default_tol(2))
+        w = state.admit(np.array([3.0, 4.0]), default_tol(2))
+        assert w == math.sqrt(2) / 5.0
         np.testing.assert_allclose(state.Q, [[0.6], [0.8]])
+        np.testing.assert_array_equal(state.F, w * np.array([[3.0], [4.0]]))
 
     def test_identical_columns_collapse(self):
         c = np.random.default_rng(1).standard_normal(6)
@@ -303,7 +308,7 @@ class TestAdmit:
         Q = np.linalg.qr(np.random.default_rng(2).standard_normal((3, 3)))[0]
         state = q_state(Q)
         assert not state.admit(np.ones(3), 0.0)
-        assert state.rank == 3
+        assert state.ncols == 3
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6))
@@ -313,8 +318,8 @@ class TestAdmit:
         for c in rng.standard_normal((extra, 12)):
             assert state.admit(c, default_tol(12))
         Q = state.Q
-        assert Q.shape == (12, q0 + extra)
-        assert np.shares_memory(Q, state.Q_buf)
+        assert Q.shape == state.F.shape == (12, q0 + extra)
+        assert np.shares_memory(Q, state.Q_buf) and np.shares_memory(state.F, state.F_buf)
         assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() <= 1e-8
 
 
@@ -415,9 +420,53 @@ class TestCandidateScores:
             else:
                 build_basis_t_width(state, y, gamma=5, b=2)
             Q = state.Q
-            assert state.rank == state.ncols <= state.Q_buf.shape[1] <= state.m
+            assert state.ncols <= state.Q_buf.shape[1] == state.F_buf.shape[1] <= state.m
             assert np.shares_memory(Q, state.Q_buf)
-            assert np.abs(Q.T @ Q - np.eye(state.rank)).max() <= 1e-8
+            assert np.abs(Q.T @ Q - np.eye(state.ncols)).max() <= 1e-8
+
+
+class TestAdmissionInvariants:
+    """After every admission F and Q are views of the state's buffers,
+    Q^T F is upper triangular (Q is the CGS2 orthonormalisation of F,
+    column by column) and every F column has norm √m."""
+
+    @staticmethod
+    def check(state):
+        F, Q, m = state.F, state.Q, state.m
+        assert F.base is state.F_buf and Q.base is state.Q_buf
+        below = np.tril(Q.T @ F, -1)
+        assert np.abs(below).max(initial=0.0) <= 1e-12 * math.sqrt(m)
+        np.testing.assert_allclose(np.linalg.norm(F, axis=0), math.sqrt(m), rtol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["exact", "width"])
+    def test_after_every_admission(self, mode, monkeypatch):
+        admit = BasisState.admit
+        admitted = []
+
+        def checked_admit(state, c, tol):
+            w = admit(state, c, tol)
+            if w:
+                self.check(state)
+                admitted.append(w)
+            return w
+
+        monkeypatch.setattr(BasisState, "admit", checked_admit)
+        rng = np.random.default_rng(18)
+        X = rng.standard_normal((40, 3))
+        if mode == "exact":
+            layer1 = build_basis1_exact(lift_input(X))
+        else:
+            layer1 = build_basis1_width(lift_input(X), gamma=3)
+        state = initial_state(layer1)
+        # layer-1 columns are stored as built, bit-equal to the deployed layer
+        np.testing.assert_array_equal(state.F, lift_input(X) @ layer1.W1)
+        self.check(state)
+        for _ in range(4):
+            if mode == "exact":
+                build_basis_t_exact(state)
+            else:
+                build_basis_t_width(state, rng.standard_normal((40, 1)), gamma=5, b=2)
+        assert len(admitted) == state.ncols - state.layer1_cols >= 18
 
 
 class TestDeterminism:

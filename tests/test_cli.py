@@ -290,20 +290,6 @@ class TestInspect:
         assert [int(w) for w in widths] == net.layer_widths
 
 
-class TestOracle:
-    def test_counts_rank_and_span(self, trained, toy, capsys):
-        code, out, _ = run_cli(
-            ["oracle", "--degree", "2", "--data", str(toy), "--model", str(trained)],
-            capsys,
-        )
-        assert code == 0
-        assert "monomials: 6" in out
-        assert "rank: 6" in out
-        # the trained net interpolated 12 points, so by the saturation
-        # depth its features span more than the quadratics
-        assert "span_equal:" in out
-
-
 class TestSparseFormat:
     def test_train_and_predict_sparse(self, tmp_path, capsys):
         lines = [
@@ -373,17 +359,18 @@ class TestConsoleScript:
 
     def test_malformed_model_reports_error_without_traceback(self, toy, tmp_path):
         bad = tmp_path / "bad.bl"
-        overflowing_lambda = (
+        model = (
             '{"schema": "basis-learner/1", "input_dim": 1, "task": "regression", '
             '"layers": [{"kind": "linear", "cols": 2, "weights": [[1, 0], [0, 1]]}], '
-            '"head": {"loss": "squared", "lambda": 1' + "0" * 400 + ', "outputs": 1, '
-            '"weights": [[0], [0]]}}'
+            '"head": {"loss": "squared", "lambda": %s, "outputs": 1, '
+            '"weights": [[0], [0]]}, "provenance": %s}'
         )
         for text, message in [
             ('{"schema": "basis-learner/1", "input_dim": 2, '
              '"task": "regression", "layers": [3], "head": {}}',
              "layer 1 must be an object"),
-            (overflowing_lambda, "lambda must be finite"),
+            (model % ("1" + "0" * 400, "{}"), "lambda must be finite"),
+            (model % ("0", '{"x": NaN}'), "provenance must hold only finite numbers"),
         ]:
             bad.write_text(text)
             proc = run_module(["predict", "--model", str(bad), "--data", str(toy)])

@@ -104,10 +104,10 @@ class TestRandomizedSvd:
         r2 = randomized_range_svd(A, k=5, oversample=5, seed=2)
         assert not np.array_equal(r1.U, r2.U)
 
-    def test_k_above_rank_sets_flag(self):
+    def test_k_above_rank_returns_rank_many_factors(self):
         A = random_matrix(11, 20, 8, rank=3)
         res = randomized_range_svd(A, k=6, seed=0, oversample=2)
-        assert res.truncated and res.rank == 3
+        assert res.rank == 3 and res.U.shape == (20, 3) and res.V.shape == (8, 3)
 
     def test_precondition_checked(self):
         with pytest.raises(ValueError):

@@ -18,7 +18,6 @@ from basis_learner.network import (
     OutputHead,
     PolyNetwork,
     arithmetic_cost,
-    decisions,
     deserialize,
     feature_matrix,
     load_model,
@@ -27,6 +26,7 @@ from basis_learner.network import (
     save_model,
     serialize,
 )
+from basis_learner.output import decide
 
 
 def hand_net(W1, layers, head_w, task="regression", n_classes=0, loss="squared"):
@@ -143,11 +143,11 @@ class TestPredict:
         # constant scores (0.2, 0.9, 0.9) -> class 1
         net = hand_net([[0.2, 0.9, 0.9], [0.0, 0.0, 0.0]], [], np.eye(3),
                        task="multiclass", n_classes=3, loss="mc-hinge")
-        assert decisions(net, [0.0]).tolist() == [1]
+        assert decide(net.task, predict(net, [[0.0]])).tolist() == [1]
 
     def test_binary_zero_score_positive(self):
         net = hand_net([[0.0], [0.0]], [], [[1.0]], task="binary", loss="hinge")
-        assert decisions(net, [1.0]).tolist() == [1.0]
+        assert decide(net.task, predict(net, [[1.0]])).tolist() == [1.0]
 
 
 def instrumented_predict(net, x):
@@ -393,6 +393,14 @@ class TestSerialization:
         with pytest.raises(ModelFormatError):
             deserialize(json.dumps(replaced(small_doc(), path, value)))
 
+    # these used to load, and serialize of the loaded network then raised ValueError
+    @pytest.mark.parametrize("value", ["Infinity", "-Infinity", "NaN", "1e999"])
+    def test_non_finite_provenance_rejected(self, value):
+        text = json.dumps(small_doc()).replace('"provenance": {}',
+                                               '"provenance": {"x": [1, %s]}' % value)
+        with pytest.raises(ModelFormatError, match="provenance"):
+            deserialize(text)
+
     @pytest.mark.parametrize("text", [
         json.dumps(small_doc()).replace('"lambda": 1', '"lambda": 1' + "0" * 5000),
         "[" * 100000 + "]" * 100000,
@@ -430,6 +438,7 @@ class TestModelDocumentProperties:
         except ModelFormatError:
             return
         assert isinstance(net, PolyNetwork)
+        serialize(net)  # whatever loads can be written back
 
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["exact", "width"]),

@@ -317,7 +317,7 @@ class TestMarginFits:
         b = fit_head(F, y, "hinge", 0.1, OptimizerConfig(seed=1)).weights
         assert not np.array_equal(a, b)
 
-    def test_zero_lambda_uses_eta0_schedule(self):
+    def test_zero_lambda_uses_inverse_sqrt_schedule(self):
         F, y = classification_features(60, 4, 18, separation=3.0)
         fit = fit_head(F, y, "hinge", 0.0, OptimizerConfig(epochs=30))
         assert validation_error(F, fit.weights, y, "binary") <= 0.05

@@ -1,7 +1,7 @@
 """Training-loop tests: stopping rules, model selection, trace output.
 
-Datasets are small so exact mode saturates quickly; every run here takes
-well under a second.
+Datasets are small so exact mode saturates quickly; every run here but
+the m=1000 interpolation regression takes well under a second.
 """
 
 import json
@@ -21,6 +21,7 @@ from basis_learner import (
 from basis_learner.dataset import LabeledDataset, SplitSpec
 from basis_learner import trainer
 from basis_learner.network import feature_matrix, predict
+from basis_learner.synthetic import random_regression
 from basis_learner.trainer import _head_seed
 
 
@@ -102,6 +103,18 @@ class TestStopping:
         assert trace.termination == "empty_layer"
         assert trace.records[-1].total_cols == 3
         assert trace.best_train_loss <= 1e-18
+
+    def test_zero_lambda_interpolates_ill_conditioned_features(self):
+        # m=1000, d=8 needs monomials up to degree 5 and cond(F) reaches
+        # ~5e12 here; a lambda=0 solve that cuts singular values below
+        # eps * max(m, n) * s_max drops one the admission kept and stops at
+        # MSE ~6e-5 with an empty next layer
+        ds = random_regression(1000, 8, 2)
+        cfg = TrainConfig(lambda_grid=(0.0,), error_threshold=1e-8)
+        net, trace = train(ds, None, cfg)
+        assert trace.termination == "error_threshold"
+        assert trace.best_train_loss <= 1e-8
+        assert net.total_nodes == 1000
 
     def test_validation_stop_on_noise(self):
         # pure-noise labels: deeper nets only overfit, so patience fires
