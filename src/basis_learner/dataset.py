@@ -136,7 +136,7 @@ def _parse_csv(lines, path: str, skip_header: bool):
             raise DatasetFormatError(f"{path}:{lineno}: non-numeric field") from None
         labels.append(values[0])
         rows.append(values[1:])
-    return rows, labels
+    return np.array(rows), labels
 
 
 def _parse_sparse(lines, path: str, skip_header: bool, dims: int | None):
@@ -179,13 +179,16 @@ def _parse_sparse(lines, path: str, skip_header: bool, dims: int | None):
     d = dims if dims is not None else max_idx
     if entries and d == 0:
         raise DatasetFormatError(f"{path}: no feature indices seen and no dimension given")
-    rows = []
-    for feat in entries:
-        row = [0.0] * d
+    try:
+        X = np.zeros((len(entries), d))
+    except (MemoryError, ValueError):
+        raise DatasetFormatError(
+            f"{path}: {len(entries)} x {d} feature matrix is too large to allocate"
+        ) from None
+    for row, feat in zip(X, entries):
         for i, v in feat.items():
             row[i] = v
-        rows.append(row)
-    return rows, labels
+    return X, labels
 
 
 def load_dense(
@@ -203,20 +206,24 @@ def load_dense(
     """
     if format not in ("csv", "sparse"):
         raise ValueError(f"unknown format {format!r}")
+    if dims is not None and dims < 1:
+        raise ValueError(f"dims must be positive, got {dims}")
     path = str(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as e:
         raise DatasetFormatError(f"{path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise DatasetFormatError(f"{path}: not UTF-8 text at byte {e.start}") from None
     if format == "csv":
-        rows, labels = _parse_csv(lines, path, header)
+        X, labels = _parse_csv(lines, path, header)
     else:
-        rows, labels = _parse_sparse(lines, path, header, dims)
-    if not rows:
+        X, labels = _parse_sparse(lines, path, header, dims)
+    if not labels:
         raise DatasetFormatError(f"{path}: empty dataset")
     try:
-        return make_dataset(np.array(rows), np.array(labels), task=task)
+        return make_dataset(X, np.array(labels), task=task)
     except ValueError as e:
         raise DatasetFormatError(f"{path}: {e}") from None
 

@@ -7,10 +7,10 @@ logistic, and multiclass hinge. The regularized objective is always
 
 Squared loss is minimized exactly by least squares on the augmented
 system [F; sqrt(lambda m / 2) I] w = [y; 0], or on F alone (minimum
-norm) at lambda = 0; the margin losses run averaged stochastic
-subgradient descent with a seeded shuffle, so a fit is deterministic
-given its config. Scores become decisions by one rule, :func:`decide`,
-keyed by task.
+norm) at lambda = 0; the margin losses run averaged mini-batch
+subgradient descent (Pegasos) on :func:`loss_gradient`, with a seeded
+shuffle, so a fit is deterministic given its config. Scores become
+decisions by one rule, :func:`decide`, keyed by task.
 """
 
 from __future__ import annotations
@@ -27,9 +27,13 @@ LOSS_KINDS = ("squared", "hinge", "logistic", "mc-hinge")
 class OptimizerConfig:
     """Subgradient-descent budget for the non-squared losses.
 
-    Step size is 1/(lambda * s) when lambda > 0 and 1/sqrt(s) when
-    lambda = 0, s counting steps from 1. The returned weights are the
-    average of the iterates from the second half of the run.
+    Each epoch shuffles the rows (seeded) and steps once per mini-batch
+    of max(1, m // 32) rows, so about 32 steps. Step size is
+    1/(lambda * s) when lambda > 0 and 1/sqrt(s) when lambda = 0, s
+    counting steps from 1; for lambda > 0 each step ends with the
+    projection onto the ball ||W|| <= 1/sqrt(lambda). The returned
+    weights are the average of the iterates from the second half of the
+    steps.
     """
 
     epochs: int = 50
@@ -103,8 +107,8 @@ def loss_gradient(kind: str, scores, y) -> np.ndarray:
     """Gradient of :func:`loss_value` with respect to the scores.
 
     Returns an array shaped like the score matrix. At hinge kinks the
-    inactive subgradient (zero) is returned, matching the update rule the
-    stochastic solver applies there.
+    inactive subgradient (zero) is returned. The margin-loss solver steps
+    on this gradient, evaluated on mini-batches.
     """
     S = _scores_matrix(scores)
     y = np.asarray(y)
@@ -158,50 +162,32 @@ def _solve_squared(F: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
     return w
 
 
-def _sigmoid(z: float) -> float:
-    if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
-
-
 def _sgd(F, y, kind, lam, opt, k):
+    # Pegasos steps on mini-batches of about m/32 rows; the ball
+    # ||W|| <= 1/sqrt(lam) holds the optimum
     m, n = F.shape
+    batches = range(0, m, max(1, m // 32))
+    half = opt.epochs * len(batches) // 2
+    radius = 1.0 / math.sqrt(lam) if lam > 0.0 else math.inf
     W = np.zeros((n, k))
     acc = np.zeros_like(W)
-    acc_count = 0
-    total = opt.epochs * m
-    half = total // 2
     rng = np.random.default_rng(opt.seed)
-    yi_int = y.astype(np.int64) if kind == "mc-hinge" else None
     s = 0
     for _ in range(opt.epochs):
         order = rng.permutation(m)
-        for i in order:
+        for start in batches:
+            idx = order[start:start + batches.step]
             s += 1
             eta = 1.0 / (lam * s) if lam > 0.0 else 1.0 / math.sqrt(s)
-            f = F[i]
-            if lam > 0.0:
-                W *= 1.0 - eta * lam
-            if kind == "hinge":
-                if y[i] * float(f @ W[:, 0]) < 1.0:
-                    W[:, 0] += eta * y[i] * f
-            elif kind == "logistic":
-                margin = y[i] * float(f @ W[:, 0])
-                W[:, 0] += eta * y[i] * _sigmoid(-margin) * f
-            else:  # mc-hinge
-                scores = f @ W
-                c = yi_int[i]
-                sc = scores[c]
-                scores[c] = -np.inf
-                rival = int(np.argmax(scores))
-                if 1.0 + scores[rival] - sc > 0.0:
-                    W[:, rival] -= eta * f
-                    W[:, c] += eta * f
+            Fb = F[idx]
+            G = Fb.T @ loss_gradient(kind, Fb @ W, y[idx])
+            W = (1.0 - eta * lam) * W - eta * G
+            norm = np.linalg.norm(W)
+            if norm > radius:
+                W *= radius / norm
             if s > half:
                 acc += W
-                acc_count += 1
-    return acc / max(acc_count, 1)
+    return acc / max(s - half, 1)
 
 
 def fit_head(
@@ -215,10 +201,10 @@ def fit_head(
     """Fit output weights over the feature matrix ``F``.
 
     Squared loss is solved exactly (minimum-norm at lambda = 0); the
-    margin losses use the averaged subgradient method configured by
-    ``opt``. ``n_classes`` fixes the weight-column count for mc-hinge;
-    by default it is one more than the largest class id seen. Errors are
-    scored separately, by :func:`validation_error`.
+    margin losses use the averaged mini-batch subgradient method
+    configured by ``opt``. ``n_classes`` fixes the weight-column count
+    for mc-hinge; by default it is one more than the largest class id
+    seen. Errors are scored separately, by :func:`validation_error`.
     """
     F = np.asarray(F, dtype=np.float64)
     y = np.asarray(y)

@@ -357,23 +357,37 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
         assert "trained depth=" in proc.stdout
 
-    def test_malformed_model_reports_error_without_traceback(self, toy, tmp_path):
-        bad = tmp_path / "bad.bl"
+    def test_bad_input_reports_error_without_traceback(self, toy, tmp_path):
+        def predict_with(name, text):
+            (tmp_path / name).write_text(text)
+            return ["predict", "--model", str(tmp_path / name), "--data", str(toy)]
+
+        def train_sparse(name, text, *extra):
+            (tmp_path / name).write_text(text)
+            return ["train", "--format", "sparse", "--data", str(tmp_path / name),
+                    *extra, "--out", str(tmp_path / "m.bl")]
+
         model = (
             '{"schema": "basis-learner/1", "input_dim": 1, "task": "regression", '
             '"layers": [{"kind": "linear", "cols": 2, "weights": [[1, 0], [0, 1]]}], '
             '"head": {"loss": "squared", "lambda": %s, "outputs": 1, '
             '"weights": [[0], [0]]}, "provenance": %s}'
         )
-        for text, message in [
-            ('{"schema": "basis-learner/1", "input_dim": 2, '
-             '"task": "regression", "layers": [3], "head": {}}',
+        # the sparse sizes are ones no machine can allocate
+        for argv, message in [
+            (predict_with("layers.bl", '{"schema": "basis-learner/1", "input_dim": 2, '
+                          '"task": "regression", "layers": [3], "head": {}}'),
              "layer 1 must be an object"),
-            (model % ("1" + "0" * 400, "{}"), "lambda must be finite"),
-            (model % ("0", '{"x": NaN}'), "provenance must hold only finite numbers"),
+            (predict_with("lambda.bl", model % ("1" + "0" * 400, "{}")),
+             "lambda must be finite"),
+            (predict_with("nan.bl", model % ("0", '{"x": NaN}')),
+             "provenance must hold only finite numbers"),
+            (train_sparse("big.sp", "1 99999999999:1\n"),
+             "1 x 99999999999 feature matrix is too large to allocate"),
+            (train_sparse("small.sp", "1 1:1\n-1 2:1\n", "--dims", "99999999999"),
+             "2 x 99999999999 feature matrix is too large to allocate"),
         ]:
-            bad.write_text(text)
-            proc = run_module(["predict", "--model", str(bad), "--data", str(toy)])
+            proc = run_module(argv)
             assert proc.returncode == 1
             assert proc.stderr.startswith("error: ")
             assert message in proc.stderr

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from basis_learner.dataset import (
     DatasetFormatError,
+    LabeledDataset,
     SplitSpec,
     load_dense,
     make_dataset,
@@ -55,6 +56,12 @@ class TestCsvLoading:
         ds = load_dense(write(tmp_path, "1,1\n0,2\n"), task="regression")
         assert ds.task == "regression"
 
+    def test_non_utf8_names_byte(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"1,0.5\n-1,\xff\n")
+        with pytest.raises(DatasetFormatError, match=r"d\.csv: not UTF-8 text at byte 9"):
+            load_dense(p)
+
 
 class TestSparseLoading:
     def test_indices_one_based_zeros_elsewhere(self, tmp_path):
@@ -88,6 +95,67 @@ class TestSparseLoading:
         p = write(tmp_path, "1 3-0.5\n", "d.sp")
         with pytest.raises(DatasetFormatError, match=":1:"):
             load_dense(p, format="sparse")
+
+    # sizes no machine can allocate; one that might fit could exhaust memory
+    @pytest.mark.parametrize("idx", [99999999999, 10**20])
+    def test_unallocatable_index_rejected(self, tmp_path, idx):
+        p = write(tmp_path, f"1 {idx}:1\n", "d.sp")
+        with pytest.raises(DatasetFormatError, match=rf"d\.sp: 1 x {idx} .* too large"):
+            load_dense(p, format="sparse")
+
+    def test_unallocatable_dims_rejected(self, tmp_path):
+        p = write(tmp_path, "1 1:1.0\n-1 2:1.0\n", "d.sp")
+        with pytest.raises(DatasetFormatError, match=r"d\.sp: 2 x 100000000000 .* too large"):
+            load_dense(p, format="sparse", dims=10**11)
+
+    def test_nonpositive_dims_rejected(self, tmp_path):
+        p = write(tmp_path, "1\n", "d.sp")
+        with pytest.raises(ValueError, match="dims must be positive"):
+            load_dense(p, format="sparse", dims=0)
+
+
+# field and token material: mostly well-formed, with the corner cases a
+# loader must refuse (non-finite values, junk, unallocatable indices)
+NUMBERS = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", " ", "1e999", "nan", "1_0", "0x1", "+", "-"]),
+)
+FIELDS = st.one_of(NUMBERS, st.text(max_size=4))
+INDICES = st.one_of(st.integers(1, 50), st.sampled_from([99999999999, 10**20, 2**63]))
+PAIRS = st.one_of(
+    st.tuples(INDICES, NUMBERS).map(lambda p: f"{p[0]}:{p[1]}"),
+    st.text(max_size=5),
+)
+CSV_TEXT = st.one_of(
+    st.lists(st.lists(FIELDS, min_size=1, max_size=5).map(",".join), max_size=6).map("\n".join),
+    st.text(max_size=40),
+)
+SPARSE_TEXT = st.one_of(
+    st.lists(st.tuples(FIELDS, st.lists(PAIRS, max_size=4)).map(
+        lambda r: " ".join([r[0], *r[1]])), max_size=6).map("\n".join),
+    st.text(max_size=40),
+)
+
+
+class TestLoaderProperty:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(st.tuples(st.just("csv"), CSV_TEXT, st.none()),
+                     st.tuples(st.just("sparse"), SPARSE_TEXT,
+                               st.one_of(st.none(), INDICES))),
+           st.booleans())
+    def test_text_loads_or_raises_format_error(self, tmp_path, case, header):
+        fmt, text, dims = case
+        p = tmp_path / "d.txt"
+        p.write_text(text, encoding="utf-8")
+        try:
+            ds = load_dense(p, format=fmt, header=header, dims=dims)
+        except DatasetFormatError:
+            return
+        assert isinstance(ds, LabeledDataset)
+        assert ds.X.shape[0] == ds.labels.shape[0] >= 1
+        assert np.isfinite(ds.X).all()
 
 
 class TestMakeDataset:

@@ -323,6 +323,61 @@ class TestMarginFits:
         assert validation_error(F, fit.weights, y, "binary") <= 0.05
 
 
+def pegasos_hinge(F, y, lam, epochs, seed):
+    # the solver's schedule written from the hinge definition: a row whose
+    # margin y (f . w) is below 1 pulls w towards y f
+    m, n = F.shape
+    b = max(1, m // 32)
+    batches = range(0, m, b)
+    half = epochs * len(batches) // 2
+    rng = np.random.default_rng(seed)
+    w = np.zeros(n)
+    acc = np.zeros(n)
+    s = 0
+    for _ in range(epochs):
+        order = rng.permutation(m)
+        for start in batches:
+            rows = order[start:start + b]
+            s += 1
+            eta = 1.0 / (lam * s) if lam > 0.0 else 1.0 / math.sqrt(s)
+            pull = np.zeros(n)
+            for i in rows:
+                if y[i] * (F[i] @ w) < 1.0:
+                    pull += y[i] * F[i]
+            w = (1.0 - eta * lam) * w + eta * pull / len(rows)
+            if lam > 0.0 and np.linalg.norm(w) > 1.0 / math.sqrt(lam):
+                w *= 1.0 / (math.sqrt(lam) * np.linalg.norm(w))
+            if s > half:
+                acc += w
+    return acc / (s - half)
+
+
+class TestPegasos:
+    @pytest.mark.parametrize("lam", [0.0, 1e-4, 0.1])
+    @pytest.mark.parametrize("m", [20, 70])
+    def test_hinge_matches_reference_loop(self, m, lam):
+        F, y = classification_features(m, 4, 21, separation=0.5)
+        w = fit_head(F, y, "hinge", lam, OptimizerConfig(epochs=7, seed=2)).weights
+        ref = pegasos_hinge(F, y, lam, epochs=7, seed=2)
+        assert w.shape == (4, 1)
+        assert np.max(np.abs(w[:, 0] - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("lam", [1e-7, 1e-4])
+    @pytest.mark.parametrize("kind", ["hinge", "logistic", "mc-hinge"])
+    def test_weights_inside_ball(self, kind, lam):
+        # large features and random labels: unprojected steps of size
+        # 1/(lam s) leave the ball ||W|| <= 1/sqrt(lam) that holds the optimum
+        rng = np.random.default_rng(19)
+        m = 40
+        F = 10.0 * rng.standard_normal((m, 3))
+        F[:, 0] = 10.0
+        y = np.where(rng.standard_normal(m) > 0, 1.0, -1.0)
+        if kind == "mc-hinge":
+            y = rng.integers(0, 3, m)
+        W = fit_head(F, y, kind, lam, OptimizerConfig(epochs=5)).weights
+        assert np.linalg.norm(W) <= (1.0 + 1e-12) / math.sqrt(lam)
+
+
 class TestFitHeadValidation:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown loss"):
