@@ -10,10 +10,10 @@ with a first-layer column; candidates are admitted either exhaustively
 greedy target-driven selection. The full candidate matrix is never
 materialized: candidates are generated and tested one block at a time.
 
-Every admission goes through :meth:`BasisState.admit`, which tests the
-two-pass classical Gram-Schmidt (CGS2) residual against ``tol`` and writes
-the node's values to F and its unit residual to Q, buffers the state owns;
-the layer builders only record the admitted nodes. Width mode scores
+Every admission goes through :meth:`BasisState.admit`, which tests a block
+of candidates by block classical Gram-Schmidt with reorthogonalization
+(BCGS2) and writes each admitted node's values to F and its unit residual
+to Q; the layer builders only record the nodes. Width mode scores
 candidates from their projection onto Q, kept across the rounds of a layer
 and extended by the newly admitted columns only, with an explicit CGS2
 residual for near-dependent candidates (:class:`CandidateScores`).
@@ -61,9 +61,9 @@ class BasisState:
     """Feature matrix F, orthonormal companion Q, and per-layer extents.
 
     F and Q are the first ``ncols`` columns of ``F_buf`` and ``Q_buf``,
-    buffers the state owns and grows together. Every column enters
-    through one admission, which writes the node's values to F and their
-    CGS2 orthonormalisation against the earlier columns to Q, so
+    buffers the state owns and grows together by doubling. Every column
+    enters through :meth:`admit`, which writes the node's values to F and
+    their BCGS2 orthonormalisation against the earlier columns to Q, so
     span(Q) = span(F) after every admission and Q^T F is upper
     triangular. F's columns are linearly independent with second moment
     1, and ``layer_ranges`` partitions the columns of the finished layers
@@ -102,32 +102,38 @@ class BasisState:
             Q[:, : self.ncols] = self.Q
             self.F_buf, self.Q_buf = F, Q
 
-    def admit(self, c: np.ndarray, tol: float) -> float:
-        """Admit product candidate c as the next node if it enlarges the span.
+    def admit(self, C: np.ndarray, tol: float, scale: bool = True) -> np.ndarray:
+        """Admit, in order, each column of the m x n block C that enlarges the span.
 
-        c's unit CGS2 residual against Q goes to Q and c scaled to norm √m
-        goes to F. Returns the scale, which is the node's weight, or 0.0
-        when the residual norm is at most ``tol``.
+        C is projected twice off Q as it stood (two GEMM passes), then each
+        column twice off the columns this call admitted before it (BCGS2).
+        A column whose residual norm is above ``tol`` becomes the next node:
+        its unit residual goes to Q, the column scaled to norm √m to F (as
+        given, weight 1.0, with ``scale=False``: layer 1's columns must stay
+        bit-equal to lift_input(X) @ W1). Returns the n node weights, 0.0
+        for each column left out.
         """
-        return self._admit(c, tol, scale=True)
-
-    def _admit(self, c: np.ndarray, tol: float, scale: bool) -> float:
-        # scale=False stores c as given (layer 1, whose columns must stay
-        # bit-equal to lift_input(X) @ W1); multiplying by 1.0 is exact
+        weights = np.zeros(C.shape[1])
         if self.ncols == self.m:
-            return 0.0  # span is all of R^m
-        Q = self.Q
-        r = residual(residual(c, Q), Q)
-        nr = np.linalg.norm(r)
-        if nr <= tol:
-            return 0.0
-        if self.ncols == self.F_buf.shape[1]:
-            self.reserve(2 * self.ncols + 1)
-        w = math.sqrt(self.m) / np.linalg.norm(c) if scale else 1.0
-        np.divide(r, nr, out=self.Q_buf[:, self.ncols])
-        np.multiply(w, c, out=self.F_buf[:, self.ncols])
-        self.ncols += 1
-        return w
+            return weights  # span is all of R^m
+        Y = residual(residual(C, self.Q), self.Q)
+        start = self.ncols
+        for j in range(C.shape[1]):
+            if self.ncols == self.m:
+                break
+            new = self.Q_buf[:, start : self.ncols]
+            r = residual(residual(Y[:, j], new), new)
+            nr = np.linalg.norm(r)
+            if nr <= tol:
+                continue
+            if self.ncols == self.F_buf.shape[1]:
+                self.reserve(2 * self.ncols + 1)
+            w = math.sqrt(self.m) / np.linalg.norm(C[:, j]) if scale else 1.0
+            np.divide(r, nr, out=self.Q_buf[:, self.ncols])
+            np.multiply(w, C[:, j], out=self.F_buf[:, self.ncols])
+            self.ncols += 1
+            weights[j] = w
+        return weights
 
 
 def lift_input(X) -> np.ndarray:
@@ -196,9 +202,8 @@ def initial_state(layer1: LayerBuildResult, tol: float | None = None) -> BasisSt
     if tol is None:
         tol = default_tol(m)
     state = BasisState(F_buf=np.empty((m, k)), Q_buf=np.empty((m, k)), layer_ranges=[])
-    for j in range(k):
-        if not state._admit(B[:, j], tol, scale=False):
-            raise ValueError("first-layer columns must be linearly independent")
+    if not state.admit(B, tol, scale=False).all():
+        raise ValueError("first-layer columns must be linearly independent")
     state.layer_ranges.append((0, k))
     return state
 
@@ -221,26 +226,20 @@ def build_basis_t_exact(state: BasisState, tol: float | None = None) -> LayerBui
     """Next layer, exact mode: admit every candidate that enlarges the span.
 
     Candidates are scanned in a fixed order (previous-layer index outer,
-    layer-1 index inner) and admitted when their residual against the
-    current Q has norm above ``tol``; Q grows as the scan proceeds, so
-    later candidates are tested against earlier admissions. A zero-width
-    result means the span is saturated and construction can stop.
+    layer-1 index inner), one previous-layer column's block per
+    :meth:`BasisState.admit` call, and admitted when their residual
+    against Q, including this scan's earlier admissions, has norm above
+    ``tol``. A zero-width result means the span is saturated.
 
     Mutates ``state`` in place and returns the admitted nodes.
     """
-    m = state.m
     if tol is None:
-        tol = default_tol(m)
+        tol = default_tol(state.m)
     lo, hi = state.layer_ranges[-1]
     nodes: list[tuple[int, int, float]] = []
     for prev in range(hi - lo):
-        if state.ncols == m:
-            break  # span is all of R^m, nothing left to add
-        block = _candidate_block(state, prev)
-        for j in range(block.shape[1]):
-            w = state.admit(block[:, j], tol)
-            if w:
-                nodes.append((prev, j, w))
+        w = state.admit(_candidate_block(state, prev), tol)
+        nodes += [(prev, int(j), w[j]) for j in np.flatnonzero(w)]
     return _close_layer(state, nodes)
 
 
@@ -370,7 +369,7 @@ def build_basis_t_width(
             prev, j = divmod(int(flat), n1)
             # admitted or dependent on this round's picks: in span(Q) either way
             scorer.live[flat] = False
-            w = state.admit(state.F[:, lo + prev] * state.F[:, j], tol)
+            w = state.admit((state.F[:, lo + prev] * state.F[:, j])[:, None], tol)[0]
             if w:
                 nodes.append((prev, j, w))
                 picked += 1

@@ -53,27 +53,31 @@ def build_parser() -> argparse.ArgumentParser:
     tr = sub.add_parser("train", help="fit a model and write it to disk")
     _add_data_flags(tr)
     tr.add_argument("--out", required=True, help="model output path")
-    tr.add_argument("--mode", choices=("exact", "width"), default="exact")
-    tr.add_argument("--width", type=int, default=50, metavar="GAMMA",
-                    help="per-layer node budget in width mode (default 50)")
+    tr.add_argument("--mode", choices=("exact", "width"), default=TrainConfig.mode,
+                    help="layer construction mode (default %(default)s)")
+    tr.add_argument("--width", type=int, default=TrainConfig.gamma, metavar="GAMMA",
+                    help="per-layer node budget in width mode (default %(default)s)")
     tr.add_argument("--depth", type=int, default=None, metavar="DELTA",
                     help="max depth counting the output layer (default: uncapped)")
-    tr.add_argument("--batch", type=int, default=50,
-                    help="columns admitted per selection round (default 50)")
-    tr.add_argument("--loss", choices=LOSS_KINDS, default="squared")
+    tr.add_argument("--batch", type=int, default=TrainConfig.batch,
+                    help="columns admitted per selection round (default %(default)s)")
+    tr.add_argument("--loss", choices=LOSS_KINDS, default=TrainConfig.loss,
+                    help="output-layer loss (default %(default)s)")
     tr.add_argument("--lambda", dest="lambdas", type=_parse_lambdas, default=None,
                     metavar="LIST", help="comma-separated regularization grid "
                     "(default: 10^-7 .. 10^1 in half-decade steps)")
     tr.add_argument("--valid-count", type=int, default=0,
                     help="rows split off the tail for validation (default 0)")
-    tr.add_argument("--patience", type=int, default=2,
-                    help="stop after this many non-improving depths (default 2)")
+    tr.add_argument("--patience", type=int, default=TrainConfig.patience,
+                    help="stop after this many non-improving depths (default %(default)s)")
     tr.add_argument("--stop-train-loss", type=float, default=None, metavar="EPS",
                     help="stop once training loss falls to EPS")
     tr.add_argument("--tol", type=float, default=None,
                     help="column-independence tolerance (default 1e-8*sqrt(m))")
-    tr.add_argument("--svd", choices=("exact", "randomized"), default="exact")
-    tr.add_argument("--seed", type=int, default=0)
+    tr.add_argument("--svd", choices=("exact", "randomized"), default=TrainConfig.svd,
+                    help="first-layer SVD in width mode (default %(default)s)")
+    tr.add_argument("--seed", type=int, default=TrainConfig.seed,
+                    help="seed of the randomized SVD and the SGD heads (default %(default)s)")
     tr.add_argument("--trace-out", default=None, help="also write trace lines here")
 
     pr = sub.add_parser("predict", help="print score and decision per row")

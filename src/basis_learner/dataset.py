@@ -102,6 +102,9 @@ def make_dataset(X, labels, task: str | None = None, n_classes: int | None = Non
                 k = n_classes
 
     if task == "multiclass":
+        # above 2**53 a float64 no longer holds every integer exactly
+        if labels.max() >= 2.0**53:
+            raise ValueError(f"class id {float(labels.max())!r} is not below 2**53")
         labels = labels.astype(np.int64)
         if k < 2:
             k = 2

@@ -21,7 +21,7 @@ import numpy as np
 
 from .basis import lift_input
 from .linalg import check_matrix
-from .output import LOSS_KINDS
+from .output import LOSS_KINDS, LOSS_TASK
 
 SCHEMA = "basis-learner/1"
 
@@ -270,6 +270,7 @@ def deserialize(data) -> PolyNetwork:
     _require(isinstance(head_doc, dict), "head must be an object")
     loss = head_doc.get("loss")
     _require(loss in LOSS_KINDS, f"unknown loss {loss!r}")
+    _require(LOSS_TASK.get(loss, task) == task, f"a {loss} head does not fit a {task} model")
     lam = head_doc.get("lambda")
     _require(_is_finite(lam) and lam >= 0, "lambda must be finite and nonnegative")
     Wh = _weight_matrix(head_doc.get("weights"), "head")

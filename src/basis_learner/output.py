@@ -21,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 LOSS_KINDS = ("squared", "hinge", "logistic", "mc-hinge")
+# the task whose labels a margin loss fits; squared heads fit every task
+LOSS_TASK = {"hinge": "binary", "logistic": "binary", "mc-hinge": "multiclass"}
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .basis import (
 )
 from .dataset import LabeledDataset, target_matrix
 from .network import OutputHead, PolyNetwork, feature_matrix, layer_values, product_layer
-from .output import LOSS_KINDS, OptimizerConfig, decide, fit_head, loss_value, validation_error
+from .output import LOSS_KINDS, LOSS_TASK, OptimizerConfig, decide, fit_head, loss_value, validation_error
 
 # 10^-7, 10^-6.5, ..., 10^1 (17 values)
 DEFAULT_LAMBDA_GRID: tuple[float, ...] = tuple(
@@ -135,15 +135,11 @@ class TrainingTrace:
 
 
 def _fit_target(ds: LabeledDataset, loss: str):
-    if loss == "squared":
-        return target_matrix(ds)
-    if loss in ("hinge", "logistic"):
-        if ds.task != "binary":
-            raise ValueError(f"{loss} loss needs binary -1/+1 labels")
-        return np.asarray(ds.labels, dtype=np.float64)
-    if ds.task != "multiclass":
-        raise ValueError("mc-hinge loss needs multiclass labels")
-    return ds.labels
+    need = LOSS_TASK.get(loss, ds.task)
+    if ds.task != need:
+        labels = "binary -1/+1" if need == "binary" else "multiclass"
+        raise ValueError(f"{loss} loss needs {labels} labels")
+    return target_matrix(ds) if loss == "squared" else ds.labels
 
 
 def _head_seed(seed: int, depth: int, lam_index: int) -> int:
@@ -312,15 +308,10 @@ def evaluate(net: PolyNetwork, ds: LabeledDataset) -> dict:
         raise ValueError(f"dataset task {ds.task!r} does not match model {net.task!r}")
     F = feature_matrix(net, ds.X)
     scores = F @ net.head.weights
-    err = validation_error(F, net.head.weights, ds.labels, ds.task)
-    if net.head.loss == "squared":
-        y = target_matrix(ds)
-    else:
-        y = ds.labels
     metrics = {
         "m": ds.m,
-        "error": err,
-        "mean_loss": loss_value(net.head.loss, scores, y),
+        "error": validation_error(F, net.head.weights, ds.labels, ds.task),
+        "mean_loss": loss_value(net.head.loss, scores, _fit_target(ds, net.head.loss)),
     }
     if ds.task == "multiclass":
         k = net.n_classes

@@ -281,46 +281,131 @@ class TestAdmit:
     def test_dependent_column_skipped(self):
         Q = np.linalg.qr(np.random.default_rng(9).standard_normal((7, 3)))[0]
         state = q_state(Q)
-        assert not state.admit(Q[:, 1] * 2.5, default_tol(7))
+        np.testing.assert_array_equal(state.admit(Q[:, 1:2] * 2.5, default_tol(7)), [0.0])
         assert state.ncols == 3
 
     def test_normalizes_from_empty(self):
         state = q_state(np.zeros((2, 0)))
-        w = state.admit(np.array([3.0, 4.0]), default_tol(2))
-        assert w == math.sqrt(2) / 5.0
+        w = state.admit(np.array([[3.0], [4.0]]), default_tol(2))
+        assert w.tolist() == [math.sqrt(2) / 5.0]
         np.testing.assert_allclose(state.Q, [[0.6], [0.8]])
-        np.testing.assert_array_equal(state.F, w * np.array([[3.0], [4.0]]))
+        np.testing.assert_array_equal(state.F, w[0] * np.array([[3.0], [4.0]]))
 
     def test_identical_columns_collapse(self):
+        c = np.random.default_rng(1).standard_normal((6, 1))
+        state = q_state(np.zeros((6, 0)))
+        assert state.admit(c, default_tol(6))[0]
+        assert not state.admit(c.copy(), default_tol(6))[0]
+        assert state.Q.shape == (6, 1)
+
+    def test_identical_columns_in_one_block_collapse(self):
         c = np.random.default_rng(1).standard_normal(6)
         state = q_state(np.zeros((6, 0)))
-        assert state.admit(c, default_tol(6))
-        assert not state.admit(c.copy(), default_tol(6))
+        w = state.admit(np.column_stack([c, c]), default_tol(6))
+        assert w[0] and not w[1]
         assert state.Q.shape == (6, 1)
 
     def test_zero_column_skipped(self):
         state = q_state(np.zeros((4, 0)))
-        assert not state.admit(np.zeros(4), default_tol(4))
+        assert not state.admit(np.zeros((4, 1)), default_tol(4))[0]
         assert state.Q.shape == (4, 0)
 
     def test_full_span_admits_nothing(self):
         # even at tol 0, where the rounding left in the residual would pass
         Q = np.linalg.qr(np.random.default_rng(2).standard_normal((3, 3)))[0]
         state = q_state(Q)
-        assert not state.admit(np.ones(3), 0.0)
+        np.testing.assert_array_equal(state.admit(np.ones((3, 2)), 0.0), [0.0, 0.0])
         assert state.ncols == 3
+
+    def test_column_dependent_on_earlier_block_column_skipped(self):
+        rng = np.random.default_rng(3)
+        state = q_state(np.linalg.qr(rng.standard_normal((10, 2)))[0])
+        a, b, c = rng.standard_normal((3, 10))
+        # the third column is in the span of Q and the block's first two
+        dep = 2.0 * a - 3.0 * b + 5.0 * state.Q[:, 0]
+        w = state.admit(np.column_stack([a, b, dep, c]), default_tol(10))
+        np.testing.assert_array_equal(w != 0, [True, True, False, True])
+        assert state.ncols == 2 + np.count_nonzero(w) == 5
+        np.testing.assert_array_equal(state.F[:, 4], w[3] * c)
+        assert np.abs(state.Q.T @ state.Q - np.eye(5)).max() <= 1e-12
+        assert np.abs(np.tril(state.Q.T @ state.F, -1)).max() <= 1e-12 * math.sqrt(10)
+
+    def test_near_dependent_block_column_reorthogonalized(self):
+        # one pass off the first column would leave ~eps / 1e-6 of it behind
+        rng = np.random.default_rng(6)
+        a, b = rng.standard_normal((2, 50))
+        state = q_state(np.zeros((50, 0)))
+        w = state.admit(np.column_stack([a, a + 1e-6 * b]), 1e-10)
+        assert np.count_nonzero(w) == 2
+        assert np.abs(state.Q.T @ state.Q - np.eye(2)).max() <= 1e-14
+
+    def test_block_saturates_partway(self):
+        # at tol 0 only the saturation check keeps the last columns out
+        rng = np.random.default_rng(4)
+        state = q_state(np.linalg.qr(rng.standard_normal((5, 3)))[0])
+        w = state.admit(rng.standard_normal((5, 4)), 0.0)
+        np.testing.assert_array_equal(w != 0, [True, True, False, False])
+        assert state.ncols == state.m == 5
+        assert np.abs(state.Q.T @ state.Q - np.eye(5)).max() <= 1e-12
+
+    def test_layer1_block_stored_as_given(self):
+        B = np.random.default_rng(5).standard_normal((8, 3))
+        state = q_state(np.zeros((8, 0)))
+        np.testing.assert_array_equal(state.admit(B, default_tol(8), scale=False), [1.0] * 3)
+        np.testing.assert_array_equal(state.F, B)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6))
     def test_output_orthonormal_and_in_buffer(self, seed, q0, extra):
         rng = np.random.default_rng(seed)
         state = q_state(np.linalg.qr(rng.standard_normal((12, q0)))[0])
-        for c in rng.standard_normal((extra, 12)):
-            assert state.admit(c, default_tol(12))
+        assert np.count_nonzero(state.admit(rng.standard_normal((12, extra)), default_tol(12))) == extra
         Q = state.Q
         assert Q.shape == state.F.shape == (12, q0 + extra)
         assert np.shares_memory(Q, state.Q_buf) and np.shares_memory(state.F, state.F_buf)
         assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() <= 1e-8
+
+
+def cgs2_exact_layers(state, tol, layers):
+    """Exact-mode layers built one candidate at a time, each tested by CGS2
+    against the full Q (this layer's earlier admissions included).
+    Returns the nodes per layer and the final F and Q."""
+    m, n1 = state.m, state.layer1_cols
+    F, Q = list(state.F.T.copy()), list(state.Q.T.copy())
+    lo, hi = state.layer_ranges[-1]
+    out = []
+    for _ in range(layers):
+        nodes = []
+        for p in range(hi - lo):
+            for j in range(n1):
+                if len(Q) == m:
+                    break
+                c = F[lo + p] * F[j]
+                Qm = np.array(Q).T
+                r = c - Qm @ (Qm.T @ c)
+                r -= Qm @ (Qm.T @ r)
+                nr = np.linalg.norm(r)
+                if nr > tol:
+                    w = math.sqrt(m) / np.linalg.norm(c)
+                    Q.append(r / nr)
+                    F.append(w * c)
+                    nodes.append((p, j, w))
+        out.append(nodes)
+        lo, hi = hi, len(F)
+    return out, np.array(F).T, np.array(Q).T
+
+
+class TestBlockAdmissionMatchesColumnCGS2:
+    @pytest.mark.parametrize("seed,m,d", [(21, 30, 2), (22, 60, 3), (23, 120, 4)])
+    def test_same_nodes_and_bit_equal_f(self, seed, m, d):
+        X = np.random.default_rng(seed).standard_normal((m, d))
+        state = exact_state(X)
+        tol = default_tol(m)
+        want_nodes, want_F, want_Q = cgs2_exact_layers(state, tol, layers=4)
+        got_nodes = [build_basis_t_exact(state, tol).nodes for _ in range(4)]
+        assert got_nodes == want_nodes
+        assert np.array_equal(state.F, want_F)
+        np.testing.assert_allclose(state.Q, want_Q, rtol=0, atol=1e-12)
 
 
 def reference_scores(state, O_V, tol):
@@ -345,7 +430,7 @@ def admit_top(state, scores, count, tol):
     n1 = state.layer1_cols
     for flat in np.argsort(-scores, kind="stable")[:count]:
         p, j = divmod(int(flat), n1)
-        state.admit(state.F[:, lo + p] * state.F[:, j], tol)
+        state.admit((state.F[:, lo + p] * state.F[:, j])[:, None], tol)
 
 
 def sign_state(m, noise):
@@ -443,11 +528,10 @@ class TestAdmissionInvariants:
         admit = BasisState.admit
         admitted = []
 
-        def checked_admit(state, c, tol):
-            w = admit(state, c, tol)
-            if w:
-                self.check(state)
-                admitted.append(w)
+        def checked_admit(state, C, tol, scale=True):
+            w = admit(state, C, tol, scale)
+            self.check(state)
+            admitted.append(np.count_nonzero(w))
             return w
 
         monkeypatch.setattr(BasisState, "admit", checked_admit)
@@ -460,13 +544,13 @@ class TestAdmissionInvariants:
         state = initial_state(layer1)
         # layer-1 columns are stored as built, bit-equal to the deployed layer
         np.testing.assert_array_equal(state.F, lift_input(X) @ layer1.W1)
-        self.check(state)
         for _ in range(4):
             if mode == "exact":
                 build_basis_t_exact(state)
             else:
                 build_basis_t_width(state, rng.standard_normal((40, 1)), gamma=5, b=2)
-        assert len(admitted) == state.ncols - state.layer1_cols >= 18
+        assert sum(admitted) == state.ncols
+        assert state.ncols - state.layer1_cols >= 18
 
 
 class TestDeterminism:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -51,6 +53,11 @@ class TestCsvLoading:
     def test_regression_inferred(self, tmp_path):
         ds = load_dense(write(tmp_path, "0.5,1\n0.7,2\n"))
         assert ds.task == "regression"
+
+    @pytest.mark.parametrize("label", ["1e300", str(2**63)])
+    def test_class_id_beyond_float64_integers_rejected(self, tmp_path, label):
+        with pytest.raises(DatasetFormatError, match="class id .* is not below 2"):
+            load_dense(write(tmp_path, f"{label},0.5\n0,1.5\n"))
 
     def test_task_override(self, tmp_path):
         ds = load_dense(write(tmp_path, "1,1\n0,2\n"), task="regression")
@@ -183,6 +190,17 @@ class TestMakeDataset:
     def test_n_classes_too_small(self):
         with pytest.raises(ValueError):
             make_dataset([[0.0], [1.0]], [0.0, 3.0], task="multiclass", n_classes=2)
+
+    @pytest.mark.parametrize("label,text", [(1e300, "1e+300"),
+                                            (2.0**63, "9.223372036854776e+18")])
+    @pytest.mark.parametrize("task", [None, "multiclass"])
+    def test_class_id_beyond_float64_integers_rejected(self, label, text, task):
+        with pytest.raises(ValueError, match=re.escape(f"class id {text} is not below 2**53")):
+            make_dataset([[0.0], [1.0]], [label, 0.0], task=task)
+
+    def test_largest_exact_class_id_accepted(self):
+        ds = make_dataset([[0.0], [1.0]], [2.0**53 - 1, 0.0])
+        assert ds.labels[0] == 2**53 - 1 and ds.n_classes == 2**53
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -27,6 +27,7 @@ from basis_learner.network import (
     serialize,
 )
 from basis_learner.output import decide
+from basis_learner.trainer import evaluate
 
 
 def hand_net(W1, layers, head_w, task="regression", n_classes=0, loss="squared"):
@@ -408,6 +409,46 @@ class TestSerialization:
     def test_unparseable_json(self, text):
         with pytest.raises(ModelFormatError, match="not a valid model document"):
             deserialize(text)
+
+    @staticmethod
+    def task_doc(task, loss):
+        doc = small_doc()
+        doc["task"], doc["head"]["loss"] = task, loss
+        if task == "multiclass":
+            doc["n_classes"], doc["head"]["outputs"] = 2, 2
+            doc["head"]["weights"] = [[0, 1], [1, 0], [0, 0]]
+        return doc
+
+    @pytest.mark.parametrize("task,loss", [
+        ("regression", "hinge"), ("regression", "logistic"), ("multiclass", "hinge"),
+        ("multiclass", "logistic"), ("regression", "mc-hinge"), ("binary", "mc-hinge"),
+    ])
+    def test_head_loss_must_fit_task(self, task, loss):
+        with pytest.raises(ModelFormatError, match=f"{loss} head does not fit a {task}"):
+            deserialize(json.dumps(self.task_doc(task, loss)))
+
+    @pytest.mark.parametrize("task,loss", [
+        ("regression", "squared"), ("binary", "squared"), ("multiclass", "squared"),
+        ("binary", "hinge"), ("binary", "logistic"), ("multiclass", "mc-hinge"),
+    ])
+    def test_head_loss_fitting_task_loads(self, task, loss):
+        net = deserialize(json.dumps(self.task_doc(task, loss)))
+        assert (net.task, net.head.loss) == (task, loss)
+
+    def test_multiclass_model_with_hinge_head_rejected(self):
+        rng = np.random.default_rng(78)
+        ds = make_dataset(rng.standard_normal((12, 2)), np.arange(12) % 3, task="multiclass")
+        net, _ = train(ds, None, TrainConfig(loss="mc-hinge", max_depth=3, sgd_epochs=2,
+                                             lambda_grid=(0.1,)))
+        doc = json.loads(serialize(net))
+        doc["head"]["loss"] = "hinge"
+        with pytest.raises(ModelFormatError, match="hinge head does not fit a multiclass"):
+            deserialize(json.dumps(doc))
+        # a network built in memory is held to the same rule when evaluated
+        wrong = hand_net(net.W1, [list(L) for L in net.product_layers], net.head.weights,
+                         task="multiclass", n_classes=3, loss="hinge")
+        with pytest.raises(ValueError, match="hinge loss needs binary -1/\\+1 labels"):
+            evaluate(wrong, ds)
 
 
 def field_paths(doc, prefix=()):
