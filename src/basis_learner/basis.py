@@ -5,18 +5,18 @@ columns kept linearly independent and normalized to second moment 1)
 together with an orthonormal companion Q spanning the same space. Layer 1
 comes from an SVD of the constant-lifted input. Every later layer draws
 its candidate columns from Hadamard products of a previous-layer column
-with a first-layer column; candidates are admitted either exhaustively
-(every candidate that enlarges the span) or under a width budget via a
-greedy target-driven selection. The full candidate matrix is never
-materialized: candidates are generated and tested one block at a time.
+with a first-layer column, and grows in one round loop for both modes:
+each round scores the candidates against Q (:class:`CandidateScores`)
+and admits them in descending score. Exact mode ranks by residual ratio
+and takes every candidate that enlarges the span; width mode ranks by
+alignment with a deflated target and takes ``b`` per round, at most
+``gamma`` in all. The full candidate matrix is never materialized:
+candidates are generated one block at a time.
 
 Every admission goes through :meth:`BasisState.admit`, which tests a block
 of candidates by block classical Gram-Schmidt with reorthogonalization
 (BCGS2) and writes each admitted node's values to F and its unit residual
-to Q; the layer builders only record the nodes. Width mode scores
-candidates from their projection onto Q, kept across the rounds of a layer
-and extended by the newly admitted columns only, with an explicit CGS2
-residual for near-dependent candidates (:class:`CandidateScores`).
+to Q; the layer builders only record the nodes.
 """
 
 from __future__ import annotations
@@ -208,62 +208,32 @@ def initial_state(layer1: LayerBuildResult, tol: float | None = None) -> BasisSt
     return state
 
 
-def _candidate_block(state: BasisState, prev: int) -> np.ndarray:
-    # all products of one previous-layer column with every layer-1 column
-    lo, _ = state.layer_ranges[-1]
-    n1 = state.layer1_cols
-    return state.F[:, lo + prev][:, None] * state.F[:, :n1]
-
-
-def _close_layer(state: BasisState, nodes: list) -> LayerBuildResult:
-    # the columns admitted since the previous layer form the new one
-    if nodes:
-        state.layer_ranges.append((state.ncols - len(nodes), state.ncols))
-    return LayerBuildResult(nodes=nodes)
-
-
-def build_basis_t_exact(state: BasisState, tol: float | None = None) -> LayerBuildResult:
-    """Next layer, exact mode: admit every candidate that enlarges the span.
-
-    Candidates are scanned in a fixed order (previous-layer index outer,
-    layer-1 index inner), one previous-layer column's block per
-    :meth:`BasisState.admit` call, and admitted when their residual
-    against Q, including this scan's earlier admissions, has norm above
-    ``tol``. A zero-width result means the span is saturated.
-
-    Mutates ``state`` in place and returns the admitted nodes.
-    """
-    if tol is None:
-        tol = default_tol(state.m)
-    lo, hi = state.layer_ranges[-1]
-    nodes: list[tuple[int, int, float]] = []
-    for prev in range(hi - lo):
-        w = state.admit(_candidate_block(state, prev), tol)
-        nodes += [(prev, int(j), w[j]) for j in np.flatnonzero(w)]
-    return _close_layer(state, nodes)
-
-
 # Below this residual ratio ||r|| / ||c||, ||c||^2 - ||Q^T c||^2 has lost
 # about eight of its sixteen digits to cancellation, so the candidate's
 # residual norm is taken from an explicit CGS2 residual instead.
 _EXPLICIT_RATIO = 1e-4
 
+# Picks go to BasisState.admit in blocks of at most this many columns,
+# which bounds the m x block copies one admission makes.
+_ADMIT_BLOCK = 64
+
 
 class CandidateScores:
-    """Width-mode scores of one layer's product candidates, kept across rounds.
+    """Scores of one layer's product candidates, kept across rounds.
 
     Candidate ``p * n1 + j`` is previous-layer column p times layer-1
     column j. For each candidate c this keeps ||c||^2 and ||Q^T c||^2 over
     the Q columns seen so far. Q only grows within a layer, so a round
-    projects c onto the columns admitted since the previous round and onto
-    the deflated target's basis O_V, both in one product. The CGS2
-    residual r of c then has ||r||^2 = ||c||^2 - ||Q^T c||^2, and
-    O_V^T r = O_V^T c because O_V is orthogonal to Q, so the score
-    ||O_V^T r|| / ||r|| needs no residual. Candidates whose residual ratio
-    ||r|| / ||c|| is below ``_EXPLICIT_RATIO`` take ||r|| from an explicit
-    CGS2 residual, so near-dependent columns are still judged against ``tol``.
-    A candidate found dependent stays out (``live`` is cleared): its
-    residual can only shrink as Q grows.
+    projects c onto the columns admitted since the previous round and, in
+    width mode, onto the deflated target's basis O_V, both in one product.
+    The CGS2 residual r of c then has ||r||^2 = ||c||^2 - ||Q^T c||^2, and
+    O_V^T r = O_V^T c because O_V is orthogonal to Q, so neither score
+    needs a residual: width mode's ||O_V^T r|| / ||r|| and exact mode's
+    residual ratio ||r|| / ||c||. Candidates whose residual ratio is below
+    ``_EXPLICIT_RATIO`` take ||r|| from an explicit CGS2 residual, so
+    near-dependent columns are still judged against ``tol``. A candidate
+    found dependent stays out (``live`` is cleared): its residual can only
+    shrink as Q grows.
     """
 
     def __init__(self, state: BasisState):
@@ -277,15 +247,17 @@ class CandidateScores:
         # candidates whose ||r|| came from an explicit residual last round
         self.explicit = np.zeros(self.norm2.size, dtype=bool)
 
-    def round(self, state: BasisState, O_V: np.ndarray, tol: float) -> np.ndarray:
+    def round(self, state: BasisState, O_V: np.ndarray | None, tol: float) -> np.ndarray:
         """Score every live candidate against the current Q and target basis.
 
-        A candidate's score is ||O_V^T r|| / ||r||; -1 marks one whose
-        residual norm is at most ``tol``.
+        A candidate's score is ||O_V^T r|| / ||r||, or its residual ratio
+        ||r|| / ||c|| when ``O_V`` is None; -1 marks one whose residual
+        norm is at most ``tol``.
         """
         Q = state.Q
         nq = state.ncols - self.seen
-        P = np.concatenate([Q[:, self.seen:], O_V], axis=1)
+        P = Q[:, self.seen:] if O_V is None else np.concatenate([Q[:, self.seen:], O_V], axis=1)
+        lo, _ = state.layer_ranges[-1]
         n1 = state.layer1_cols
         scores = np.full(self.norm2.size, -1.0)
         self.explicit[:] = False
@@ -294,22 +266,79 @@ class CandidateScores:
             live = self.live[sl]
             if not live.any():
                 continue
-            block = _candidate_block(state, prev)
+            # products of one previous-layer column with every layer-1 column
+            block = state.F[:, lo + prev][:, None] * state.F[:, :n1]
             T = P.T @ block
             proj2 = self.proj2[sl]
             proj2 += np.einsum("ij,ij->j", T[:nq], T[:nq])
             r2 = self.norm2[sl] - proj2
             nr = np.sqrt(np.maximum(r2, 0.0))
-            num = np.linalg.norm(T[nq:], axis=0)
             explicit = live & (r2 < _EXPLICIT_RATIO**2 * self.norm2[sl])
             if explicit.any():
                 R = residual(residual(block[:, explicit], Q), Q)
                 nr[explicit] = np.linalg.norm(R, axis=0)
                 self.explicit[sl] = explicit
             live &= nr > tol
-            scores[sl][live] = num[live] / nr[live]
+            if O_V is None:
+                scores[sl][live] = nr[live] / np.sqrt(self.norm2[sl][live])
+            else:
+                scores[sl][live] = np.linalg.norm(T[nq:], axis=0)[live] / nr[live]
         self.seen = state.ncols
         return scores
+
+
+def _grow_layer(state: BasisState, V, gamma: int, b: int, tol: float) -> LayerBuildResult:
+    """The round loop that builds every product layer, in both modes.
+
+    Each round scores the live candidates (against V deflated off Q, or
+    by residual ratio when V is None) and takes them in descending score,
+    in blocks of at most ``_ADMIT_BLOCK`` for :meth:`BasisState.admit`,
+    until min(b, gamma - admitted) columns are in or none is left. A taken
+    candidate is admitted or dependent on earlier picks, in span(Q) either
+    way, so it is no longer live. Stops after a round that admits nothing.
+    """
+    lo, _ = state.layer_ranges[-1]
+    n1 = state.layer1_cols
+    scorer = CandidateScores(state)
+    nodes: list[tuple[int, int, float]] = []
+    while len(nodes) < gamma:
+        if V is not None:
+            V = residual(V, state.Q)
+        scores = scorer.round(state, None if V is None else thin_svd(V).U, tol)
+        # descending score; stable sort breaks ties by lowest candidate index
+        order = np.argsort(-scores, kind="stable")[: np.count_nonzero(scores >= 0)]
+        quota = min(b, gamma - len(nodes))
+        picked = 0
+        while picked < quota and order.size:
+            take, order = np.split(order, [min(_ADMIT_BLOCK, quota - picked)])
+            scorer.live[take] = False
+            prev, j = np.divmod(take, n1)
+            w = state.admit(state.F[:, lo + prev] * state.F[:, j], tol)
+            nodes += [(int(prev[i]), int(j[i]), w[i]) for i in np.flatnonzero(w)]
+            picked += np.count_nonzero(w)
+        if picked == 0:
+            break
+    if nodes:
+        state.layer_ranges.append((state.ncols - len(nodes), state.ncols))
+    return LayerBuildResult(nodes=nodes)
+
+
+def build_basis_t_exact(state: BasisState, tol: float | None = None) -> LayerBuildResult:
+    """Next layer, exact mode: admit every candidate that enlarges the span.
+
+    One round of :func:`_grow_layer` with no target and no budget beyond
+    the room left in R^m: every candidate whose residual against Q has
+    norm above ``tol`` is taken, most independent first (descending
+    residual ratio ||r|| / ||c||, as in column pivoting), and admitted
+    unless this layer's earlier admissions have made it dependent. A
+    zero-width result means the span is saturated.
+
+    Mutates ``state`` in place and returns the admitted nodes.
+    """
+    if tol is None:
+        tol = default_tol(state.m)
+    room = state.m - state.ncols
+    return _grow_layer(state, None, room, room, tol)
 
 
 def build_basis_t_width(
@@ -321,17 +350,14 @@ def build_basis_t_width(
 ) -> LayerBuildResult:
     """Next layer, width-limited: greedy target-driven candidate selection.
 
-    Runs ceil(gamma / b) rounds. Each round scores every candidate whose
+    Rounds of :func:`_grow_layer`. Each round scores every candidate whose
     residual against the current Q is numerically nonzero: the score is
     the norm of the projection of the unit residual onto the column space
     of the deflated target V, so candidates aligned with what the current
-    features cannot yet express rank first. Scores come from a projection
-    of the candidates onto Q kept across rounds, with an explicit CGS2
-    residual for near-dependent candidates (:class:`CandidateScores`).
-    The top ``b`` by score are taken greedily through
-    :meth:`BasisState.admit`, skipping any that became dependent on this
-    round's earlier picks; then V is deflated. Stops early once no
-    eligible candidate remains; at most ``gamma`` columns total.
+    features cannot yet express rank first. The top ``b`` by score are
+    admitted, skipping any that became dependent on this round's earlier
+    picks; then V is deflated. Stops early once no eligible candidate
+    remains; at most ``gamma`` columns total.
 
     Mutates ``state`` in place and returns the admitted nodes.
     """
@@ -345,35 +371,5 @@ def build_basis_t_width(
     V = check_matrix(V, "V")
     if V.shape[0] != m:
         raise ValueError("V must have one row per training instance")
-
-    lo, _ = state.layer_ranges[-1]
-    n1 = state.layer1_cols
     state.reserve(state.ncols + gamma)
-    Vd = residual(V, state.Q)
-    scorer = CandidateScores(state)
-
-    nodes: list[tuple[int, int, float]] = []
-    rounds = -(-gamma // b)
-    for _ in range(rounds):
-        if len(nodes) >= gamma:
-            break
-        scores = scorer.round(state, thin_svd(Vd).U, tol)
-
-        # descending score; stable sort breaks ties by lowest candidate index
-        order = np.argsort(-scores, kind="stable")
-        quota = min(b, gamma - len(nodes))
-        picked = 0
-        for flat in order:
-            if picked == quota or scores[flat] < 0:
-                break
-            prev, j = divmod(int(flat), n1)
-            # admitted or dependent on this round's picks: in span(Q) either way
-            scorer.live[flat] = False
-            w = state.admit((state.F[:, lo + prev] * state.F[:, j])[:, None], tol)[0]
-            if w:
-                nodes.append((prev, j, w))
-                picked += 1
-        if picked == 0:
-            break
-        Vd = residual(Vd, state.Q)
-    return _close_layer(state, nodes)
+    return _grow_layer(state, V, gamma, b, tol)

@@ -16,6 +16,11 @@ import numpy as np
 
 TASKS = ("regression", "binary", "multiclass")
 
+# Class ids must be below this. A multiclass head fits one weight column
+# per class and its target holds m x n_classes values, so an id such as
+# 1e9 would ask for gigabytes; the cap also keeps every id exact in float64.
+MAX_CLASSES = 10_000
+
 
 class DatasetFormatError(Exception):
     """Raised for unparsable or inconsistent input files."""
@@ -102,9 +107,8 @@ def make_dataset(X, labels, task: str | None = None, n_classes: int | None = Non
                 k = n_classes
 
     if task == "multiclass":
-        # above 2**53 a float64 no longer holds every integer exactly
-        if labels.max() >= 2.0**53:
-            raise ValueError(f"class id {float(labels.max())!r} is not below 2**53")
+        if labels.max() >= MAX_CLASSES:
+            raise ValueError(f"class id {float(labels.max())!r} is not below MAX_CLASSES={MAX_CLASSES}")
         labels = labels.astype(np.int64)
         if k < 2:
             k = 2

@@ -1,9 +1,9 @@
 """Brute-force polynomial references for validating the construction.
 
 Everything here favors transparency over speed: monomials are enumerated
-explicitly, spans are compared by numerical rank, and a second route via
-a Gram-matrix eigendecomposition is kept so the two sides of a test do
-not have to share a factorization code path.
+explicitly and spans are compared by numerical rank. The tests keep a
+second route via a Gram-matrix eigendecomposition, so the two sides of a
+check do not have to share a factorization code path.
 """
 
 from __future__ import annotations
@@ -90,45 +90,3 @@ def span_equal(A, B, tol: float | None = None) -> bool:
     ra = span_rank(A, tol)
     rb = span_rank(B, tol)
     return ra == rb == span_rank(np.hstack([A, B]), tol)
-
-
-def _orthonormal_basis(A: np.ndarray) -> tuple[np.ndarray, float]:
-    """Orthonormal basis of the column span via eigh of the Gram matrix.
-
-    Returns the basis and the largest singular value of ``A``.
-    """
-    if A.shape[1] == 0:
-        return np.zeros((A.shape[0], 0)), 0.0
-    G = A.T @ A
-    w, V = np.linalg.eigh(G)
-    w = np.clip(w, 0.0, None)
-    smax = math.sqrt(float(w[-1])) if w.size else 0.0
-    if smax == 0.0:
-        return np.zeros((A.shape[0], 0)), 0.0
-    cut = (max(A.shape) * np.finfo(np.float64).eps * smax) ** 2
-    keep = w > cut
-    Q = (A @ V[:, keep]) / np.sqrt(w[keep])
-    # one refinement pass; eigh of an ill-conditioned Gram matrix loses
-    # about half the digits otherwise
-    Q, _ = np.linalg.qr(Q)
-    return Q, smax
-
-
-def gram_span_contains(A, B, tol: float = 1e-8) -> bool:
-    """True when every column of ``B`` lies in the column span of ``A``.
-
-    Independent route for cross-checking :func:`span_equal`: the basis of
-    span(A) comes from an eigendecomposition of the Gram matrix, not an
-    SVD. A column b passes if its residual off span(A) has norm at most
-    ``tol * smax`` where smax is the largest singular value of [A | B].
-    """
-    A = check_matrix(A, "A")
-    B = check_matrix(B, "B")
-    if A.shape[0] != B.shape[0]:
-        raise ValueError("A and B must have the same number of rows")
-    Q, _ = _orthonormal_basis(A)
-    _, scale = _orthonormal_basis(np.hstack([A, B]))
-    if scale == 0.0:
-        return True
-    R = B - Q @ (Q.T @ B)
-    return bool(np.linalg.norm(R, axis=0).max(initial=0.0) <= tol * scale)

@@ -386,6 +386,8 @@ class TestConsoleScript:
              "1 x 99999999999 feature matrix is too large to allocate"),
             (train_sparse("small.sp", "1 1:1\n-1 2:1\n", "--dims", "99999999999"),
              "2 x 99999999999 feature matrix is too large to allocate"),
+            (train_sparse("classes.sp", "1e9 1:1\n0 1:2\n"),
+             "class id 1000000000.0 is not below MAX_CLASSES=10000"),
         ]:
             proc = run_module(argv)
             assert proc.returncode == 1

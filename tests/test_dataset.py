@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from basis_learner.dataset import (
+    MAX_CLASSES,
     DatasetFormatError,
     LabeledDataset,
     SplitSpec,
@@ -56,7 +57,7 @@ class TestCsvLoading:
 
     @pytest.mark.parametrize("label", ["1e300", str(2**63)])
     def test_class_id_beyond_float64_integers_rejected(self, tmp_path, label):
-        with pytest.raises(DatasetFormatError, match="class id .* is not below 2"):
+        with pytest.raises(DatasetFormatError, match="class id .* is not below MAX_CLASSES"):
             load_dense(write(tmp_path, f"{label},0.5\n0,1.5\n"))
 
     def test_task_override(self, tmp_path):
@@ -195,12 +196,19 @@ class TestMakeDataset:
                                             (2.0**63, "9.223372036854776e+18")])
     @pytest.mark.parametrize("task", [None, "multiclass"])
     def test_class_id_beyond_float64_integers_rejected(self, label, text, task):
-        with pytest.raises(ValueError, match=re.escape(f"class id {text} is not below 2**53")):
+        with pytest.raises(ValueError, match=re.escape(f"class id {text} is not below MAX_CLASSES")):
+            make_dataset([[0.0], [1.0]], [label, 0.0], task=task)
+
+    @pytest.mark.parametrize("label", [float(MAX_CLASSES), 1e9])
+    @pytest.mark.parametrize("task", [None, "multiclass"])
+    def test_class_id_at_or_above_cap_rejected(self, label, task):
+        # a target with one column per class would hold m * (label + 1) values
+        with pytest.raises(ValueError, match=re.escape(f"class id {label!r} is not below")):
             make_dataset([[0.0], [1.0]], [label, 0.0], task=task)
 
     def test_largest_exact_class_id_accepted(self):
-        ds = make_dataset([[0.0], [1.0]], [2.0**53 - 1, 0.0])
-        assert ds.labels[0] == 2**53 - 1 and ds.n_classes == 2**53
+        ds = make_dataset([[0.0], [1.0]], [MAX_CLASSES - 1, 0.0])
+        assert ds.labels[0] == MAX_CLASSES - 1 and ds.n_classes == MAX_CLASSES
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -445,7 +445,7 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="hinge head does not fit a multiclass"):
             deserialize(json.dumps(doc))
         # a network built in memory is held to the same rule when evaluated
-        wrong = hand_net(net.W1, [list(L) for L in net.product_layers], net.head.weights,
+        wrong = hand_net(net.W1, [L.triples() for L in net.product_layers], net.head.weights,
                          task="multiclass", n_classes=3, loss="hinge")
         with pytest.raises(ValueError, match="hinge loss needs binary -1/\\+1 labels"):
             evaluate(wrong, ds)

@@ -116,6 +116,16 @@ class TestStopping:
         assert trace.best_train_loss <= 1e-8
         assert net.total_nodes == 1000
 
+    @pytest.mark.parametrize("m,d,seed", [(200, 4, 8), (200, 4, 30), (300, 5, 5), (300, 5, 28)])
+    def test_zero_lambda_interpolates_small_inputs(self, m, d, seed):
+        # admitting candidates in scan order let nearly dependent columns
+        # in first; these four ended with m nodes, cond(F) 4e14 to 2e19
+        # and MSE 2e-5 to 0.15
+        cfg = TrainConfig(lambda_grid=(0.0,), error_threshold=1e-8)
+        net, trace = train(random_regression(m, d, seed), None, cfg)
+        assert trace.best_train_loss <= 1e-8
+        assert net.total_nodes == m
+
     def test_validation_stop_on_noise(self):
         # pure-noise labels: deeper nets only overfit, so patience fires
         rng = np.random.default_rng(23)
