@@ -5,18 +5,17 @@ columns kept linearly independent and normalized to second moment 1)
 together with an orthonormal companion Q spanning the same space. Layer 1
 comes from an SVD of the constant-lifted input. Every later layer draws
 its candidate columns from Hadamard products of a previous-layer column
-with a first-layer column, and grows in one round loop for both modes:
-each round scores the candidates against Q (:class:`CandidateScores`)
-and admits them in descending score. Exact mode ranks by residual ratio
-and takes every candidate that enlarges the span; width mode ranks by
-alignment with a deflated target and takes ``b`` per round, at most
-``gamma`` in all. The full candidate matrix is never materialized:
-candidates are generated one block at a time.
+with a first-layer column. Exact mode offers every candidate, in index
+order; width mode scores them against Q and a deflated target
+(:class:`CandidateScores`) and offers the ``b`` best per round, at most
+``gamma`` in all. Candidates are generated one block at a time.
 
-Every admission goes through :meth:`BasisState.admit`, which tests a block
-of candidates by block classical Gram-Schmidt with reorthogonalization
-(BCGS2) and writes each admitted node's values to F and its unit residual
-to Q; the layer builders only record the nodes.
+Every admission goes through :meth:`BasisState.admit`, the one place that
+decides independence and order: it tests a block of candidates by block
+classical Gram-Schmidt with reorthogonalization (BCGS2), lets a nearly
+dependent column wait behind more independent ones (column pivoting),
+and writes each admitted node's values to F and its unit residual to Q;
+the layer builders only record the nodes.
 """
 
 from __future__ import annotations
@@ -102,38 +101,47 @@ class BasisState:
             Q[:, : self.ncols] = self.Q
             self.F_buf, self.Q_buf = F, Q
 
-    def admit(self, C: np.ndarray, tol: float, scale: bool = True) -> np.ndarray:
-        """Admit, in order, each column of the m x n block C that enlarges the span.
+    def admit(self, C: np.ndarray, tol: float, scale: bool = True) -> tuple[np.ndarray, np.ndarray]:
+        """Admit each column of the m x n block C that enlarges the span.
 
-        C is projected twice off Q as it stood (two GEMM passes), then each
-        column twice off the columns this call admitted before it (BCGS2).
-        A column whose residual norm is above ``tol`` becomes the next node:
-        its unit residual goes to Q, the column scaled to norm √m to F (as
-        given, weight 1.0, with ``scale=False``: layer 1's columns must stay
-        bit-equal to lift_input(X) @ W1). Returns the n node weights, 0.0
-        for each column left out.
+        C is projected twice off Q as it stood (two GEMM passes); each
+        column's squared residual norm is kept and downdated by (q^T Y)^2
+        as each new Q column q joins. The caller's next untested column is
+        tested next unless its residual ratio ||r|| / ||c|| is below
+        ``_PIVOT`` times the best untested one (column pivoting). It is
+        projected twice off the columns this call admitted (BCGS2) and
+        admitted if that residual's norm is above ``tol``: its unit
+        residual goes to Q, the column scaled to norm √m to F (as given,
+        weight 1.0, with ``scale=False``: layer 1's columns must stay
+        bit-equal to lift_input(X) @ W1). Returns the admitted columns'
+        indices into C, in the order they joined F, and their weights.
         """
-        weights = np.zeros(C.shape[1])
-        if self.ncols == self.m:
-            return weights  # span is all of R^m
-        Y = residual(residual(C, self.Q), self.Q)
-        start = self.ncols
-        for j in range(C.shape[1]):
-            if self.ncols == self.m:
-                break
-            new = self.Q_buf[:, start : self.ncols]
-            r = residual(residual(Y[:, j], new), new)
-            nr = np.linalg.norm(r)
-            if nr <= tol:
-                continue
-            if self.ncols == self.F_buf.shape[1]:
-                self.reserve(2 * self.ncols + 1)
-            w = math.sqrt(self.m) / np.linalg.norm(C[:, j]) if scale else 1.0
-            np.divide(r, nr, out=self.Q_buf[:, self.ncols])
-            np.multiply(w, C[:, j], out=self.F_buf[:, self.ncols])
-            self.ncols += 1
-            weights[j] = w
-        return weights
+        idx, weights = [], []
+        if self.ncols < self.m:
+            Y = residual(residual(C, self.Q), self.Q)
+            r2 = np.einsum("ij,ij->j", Y, Y)
+            c2 = np.maximum(np.einsum("ij,ij->j", C, C), np.finfo(float).tiny)
+            untested = np.ones(C.shape[1], dtype=bool)
+            start = self.ncols
+            while untested.any() and self.ncols < self.m:
+                ratio2 = np.where(untested, np.maximum(r2, 0.0) / c2, -1.0)
+                j = int(np.argmax(ratio2 >= _PIVOT**2 * ratio2.max()))
+                untested[j] = False
+                new = self.Q_buf[:, start : self.ncols]
+                r = residual(residual(Y[:, j], new), new)
+                nr = np.linalg.norm(r)
+                if nr <= tol:
+                    continue
+                if self.ncols == self.F_buf.shape[1]:
+                    self.reserve(2 * self.ncols + 1)
+                w = math.sqrt(self.m) / np.linalg.norm(C[:, j]) if scale else 1.0
+                q = np.divide(r, nr, out=self.Q_buf[:, self.ncols])
+                np.multiply(w, C[:, j], out=self.F_buf[:, self.ncols])
+                self.ncols += 1
+                r2 -= (q @ Y) ** 2
+                idx.append(j)
+                weights.append(w)
+        return np.array(idx, dtype=int), np.array(weights)
 
 
 def lift_input(X) -> np.ndarray:
@@ -202,7 +210,8 @@ def initial_state(layer1: LayerBuildResult, tol: float | None = None) -> BasisSt
     if tol is None:
         tol = default_tol(m)
     state = BasisState(F_buf=np.empty((m, k)), Q_buf=np.empty((m, k)), layer_ranges=[])
-    if not state.admit(B, tol, scale=False).all():
+    # all admitted and in order, so F starts bit-equal to lift_input(X) @ W1
+    if not np.array_equal(state.admit(B, tol, scale=False)[0], np.arange(k)):
         raise ValueError("first-layer columns must be linearly independent")
     state.layer_ranges.append((0, k))
     return state
@@ -213,27 +222,30 @@ def initial_state(layer1: LayerBuildResult, tol: float | None = None) -> BasisSt
 # residual norm is taken from an explicit CGS2 residual instead.
 _EXPLICIT_RATIO = 1e-4
 
-# Picks go to BasisState.admit in blocks of at most this many columns,
-# which bounds the m x block copies one admission makes.
+# Candidates go to BasisState.admit in blocks of at most this many
+# columns, which bounds the m x block copies one admission makes.
 _ADMIT_BLOCK = 64
+
+# In BasisState.admit, a column whose residual ratio is below this fraction
+# of the best untested one waits behind the more independent columns.
+_PIVOT = 0.5
 
 
 class CandidateScores:
-    """Scores of one layer's product candidates, kept across rounds.
+    """Width-mode scores of one layer's product candidates, kept across rounds.
 
     Candidate ``p * n1 + j`` is previous-layer column p times layer-1
     column j. For each candidate c this keeps ||c||^2 and ||Q^T c||^2 over
     the Q columns seen so far. Q only grows within a layer, so a round
-    projects c onto the columns admitted since the previous round and, in
-    width mode, onto the deflated target's basis O_V, both in one product.
-    The CGS2 residual r of c then has ||r||^2 = ||c||^2 - ||Q^T c||^2, and
-    O_V^T r = O_V^T c because O_V is orthogonal to Q, so neither score
-    needs a residual: width mode's ||O_V^T r|| / ||r|| and exact mode's
-    residual ratio ||r|| / ||c||. Candidates whose residual ratio is below
-    ``_EXPLICIT_RATIO`` take ||r|| from an explicit CGS2 residual, so
-    near-dependent columns are still judged against ``tol``. A candidate
-    found dependent stays out (``live`` is cleared): its residual can only
-    shrink as Q grows.
+    projects c onto the columns admitted since the previous round and onto
+    the deflated target's basis O_V, both in one product. The CGS2
+    residual r of c has ||r||^2 = ||c||^2 - ||Q^T c||^2 and O_V^T r =
+    O_V^T c (O_V is orthogonal to Q), so the score ||O_V^T r|| / ||r||
+    needs no residual, except when ||r|| / ||c|| is below
+    ``_EXPLICIT_RATIO``: then ||r|| comes from an explicit CGS2 residual,
+    so near-dependent columns are still judged against ``tol``. A
+    candidate found dependent stays out (``live`` is cleared): its
+    residual can only shrink as Q grows.
     """
 
     def __init__(self, state: BasisState):
@@ -244,23 +256,19 @@ class CandidateScores:
         self.proj2 = np.zeros_like(self.norm2)
         self.seen = 0  # leading Q columns already folded into proj2
         self.live = np.ones(self.norm2.size, dtype=bool)
-        # candidates whose ||r|| came from an explicit residual last round
-        self.explicit = np.zeros(self.norm2.size, dtype=bool)
 
-    def round(self, state: BasisState, O_V: np.ndarray | None, tol: float) -> np.ndarray:
+    def round(self, state: BasisState, O_V: np.ndarray, tol: float) -> np.ndarray:
         """Score every live candidate against the current Q and target basis.
 
-        A candidate's score is ||O_V^T r|| / ||r||, or its residual ratio
-        ||r|| / ||c|| when ``O_V`` is None; -1 marks one whose residual
-        norm is at most ``tol``.
+        A candidate's score is ||O_V^T r|| / ||r||; -1 marks one whose
+        residual norm is at most ``tol``.
         """
         Q = state.Q
         nq = state.ncols - self.seen
-        P = Q[:, self.seen:] if O_V is None else np.concatenate([Q[:, self.seen:], O_V], axis=1)
+        P = np.concatenate([Q[:, self.seen:], O_V], axis=1)
         lo, _ = state.layer_ranges[-1]
         n1 = state.layer1_cols
         scores = np.full(self.norm2.size, -1.0)
-        self.explicit[:] = False
         for prev in range(self.norm2.size // n1):
             sl = slice(prev * n1, (prev + 1) * n1)
             live = self.live[sl]
@@ -277,68 +285,41 @@ class CandidateScores:
             if explicit.any():
                 R = residual(residual(block[:, explicit], Q), Q)
                 nr[explicit] = np.linalg.norm(R, axis=0)
-                self.explicit[sl] = explicit
             live &= nr > tol
-            if O_V is None:
-                scores[sl][live] = nr[live] / np.sqrt(self.norm2[sl][live])
-            else:
-                scores[sl][live] = np.linalg.norm(T[nq:], axis=0)[live] / nr[live]
+            scores[sl][live] = np.linalg.norm(T[nq:], axis=0)[live] / nr[live]
         self.seen = state.ncols
         return scores
 
 
-def _grow_layer(state: BasisState, V, gamma: int, b: int, tol: float) -> LayerBuildResult:
-    """The round loop that builds every product layer, in both modes.
-
-    Each round scores the live candidates (against V deflated off Q, or
-    by residual ratio when V is None) and takes them in descending score,
-    in blocks of at most ``_ADMIT_BLOCK`` for :meth:`BasisState.admit`,
-    until min(b, gamma - admitted) columns are in or none is left. A taken
-    candidate is admitted or dependent on earlier picks, in span(Q) either
-    way, so it is no longer live. Stops after a round that admits nothing.
-    """
+def _admit_products(state: BasisState, flat: np.ndarray, tol: float, nodes: list) -> int:
+    """Admit candidates ``flat`` as one block, appending their nodes; returns how many."""
     lo, _ = state.layer_ranges[-1]
-    n1 = state.layer1_cols
-    scorer = CandidateScores(state)
-    nodes: list[tuple[int, int, float]] = []
-    while len(nodes) < gamma:
-        if V is not None:
-            V = residual(V, state.Q)
-        scores = scorer.round(state, None if V is None else thin_svd(V).U, tol)
-        # descending score; stable sort breaks ties by lowest candidate index
-        order = np.argsort(-scores, kind="stable")[: np.count_nonzero(scores >= 0)]
-        quota = min(b, gamma - len(nodes))
-        picked = 0
-        while picked < quota and order.size:
-            take, order = np.split(order, [min(_ADMIT_BLOCK, quota - picked)])
-            scorer.live[take] = False
-            prev, j = np.divmod(take, n1)
-            w = state.admit(state.F[:, lo + prev] * state.F[:, j], tol)
-            nodes += [(int(prev[i]), int(j[i]), w[i]) for i in np.flatnonzero(w)]
-            picked += np.count_nonzero(w)
-        if picked == 0:
-            break
-    if nodes:
-        state.layer_ranges.append((state.ncols - len(nodes), state.ncols))
-    return LayerBuildResult(nodes=nodes)
+    prev, j = np.divmod(flat, state.layer1_cols)
+    idx, w = state.admit(state.F[:, lo + prev] * state.F[:, j], tol)
+    nodes += [(int(prev[i]), int(j[i]), wi) for i, wi in zip(idx, w)]
+    return idx.size
 
 
 def build_basis_t_exact(state: BasisState, tol: float | None = None) -> LayerBuildResult:
     """Next layer, exact mode: admit every candidate that enlarges the span.
 
-    One round of :func:`_grow_layer` with no target and no budget beyond
-    the room left in R^m: every candidate whose residual against Q has
-    norm above ``tol`` is taken, most independent first (descending
-    residual ratio ||r|| / ||c||, as in column pivoting), and admitted
-    unless this layer's earlier admissions have made it dependent. A
-    zero-width result means the span is saturated.
+    The candidates go to :meth:`BasisState.admit` unranked, in index order
+    (previous-layer column outer), in blocks of at most ``_ADMIT_BLOCK``;
+    its column pivoting lets near-dependent ones wait behind more
+    independent ones. A zero-width result means the span is saturated.
 
     Mutates ``state`` in place and returns the admitted nodes.
     """
     if tol is None:
         tol = default_tol(state.m)
-    room = state.m - state.ncols
-    return _grow_layer(state, None, room, room, tol)
+    lo, hi = state.layer_ranges[-1]
+    flat = np.arange((hi - lo) * state.layer1_cols)
+    nodes: list[tuple[int, int, float]] = []
+    for start in range(0, flat.size, _ADMIT_BLOCK):
+        _admit_products(state, flat[start : start + _ADMIT_BLOCK], tol, nodes)
+    if nodes:
+        state.layer_ranges.append((state.ncols - len(nodes), state.ncols))
+    return LayerBuildResult(nodes=nodes)
 
 
 def build_basis_t_width(
@@ -350,26 +331,43 @@ def build_basis_t_width(
 ) -> LayerBuildResult:
     """Next layer, width-limited: greedy target-driven candidate selection.
 
-    Rounds of :func:`_grow_layer`. Each round scores every candidate whose
-    residual against the current Q is numerically nonzero: the score is
-    the norm of the projection of the unit residual onto the column space
+    Rounds of scoring (:class:`CandidateScores`): every candidate whose
+    residual against the current Q is numerically nonzero is scored by
+    the norm of the projection of its unit residual onto the column space
     of the deflated target V, so candidates aligned with what the current
-    features cannot yet express rank first. The top ``b`` by score are
-    admitted, skipping any that became dependent on this round's earlier
-    picks; then V is deflated. Stops early once no eligible candidate
-    remains; at most ``gamma`` columns total.
+    features cannot yet express rank first. Each round offers the live
+    candidates in descending score (stable), in blocks of at most
+    ``_ADMIT_BLOCK``, until min(b, gamma - admitted) are in; an offered
+    candidate is in span(Q) afterwards, so no longer live. Then V is
+    deflated. Stops after a round that admits nothing; at most ``gamma``
+    columns total. Nodes are recorded in the order admission took them.
 
     Mutates ``state`` in place and returns the admitted nodes.
     """
-    m = state.m
     if tol is None:
-        tol = default_tol(m)
+        tol = default_tol(state.m)
     if gamma < 1 or b < 1:
         raise ValueError("gamma and b must be at least 1")
     if b > gamma:
         raise ValueError("batch size b must not exceed gamma")
     V = check_matrix(V, "V")
-    if V.shape[0] != m:
+    if V.shape[0] != state.m:
         raise ValueError("V must have one row per training instance")
     state.reserve(state.ncols + gamma)
-    return _grow_layer(state, V, gamma, b, tol)
+    scorer = CandidateScores(state)
+    nodes: list[tuple[int, int, float]] = []
+    while len(nodes) < gamma:
+        V = residual(V, state.Q)
+        scores = scorer.round(state, thin_svd(V).U, tol)
+        order = np.argsort(-scores, kind="stable")[: np.count_nonzero(scores >= 0)]
+        quota = min(b, gamma - len(nodes))
+        picked = 0
+        while picked < quota and order.size:
+            take, order = np.split(order, [min(_ADMIT_BLOCK, quota - picked)])
+            scorer.live[take] = False
+            picked += _admit_products(state, take, tol, nodes)
+        if picked == 0:
+            break
+    if nodes:
+        state.layer_ranges.append((state.ncols - len(nodes), state.ncols))
+    return LayerBuildResult(nodes=nodes)

@@ -214,8 +214,8 @@ def fit_head(
         raise ValueError("F must be a matrix")
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lambda must be finite and nonnegative, got {lam!r}")
     if opt is None:
         opt = OptimizerConfig()
 

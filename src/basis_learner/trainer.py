@@ -76,8 +76,9 @@ class TrainConfig:
             raise ValueError("max_depth counts the output layer and must be >= 2")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if not self.lambda_grid or any(l < 0 for l in self.lambda_grid):
-            raise ValueError("lambda grid must be nonempty and nonnegative")
+        grid = self.lambda_grid
+        if not grid or not all(math.isfinite(lam) and lam >= 0 for lam in grid):
+            raise ValueError(f"lambda grid must be nonempty, finite and nonnegative, got {grid!r}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 

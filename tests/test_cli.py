@@ -388,6 +388,8 @@ class TestConsoleScript:
              "2 x 99999999999 feature matrix is too large to allocate"),
             (train_sparse("classes.sp", "1e9 1:1\n0 1:2\n"),
              "class id 1000000000.0 is not below MAX_CLASSES=10000"),
+            (["train", "--data", str(toy), "--lambda", "nan", "--out", str(tmp_path / "m.bl")],
+             "lambda grid must be nonempty, finite and nonnegative, got (nan,)"),
         ]:
             proc = run_module(argv)
             assert proc.returncode == 1

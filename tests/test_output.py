@@ -387,6 +387,12 @@ class TestFitHeadValidation:
         with pytest.raises(ValueError, match="nonnegative"):
             fit_head(np.ones((2, 1)), [1.0, -1.0], "hinge", -1.0)
 
+    @pytest.mark.parametrize("kind", ["squared", "hinge"])
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_rejects_non_finite_lambda(self, kind, lam):
+        with pytest.raises(ValueError, match=f"finite and nonnegative, got {lam!r}"):
+            fit_head(np.ones((2, 1)), [1.0, -1.0], kind, lam)
+
     def test_margin_losses_need_label_vector(self):
         with pytest.raises(ValueError, match="label vector"):
             fit_head(np.ones((2, 1)), np.ones((2, 2)), "hinge", 0.1)

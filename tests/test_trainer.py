@@ -71,6 +71,8 @@ class TestConfigValidation:
             (dict(lambda_grid=()), "lambda grid"),
             (dict(lambda_grid=(0.1, -0.5)), "lambda grid"),
             (dict(seed=-1), "seed"),
+            (dict(lambda_grid=(0.1, float("nan"))), r"lambda grid.*got \(0.1, nan\)"),
+            (dict(lambda_grid=(float("inf"),)), r"lambda grid.*got \(inf,\)"),
         ],
     )
     def test_rejections(self, kw, msg):
@@ -116,11 +118,14 @@ class TestStopping:
         assert trace.best_train_loss <= 1e-8
         assert net.total_nodes == 1000
 
-    @pytest.mark.parametrize("m,d,seed", [(200, 4, 8), (200, 4, 30), (300, 5, 5), (300, 5, 28)])
+    @pytest.mark.parametrize(
+        "m,d,seed", [(200, 4, 8), (200, 4, 30), (300, 5, 5), (300, 5, 28), (150, 3, 5)]
+    )
     def test_zero_lambda_interpolates_small_inputs(self, m, d, seed):
         # admitting candidates in scan order let nearly dependent columns
-        # in first; these four ended with m nodes, cond(F) 4e14 to 2e19
-        # and MSE 2e-5 to 0.15
+        # in first; the first four ended with m nodes, cond(F) 4e14 to 2e19
+        # and MSE 2e-5 to 0.15. Ranking each layer once, against the Q it
+        # started from, still left (150, 3, 5) at MSE 7.8e-4
         cfg = TrainConfig(lambda_grid=(0.0,), error_threshold=1e-8)
         net, trace = train(random_regression(m, d, seed), None, cfg)
         assert trace.best_train_loss <= 1e-8
