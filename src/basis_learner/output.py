@@ -5,16 +5,20 @@ logistic, and multiclass hinge. The regularized objective is always
 
     loss(F w, y) + (lambda / 2) ||w||^2
 
-Squared loss is minimized exactly by least squares on the augmented
-system [F; sqrt(lambda m / 2) I] w = [y; 0], or on F alone (minimum
-norm) at lambda = 0; the margin losses run averaged mini-batch
-subgradient descent (Pegasos) on :func:`loss_gradient`, with a seeded
-shuffle, so a fit is deterministic given its config. Scores become
-decisions by one rule, :func:`decide`, keyed by task.
+Squared loss is minimized exactly from a factor F = QR with orthonormal
+Q (:class:`SquaredFactor`): (1/m)||Fw - y||^2 differs from
+(1/m)||Rw - Q^T y||^2 by a constant, so one factor of F serves every
+lambda, through one SVD of R shared by the lambda grid (minimum norm at
+lambda = 0), or an LU solve of R at lambda = 0 when F's columns are known
+independent. The margin losses run averaged mini-batch subgradient
+descent (Pegasos) on :func:`loss_gradient`, with a seeded shuffle, so a
+fit is deterministic given its config. Scores become decisions by one
+rule, :func:`decide`, keyed by task.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -147,21 +151,44 @@ def objective(kind: str, F, w, y, lam: float) -> float:
     return loss_value(kind, F @ w, y) + 0.5 * lam * float(np.sum(np.asarray(w) ** 2))
 
 
-def _solve_squared(F: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
-    m, n = F.shape
-    if lam == 0.0:
-        # minimum-norm solution when F is rank deficient; the cutoff is
-        # eps, not lstsq's default eps * max(m, n), which drops singular
-        # values of a full-rank F the admission test has already kept
-        w, *_ = np.linalg.lstsq(F, Y, rcond=np.finfo(np.float64).eps)
-        return w
-    # minimizing (1/m)||Fw - y||^2 + (lam/2)||w||^2 is the augmented
-    # least-squares problem [F; sqrt(lam m / 2) I] w = [y; 0]
-    root = math.sqrt(lam * m / 2.0)
-    A = np.vstack([F, root * np.eye(n)])
-    B = np.vstack([Y, np.zeros((n, Y.shape[1]))])
-    w, *_ = np.linalg.lstsq(A, B, rcond=None)
-    return w
+@dataclass
+class SquaredFactor:
+    """R = Q^T F and Q^T Y for an orthonormal Q with span(Q) = span(F).
+
+    Every squared head over F is solved from these alone. ``independent``
+    certifies that F has full column rank (the basis admission tests each
+    column), so lambda = 0 is an LU solve of the square R; otherwise it
+    takes the minimum-norm answer from the SVD of R with an eps cutoff.
+    Every lambda > 0 shares that one SVD, taken on first use.
+    """
+
+    R: np.ndarray
+    QtY: np.ndarray
+    independent: bool = False
+
+    @functools.cached_property
+    def _svd(self):
+        return np.linalg.svd(self.R, full_matrices=False)
+
+    def solve(self, lam: float, m: int) -> np.ndarray:
+        """Minimizer of (1/m)||Fw - Y||^2 + (lam/2)||w||^2."""
+        if lam == 0.0 and self.independent:
+            return np.linalg.solve(self.R, self.QtY)
+        U, s, Vt = self._svd
+        shrink = np.zeros_like(s)
+        if lam == 0.0:
+            # the cutoff is eps, not eps * max(m, n), which would drop
+            # singular values of a full-rank F
+            keep = s > np.finfo(np.float64).eps * s[:1]
+            shrink[keep] = 1.0 / s[keep]
+        else:
+            # s / (s^2 + mu), written so that s^2 is never formed: it
+            # overflows when F is huge; a vanishing s (mu / s = inf) gets 0
+            mu = lam * m / 2.0
+            keep = s > 0.0
+            with np.errstate(over="ignore"):
+                shrink[keep] = 1.0 / (s[keep] + mu / s[keep])
+        return Vt.T @ (shrink[:, None] * (U.T @ self.QtY))
 
 
 def _sgd(F, y, kind, lam, opt, k):
@@ -199,14 +226,19 @@ def fit_head(
     lam: float,
     opt: OptimizerConfig | None = None,
     n_classes: int | None = None,
+    factor: SquaredFactor | None = None,
 ) -> FitResult:
     """Fit output weights over the feature matrix ``F``.
 
-    Squared loss is solved exactly (minimum-norm at lambda = 0); the
-    margin losses use the averaged mini-batch subgradient method
-    configured by ``opt``. ``n_classes`` fixes the weight-column count
-    for mc-hinge; by default it is one more than the largest class id
-    seen. Errors are scored separately, by :func:`validation_error`.
+    Squared loss is solved exactly from ``factor``, a :class:`SquaredFactor`
+    of F and the targets shared by the calls over a lambda grid, or from
+    ``np.linalg.qr(F)`` when none is given (minimum-norm at lambda = 0);
+    the margin losses use the averaged mini-batch subgradient method
+    configured by ``opt`` and ignore ``factor``. ``n_classes`` fixes the
+    weight-column count for mc-hinge; by default it is one more than the
+    largest class id seen. Errors are scored separately, by
+    :func:`validation_error`. Non-finite data, weights or objective raise
+    ``ValueError``.
     """
     F = np.asarray(F, dtype=np.float64)
     y = np.asarray(y)
@@ -216,12 +248,17 @@ def fit_head(
         raise ValueError(f"unknown loss kind {kind!r}")
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError(f"lambda must be finite and nonnegative, got {lam!r}")
+    if not (np.isfinite(F).all() and np.isfinite(y).all()):
+        raise ValueError("F and y must be finite")
     if opt is None:
         opt = OptimizerConfig()
 
     if kind == "squared":
         Y = y[:, None] if y.ndim == 1 else np.asarray(y, dtype=np.float64)
-        W = _solve_squared(F, Y, lam)
+        if factor is None:
+            Q, R = np.linalg.qr(F)
+            factor = SquaredFactor(R, Q.T @ Y)
+        W = factor.solve(lam, F.shape[0])
     else:
         if y.ndim != 1:
             raise ValueError(f"{kind} expects a label vector")
@@ -232,7 +269,10 @@ def fit_head(
         else:
             k = 1
         W = _sgd(F, np.asarray(y, dtype=np.float64), kind, lam, opt, k)
-    return FitResult(weights=W, train_loss=objective(kind, F, W, y, lam))
+    loss = objective(kind, F, W, y, lam)
+    if not (math.isfinite(loss) and np.isfinite(W).all()):
+        raise ValueError(f"{kind} head at lambda={lam!r} is not finite")
+    return FitResult(weights=W, train_loss=loss)
 
 
 def validation_error(features, weights, y, task: str) -> float:

@@ -29,7 +29,16 @@ from .basis import (
 )
 from .dataset import LabeledDataset, target_matrix
 from .network import OutputHead, PolyNetwork, feature_matrix, layer_values, product_layer
-from .output import LOSS_KINDS, LOSS_TASK, OptimizerConfig, decide, fit_head, loss_value, validation_error
+from .output import (
+    LOSS_KINDS,
+    LOSS_TASK,
+    OptimizerConfig,
+    SquaredFactor,
+    decide,
+    fit_head,
+    loss_value,
+    validation_error,
+)
 
 # 10^-7, 10^-6.5, ..., 10^1 (17 values)
 DEFAULT_LAMBDA_GRID: tuple[float, ...] = tuple(
@@ -200,13 +209,17 @@ def train(
         F = state.F
         ncols = state.ncols
         valid_F = np.hstack(valid_blocks) if has_valid else None
+        # F = QR from the admission: one factor serves every squared head
+        factor = (SquaredFactor(state.Q.T @ F, state.Q.T @ fit_y, independent=True)
+                  if config.loss == "squared" else None)
 
         depth_best: dict | None = None
         for li, lam in enumerate(config.lambda_grid):
             opt = OptimizerConfig(
                 epochs=config.sgd_epochs, seed=_head_seed(config.seed, t, li)
             )
-            fit = fit_head(F, fit_y, config.loss, lam, opt, n_classes=n_classes)
+            fit = fit_head(F, fit_y, config.loss, lam, opt, n_classes=n_classes,
+                           factor=factor)
             t_err = validation_error(F, fit.weights, train_ds.labels, train_ds.task)
             if has_valid:
                 v_err = validation_error(

@@ -10,9 +10,19 @@ import math
 import numpy as np
 import pytest
 
+from basis_learner.basis import (
+    build_basis1_exact,
+    build_basis1_width,
+    build_basis_t_exact,
+    build_basis_t_width,
+    default_tol,
+    initial_state,
+    lift_input,
+)
 from basis_learner.output import (
     LOSS_KINDS,
     OptimizerConfig,
+    SquaredFactor,
     decide,
     fit_head,
     loss_gradient,
@@ -20,6 +30,8 @@ from basis_learner.output import (
     objective,
     validation_error,
 )
+from basis_learner.synthetic import random_regression
+from basis_learner.trainer import DEFAULT_LAMBDA_GRID
 
 
 class TestLossValues:
@@ -207,7 +219,8 @@ class TestSquaredFit:
         assert np.allclose(w, svd_ridge(F, Y, lam), atol=1e-10)
 
     def test_min_norm_splits_duplicate_columns(self):
-        # lstsq at lambda=0 must spread weight evenly over equal columns
+        # the minimum-norm answer at lambda=0 spreads weight evenly over
+        # equal columns
         col = np.arange(1.0, 5.0)[:, None]
         F = np.hstack([col, col])
         y = 3.0 * col[:, 0]
@@ -222,6 +235,17 @@ class TestSquaredFit:
         assert fit.train_loss <= 1e-18
         assert validation_error(F, fit.weights, y, "regression") <= 1e-18
 
+    @pytest.mark.parametrize("c", [1e155, 1e200])
+    @pytest.mark.parametrize("lam", [1e-3, 1.0])
+    def test_huge_features_do_not_overflow(self, c, lam):
+        # s^2 overflows at these scales; the shrinkage must not form it
+        rng = np.random.default_rng(10)
+        F = rng.standard_normal((30, 5))
+        y = rng.standard_normal(30)
+        w = c * fit_head(c * F, y, "squared", lam).weights
+        w0 = fit_head(F, y, "squared", 0.0).weights
+        assert np.linalg.norm(w - w0) <= 1e-12 * np.linalg.norm(w0)
+
     def test_objective_never_below_optimum(self):
         rng = np.random.default_rng(9)
         F = rng.standard_normal((15, 3))
@@ -231,6 +255,44 @@ class TestSquaredFit:
         for i in range(20):
             w = np.random.default_rng(100 + i).standard_normal((3, 1))
             assert objective("squared", F, w, y, lam) >= best - 1e-12
+
+
+def relative_gap(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def basis_factor(state, Y):
+    # the trainer's per-depth factor: F = QR from the admission
+    return SquaredFactor(state.Q.T @ state.F, state.Q.T @ Y, independent=True)
+
+
+class TestSquaredFactor:
+    @pytest.mark.parametrize("outputs", [1, 3])
+    def test_basis_factor_matches_closed_form(self, outputs):
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((200, 5))
+        if outputs == 1:
+            Y = (X[:, :1] * X[:, 1:2] + 0.1 * rng.standard_normal((200, 1)))
+        else:  # squared heads on multiclass targets fit indicator columns
+            Y = np.eye(outputs)[rng.integers(0, outputs, 200)]
+        state = initial_state(build_basis1_width(lift_input(X), gamma=6))
+        for _ in range(2):
+            assert build_basis_t_width(state, Y, gamma=10, b=5).width > 0
+        factor = basis_factor(state, Y)
+        for lam in DEFAULT_LAMBDA_GRID + (0.0,):
+            w = fit_head(state.F, Y, "squared", lam, factor=factor).weights
+            assert w.shape == (state.ncols, outputs)
+            assert relative_gap(w, svd_ridge(state.F, Y, lam)) <= 1e-9
+            assert relative_gap(w, fit_head(state.F, Y, "squared", lam).weights) <= 1e-9
+
+    def test_square_basis_interpolates(self):
+        ds = random_regression(120, 4, 1)
+        Y = ds.labels[:, None]
+        state = initial_state(build_basis1_exact(lift_input(ds.X)))
+        while state.ncols < ds.m:
+            assert build_basis_t_exact(state, default_tol(ds.m)).width > 0
+        fit = fit_head(state.F, Y, "squared", 0.0, factor=basis_factor(state, Y))
+        assert validation_error(state.F, fit.weights, ds.labels, "regression") <= 1e-20
 
 
 def newton_logistic(F, y, lam, iters=60):
@@ -392,6 +454,28 @@ class TestFitHeadValidation:
     def test_rejects_non_finite_lambda(self, kind, lam):
         with pytest.raises(ValueError, match=f"finite and nonnegative, got {lam!r}"):
             fit_head(np.ones((2, 1)), [1.0, -1.0], kind, lam)
+
+    @pytest.mark.parametrize("kind", ["squared", "hinge"])
+    @pytest.mark.parametrize("where", ["F", "y"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_data(self, kind, where, bad):
+        F = np.ones((2, 1))
+        y = np.array([1.0, -1.0])
+        (F if where == "F" else y)[0] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            fit_head(F, y, kind, 0.1)
+
+    def test_non_finite_weights_name_lambda(self):
+        # a vanishing singular value scales the minimum-norm answer past 1e308
+        F = np.full((2, 1), 1e-300)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="lambda=0.0"):
+            fit_head(F, [1e10, 1e10], "squared", 0.0)
+
+    def test_non_finite_objective_names_lambda(self):
+        # unregularized steps on huge features overflow the hinge objective
+        F = np.full((4, 1), 1e200)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="lambda=0.0"):
+            fit_head(F, [1.0, -1.0, 1.0, -1.0], "hinge", 0.0, OptimizerConfig(epochs=2))
 
     def test_margin_losses_need_label_vector(self):
         with pytest.raises(ValueError, match="label vector"):
