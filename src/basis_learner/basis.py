@@ -15,7 +15,8 @@ decides independence and order: it tests a block of candidates by block
 classical Gram-Schmidt with reorthogonalization (BCGS2), lets a nearly
 dependent column wait behind more independent ones (column pivoting),
 and writes each admitted node's values to F and its unit residual to Q;
-the layer builders only record the nodes.
+each product-layer builder appends the layer it admitted, a ProductLayer,
+to the state, the one record of the network built so far.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import check_matrix, randomized_range_svd, residual, thin_svd
+from .linalg import lift_input  # noqa: F401  layer 1 is built from lift_input(X)
+from .network import ProductLayer, product_layer
 
 
 def default_tol(m: int) -> float:
@@ -33,31 +36,9 @@ def default_tol(m: int) -> float:
     return 1e-8 * math.sqrt(m)
 
 
-@dataclass(frozen=True)
-class LayerBuildResult:
-    """Nodes added by one layer build.
-
-    Layer 1 carries its columns ``new_columns`` and the (d+1) x k weight
-    matrix ``W1``. A product layer carries one (prev, first, weight) node
-    per column it admitted: the column equals weight times previous-layer
-    column ``prev`` times layer-1 column ``first`` (both indices 0-based
-    within their layer); its values live in the state's F.
-    """
-
-    nodes: list[tuple[int, int, float]] = field(default_factory=list)
-    new_columns: np.ndarray | None = None
-    W1: np.ndarray | None = None
-
-    @property
-    def width(self) -> int:
-        if self.new_columns is None:
-            return len(self.nodes)
-        return self.new_columns.shape[1]
-
-
 @dataclass
 class BasisState:
-    """Feature matrix F, orthonormal companion Q, and per-layer extents.
+    """Feature matrix F, orthonormal companion Q, and the layers built so far.
 
     F and Q are the first ``ncols`` columns of ``F_buf`` and ``Q_buf``,
     buffers the state owns and grows together by doubling. Every column
@@ -65,13 +46,14 @@ class BasisState:
     their BCGS2 orthonormalisation against the earlier columns to Q, so
     span(Q) = span(F) after every admission and Q^T F is upper
     triangular. F's columns are linearly independent with second moment
-    1, and ``layer_ranges`` partitions the columns of the finished layers
-    in construction order as half-open [start, stop) intervals.
+    1. They are layer 1's ``layer1_cols`` columns, then those of each
+    product layer in ``layers``, in construction order.
     """
 
     F_buf: np.ndarray
     Q_buf: np.ndarray
-    layer_ranges: list[tuple[int, int]]
+    layer1_cols: int
+    layers: list[ProductLayer] = field(default_factory=list)
     ncols: int = 0
 
     @property
@@ -89,8 +71,10 @@ class BasisState:
         return self.F_buf.shape[0]
 
     @property
-    def layer1_cols(self) -> int:
-        return self.layer_ranges[0][1]
+    def layer_ranges(self) -> list[tuple[int, int]]:
+        """Each finished layer's columns of F, as half-open [start, stop)."""
+        stops = np.cumsum([self.layer1_cols] + [L.width for L in self.layers]).tolist()
+        return list(zip([0] + stops[:-1], stops))
 
     def reserve(self, cols: int) -> None:
         """Make room for ``cols`` columns in all; F and Q never need more than m."""
@@ -144,12 +128,6 @@ class BasisState:
         return np.array(idx, dtype=int), np.array(weights)
 
 
-def lift_input(X) -> np.ndarray:
-    """Prepend the all-ones column: [1 X]."""
-    X = check_matrix(X, "X")
-    return np.concatenate([np.ones((X.shape[0], 1)), X], axis=1)
-
-
 def _scaled_projection(F1_tilde: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # fold the norm-sqrt(m) rescaling into the weights, then recompute the
     # columns from the scaled weights so B = F1_tilde @ W1 holds bit-exactly
@@ -160,7 +138,7 @@ def _scaled_projection(F1_tilde: np.ndarray, V: np.ndarray) -> tuple[np.ndarray,
     return F1_tilde @ W1, W1
 
 
-def build_basis1_exact(F1_tilde) -> LayerBuildResult:
+def build_basis1_exact(F1_tilde) -> tuple[np.ndarray, np.ndarray]:
     """First layer: an independent spanning set for the lifted input.
 
     The right singular vectors of [1 X] give linear combinations whose
@@ -178,12 +156,13 @@ def build_basis1_width(
     gamma: int,
     svd_mode: str = "exact",
     seed: int = 0,
-) -> LayerBuildResult:
+) -> tuple[np.ndarray, np.ndarray]:
     """Width-limited first layer: top-``gamma`` singular directions only.
 
     ``svd_mode`` selects the exact factorization or the seeded randomized
     range finder (useful when d is large); either way at most
-    min(gamma, rank) columns come back, normalized to norm √m.
+    min(gamma, rank) columns come back, normalized to norm √m. Returns the
+    pair (B, W1) of m x k values and (d+1) x k weights, B = F1_tilde @ W1.
     """
     F1_tilde = check_matrix(F1_tilde, "F1_tilde")
     if gamma < 1:
@@ -199,21 +178,19 @@ def build_basis1_width(
         V = svd.V
     else:
         raise ValueError(f"unknown svd_mode {svd_mode!r}")
-    B, W1 = _scaled_projection(F1_tilde, V)
-    return LayerBuildResult(new_columns=B, W1=W1)
+    return _scaled_projection(F1_tilde, V)
 
 
-def initial_state(layer1: LayerBuildResult, tol: float | None = None) -> BasisState:
-    """Basis state holding exactly the first layer's columns."""
-    B = layer1.new_columns
+def initial_state(layer1: tuple[np.ndarray, np.ndarray], tol: float | None = None) -> BasisState:
+    """Basis state holding exactly the first layer's columns B, of the pair (B, W1)."""
+    B = layer1[0]
     m, k = B.shape
     if tol is None:
         tol = default_tol(m)
-    state = BasisState(F_buf=np.empty((m, k)), Q_buf=np.empty((m, k)), layer_ranges=[])
+    state = BasisState(F_buf=np.empty((m, k)), Q_buf=np.empty((m, k)), layer1_cols=k)
     # all admitted and in order, so F starts bit-equal to lift_input(X) @ W1
     if not np.array_equal(state.admit(B, tol, scale=False)[0], np.arange(k)):
         raise ValueError("first-layer columns must be linearly independent")
-    state.layer_ranges.append((0, k))
     return state
 
 
@@ -300,15 +277,23 @@ def _admit_products(state: BasisState, flat: np.ndarray, tol: float, nodes: list
     return idx.size
 
 
-def build_basis_t_exact(state: BasisState, tol: float | None = None) -> LayerBuildResult:
+def _append_layer(state: BasisState, nodes: list) -> ProductLayer:
+    """The layer of the admitted ``nodes``, appended to the state unless empty."""
+    layer = product_layer(nodes)
+    if layer.width:
+        state.layers.append(layer)
+    return layer
+
+
+def build_basis_t_exact(state: BasisState, tol: float | None = None) -> ProductLayer:
     """Next layer, exact mode: admit every candidate that enlarges the span.
 
     The candidates go to :meth:`BasisState.admit` unranked, in index order
     (previous-layer column outer), in blocks of at most ``_ADMIT_BLOCK``;
     its column pivoting lets near-dependent ones wait behind more
-    independent ones. A zero-width result means the span is saturated.
-
-    Mutates ``state`` in place and returns the admitted nodes.
+    independent ones. Mutates ``state`` and returns the layer it appended
+    to ``state.layers``; a zero-width layer, not appended, means the span
+    is saturated.
     """
     if tol is None:
         tol = default_tol(state.m)
@@ -317,9 +302,7 @@ def build_basis_t_exact(state: BasisState, tol: float | None = None) -> LayerBui
     nodes: list[tuple[int, int, float]] = []
     for start in range(0, flat.size, _ADMIT_BLOCK):
         _admit_products(state, flat[start : start + _ADMIT_BLOCK], tol, nodes)
-    if nodes:
-        state.layer_ranges.append((state.ncols - len(nodes), state.ncols))
-    return LayerBuildResult(nodes=nodes)
+    return _append_layer(state, nodes)
 
 
 def build_basis_t_width(
@@ -328,7 +311,7 @@ def build_basis_t_width(
     gamma: int,
     b: int,
     tol: float | None = None,
-) -> LayerBuildResult:
+) -> ProductLayer:
     """Next layer, width-limited: greedy target-driven candidate selection.
 
     Rounds of scoring (:class:`CandidateScores`): every candidate whose
@@ -342,7 +325,7 @@ def build_basis_t_width(
     deflated. Stops after a round that admits nothing; at most ``gamma``
     columns total. Nodes are recorded in the order admission took them.
 
-    Mutates ``state`` in place and returns the admitted nodes.
+    Mutates ``state`` and returns the layer it appended, as the exact builder does.
     """
     if tol is None:
         tol = default_tol(state.m)
@@ -368,6 +351,4 @@ def build_basis_t_width(
             picked += _admit_products(state, take, tol, nodes)
         if picked == 0:
             break
-    if nodes:
-        state.layer_ranges.append((state.ncols - len(nodes), state.ncols))
-    return LayerBuildResult(nodes=nodes)
+    return _append_layer(state, nodes)

@@ -23,6 +23,12 @@ def check_matrix(A, name: str = "matrix") -> np.ndarray:
     return A
 
 
+def lift_input(X) -> np.ndarray:
+    """Prepend the all-ones column: [1 X]."""
+    X = check_matrix(X, "X")
+    return np.concatenate([np.ones((X.shape[0], 1)), X], axis=1)
+
+
 def default_rank_tol(shape: tuple[int, int]) -> float:
     """Relative singular-value cutoff: max(rows, cols) * machine epsilon."""
     return max(shape) * np.finfo(np.float64).eps

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import lift_input
-from .linalg import check_matrix
+from .linalg import check_matrix, lift_input
 from .output import LOSS_KINDS, LOSS_TASK
 
 SCHEMA = "basis-learner/1"
@@ -35,14 +34,17 @@ class ProductLayer:
     """One layer of product nodes, stored as parallel arrays.
 
     Node r computes weight[r] * (previous layer value at prev[r]) *
-    (first layer value at first[r]).
+    (first layer value at first[r]), both indices 0-based within their
+    layer. Training appends each layer it builds to ``BasisState.layers``;
+    the network it returns keeps the first ``best_depth - 2``.
     """
 
     prev: np.ndarray
     first: np.ndarray
     weight: np.ndarray
 
-    def __len__(self) -> int:
+    @property
+    def width(self) -> int:
         return self.prev.size
 
     def triples(self) -> list[tuple[int, int, float]]:
@@ -81,7 +83,7 @@ class PolyNetwork:
 
     @property
     def layer_widths(self) -> list[int]:
-        return [self.W1.shape[1]] + [len(L) for L in self.product_layers]
+        return [self.W1.shape[1]] + [L.width for L in self.product_layers]
 
     @property
     def total_nodes(self) -> int:
@@ -135,7 +137,7 @@ def arithmetic_cost(net: PolyNetwork) -> int:
     d = net.input_dim
     n1 = net.W1.shape[1]
     cost = (d + 1) * n1 + d * n1
-    cost += 2 * sum(len(L) for L in net.product_layers)
+    cost += 2 * sum(L.width for L in net.product_layers)
     n = net.total_nodes
     cost += net.outputs * (n + n - 1)
     return cost
@@ -182,7 +184,7 @@ def serialize(net: PolyNetwork) -> bytes:
     for L in net.product_layers:
         layers.append({
             "kind": "product",
-            "width": len(L),
+            "width": L.width,
             "triples": L.triples(),
         })
     doc = {
@@ -261,10 +263,10 @@ def deserialize(data) -> PolyNetwork:
                      f"layer {li} node {r}: weight must be finite and nonzero")
         L = product_layer(triples)
         width = spec.get("width")
-        _require(_is_int(width) and width == len(L),
+        _require(_is_int(width) and width == L.width,
                  f"layer {li}: width field disagrees with triples")
         product_layers.append(L)
-        prev_width = len(L)
+        prev_width = L.width
 
     head_doc = doc["head"]
     _require(isinstance(head_doc, dict), "head must be an object")
@@ -274,7 +276,7 @@ def deserialize(data) -> PolyNetwork:
     lam = head_doc.get("lambda")
     _require(_is_finite(lam) and lam >= 0, "lambda must be finite and nonnegative")
     Wh = _weight_matrix(head_doc.get("weights"), "head")
-    total = n1 + sum(len(L) for L in product_layers)
+    total = n1 + sum(L.width for L in product_layers)
     expected_outputs = n_classes if task == "multiclass" else 1
     _require(Wh.ndim == 2 and Wh.shape == (total, expected_outputs),
              f"head weights must be {total} x {expected_outputs}, got {Wh.shape}")

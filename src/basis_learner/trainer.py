@@ -25,10 +25,10 @@ from .basis import (
     build_basis_t_width,
     default_tol,
     initial_state,
-    lift_input,
 )
 from .dataset import LabeledDataset, target_matrix
-from .network import OutputHead, PolyNetwork, feature_matrix, layer_values, product_layer
+from .linalg import lift_input
+from .network import OutputHead, PolyNetwork, feature_matrix, layer_values
 from .output import (
     LOSS_KINDS,
     LOSS_TASK,
@@ -90,6 +90,10 @@ class TrainConfig:
             raise ValueError(f"lambda grid must be nonempty, finite and nonnegative, got {grid!r}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if self.tol is not None and not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be finite and nonnegative, got {self.tol!r}")
+        if self.error_threshold is not None and not math.isfinite(self.error_threshold):
+            raise ValueError(f"error_threshold must be finite, got {self.error_threshold!r}")
 
 
 @dataclass(frozen=True)
@@ -185,16 +189,15 @@ def train(
     tol = config.tol if config.tol is not None else default_tol(m)
     lifted = lift_input(train_ds.X)
     if config.mode == "exact":
-        layer1 = build_basis1_exact(lifted)
+        B, W1 = build_basis1_exact(lifted)
     else:
-        layer1 = build_basis1_width(
+        B, W1 = build_basis1_width(
             lifted, config.gamma, svd_mode=config.svd, seed=config.seed
         )
-    state = initial_state(layer1, tol)
-    # product layers admitted so far; the validation rows' node values are
-    # grown through the same layer_values the deployed network uses
-    layers = []
-    valid_blocks = [lift_input(valid_ds.X) @ layer1.W1] if has_valid else None
+    state = initial_state((B, W1), tol)
+    # the validation rows' node values, one block per layer, grown through
+    # the same layer_values the deployed network uses
+    valid_blocks = [lift_input(valid_ds.X) @ W1] if has_valid else None
 
     n_classes = train_ds.n_classes if train_ds.task == "multiclass" else None
     select_target = target_matrix(train_ds)
@@ -207,7 +210,6 @@ def train(
     while True:
         t0 = time.perf_counter()
         F = state.F
-        ncols = state.ncols
         valid_F = np.hstack(valid_blocks) if has_valid else None
         # F = QR from the admission: one factor serves every squared head
         factor = (SquaredFactor(state.Q.T @ F, state.Q.T @ fit_y, independent=True)
@@ -220,7 +222,6 @@ def train(
             )
             fit = fit_head(F, fit_y, config.loss, lam, opt, n_classes=n_classes,
                            factor=factor)
-            t_err = validation_error(F, fit.weights, train_ds.labels, train_ds.task)
             if has_valid:
                 v_err = validation_error(
                     valid_F, fit.weights, valid_ds.labels, valid_ds.task
@@ -232,12 +233,13 @@ def train(
             if depth_best is None or key < depth_best["key"]:
                 depth_best = {
                     "key": key, "lam": lam, "weights": fit.weights,
-                    "train_loss": fit.train_loss, "train_err": t_err,
-                    "valid_err": v_err,
+                    "train_loss": fit.train_loss, "valid_err": v_err,
                 }
+        depth_best["train_err"] = validation_error(
+            F, depth_best["weights"], train_ds.labels, train_ds.task)
 
         if best is None or depth_best["key"] < best["key"]:
-            best = dict(depth_best, depth=t, ncols=ncols)
+            best = dict(depth_best, depth=t)
         if has_valid:
             if depth_best["valid_err"] < best_valid_so_far:
                 best_valid_so_far = depth_best["valid_err"]
@@ -245,7 +247,7 @@ def train(
             else:
                 no_improve += 1
 
-        layer_width = state.layer_ranges[-1][1] - state.layer_ranges[-1][0]
+        lo, hi = state.layer_ranges[-1]
         if (config.error_threshold is not None
                 and depth_best["train_loss"] <= config.error_threshold):
             termination = "error_threshold"
@@ -264,12 +266,10 @@ def train(
                 termination = "empty_layer"
             else:
                 termination = None
-                layers.append(product_layer(built.nodes))
                 if has_valid:
-                    valid_blocks.append(
-                        layer_values(valid_blocks[0], valid_blocks[-1], layers[-1]))
+                    valid_blocks.append(layer_values(valid_blocks[0], valid_blocks[-1], built))
         records.append(DepthRecord(
-            depth=t, layer_width=layer_width, total_cols=ncols,
+            depth=t, layer_width=hi - lo, total_cols=hi,
             lam=depth_best["lam"], train_loss=depth_best["train_loss"],
             train_err=depth_best["train_err"],
             valid_err=depth_best["valid_err"], secs=time.perf_counter() - t0,
@@ -293,7 +293,7 @@ def train(
         best_train_err=best["train_err"],
         best_valid_err=best["valid_err"],
         warnings=warnings,
-        feature_columns=state.F[:, : best["ncols"]].copy(),
+        feature_columns=state.F[:, : state.layer_ranges[best["depth"] - 2][1]].copy(),
     )
     # provenance lives inside the JSON model file, so keep it JSON-native
     # (tuples would come back as lists and break round-trip equality)
@@ -302,14 +302,12 @@ def train(
     net = PolyNetwork(
         input_dim=train_ds.dim,
         task=train_ds.task,
-        W1=layer1.W1,
-        product_layers=tuple(layers[: best["depth"] - 2]),
+        W1=W1,
+        product_layers=tuple(state.layers[: best["depth"] - 2]),
         head=head,
         n_classes=train_ds.n_classes if train_ds.task == "multiclass" else 0,
         provenance={"config": cfg_doc, "trace": trace.header()},
     )
-    if net.total_nodes != best["ncols"]:
-        raise AssertionError("network width disagrees with stored features")
     return net, trace
 
 

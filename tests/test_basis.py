@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from basis_learner.basis import (
     BasisState,
     CandidateScores,
-    LayerBuildResult,
     build_basis1_exact,
     build_basis1_width,
     build_basis_t_exact,
@@ -17,7 +16,7 @@ from basis_learner.basis import (
     lift_input,
 )
 from basis_learner.linalg import residual, thin_svd
-from basis_learner.network import layer_values, product_layer
+from basis_learner.network import layer_values
 from basis_learner.oracle import monomial_matrix, span_equal
 
 
@@ -61,51 +60,50 @@ class TestLiftInput:
 
 class TestFirstLayerExact:
     def test_line_spans_and_norms(self, line_points):
-        res = build_basis1_exact(lift_input(line_points))
-        B = res.new_columns
+        B, W1 = build_basis1_exact(lift_input(line_points))
         assert B.shape == (3, 2)
         np.testing.assert_allclose(np.linalg.norm(B, axis=0), math.sqrt(3))
         # columns orthogonal (they come from distinct singular directions)
         assert abs(B[:, 0] @ B[:, 1]) <= 1e-10
         assert span_equal(B, lift_input(line_points))
         # B must reproduce exactly as lifted @ W1
-        np.testing.assert_array_equal(lift_input(line_points) @ res.W1, B)
+        np.testing.assert_array_equal(lift_input(line_points) @ W1, B)
 
     def test_duplicate_feature_drops_rank(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((6, 1))
         X = np.hstack([x, x])  # d=2 but rank of [1 X] is 2
-        res = build_basis1_exact(lift_input(X))
-        assert res.width == 2
+        B, W1 = build_basis1_exact(lift_input(X))
+        assert B.shape == (6, 2) and W1.shape == (3, 2)
 
     def test_single_point(self):
-        res = build_basis1_exact(lift_input([[3.0]]))
-        assert res.width == 1
-        np.testing.assert_allclose(np.abs(res.new_columns), [[1.0]])
+        B, _ = build_basis1_exact(lift_input([[3.0]]))
+        assert B.shape[1] == 1
+        np.testing.assert_allclose(np.abs(B), [[1.0]])
 
 
 class TestFirstLayerWidth:
     def test_truncates_to_gamma(self):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((20, 4))  # rank of [1 X] = 5
-        res = build_basis1_width(lift_input(X), gamma=3)
-        assert res.width == 3
+        B, W1 = build_basis1_width(lift_input(X), gamma=3)
+        assert B.shape[1] == W1.shape[1] == 3
 
     def test_gamma_at_least_rank_matches_exact_span(self):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((15, 3))
-        full = build_basis1_exact(lift_input(X))
-        wide = build_basis1_width(lift_input(X), gamma=10)
-        assert wide.width == full.width
-        assert span_equal(wide.new_columns, full.new_columns)
+        full, _ = build_basis1_exact(lift_input(X))
+        wide, _ = build_basis1_width(lift_input(X), gamma=10)
+        assert wide.shape[1] == full.shape[1]
+        assert span_equal(wide, full)
 
     def test_gamma_one_on_line_is_top_singular_direction(self, line_points):
         # Gram of [1 X] is [[3,3],[3,5]]; its top eigenvector is
         # proportional to (3, 1+sqrt(10)), giving the direction below.
-        res = build_basis1_width(lift_input(line_points), gamma=1)
-        assert res.width == 1
+        B, _ = build_basis1_width(lift_input(line_points), gamma=1)
+        assert B.shape[1] == 1
         expect = np.array([3.0, 4.0 + math.sqrt(10), 5.0 + 2 * math.sqrt(10)])
-        got = res.new_columns[:, 0]
+        got = B[:, 0]
         cos = abs(got @ expect) / (np.linalg.norm(got) * np.linalg.norm(expect))
         assert cos >= 1.0 - 1e-12
         np.testing.assert_allclose(np.linalg.norm(got), math.sqrt(3))
@@ -113,9 +111,9 @@ class TestFirstLayerWidth:
     def test_randomized_mode_matches_exact_span(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((40, 6))
-        a = build_basis1_width(lift_input(X), gamma=7, svd_mode="exact")
-        b = build_basis1_width(lift_input(X), gamma=7, svd_mode="randomized", seed=5)
-        assert span_equal(a.new_columns, b.new_columns)
+        a, _ = build_basis1_width(lift_input(X), gamma=7, svd_mode="exact")
+        b, _ = build_basis1_width(lift_input(X), gamma=7, svd_mode="randomized", seed=5)
+        assert span_equal(a, b)
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
@@ -147,17 +145,16 @@ class TestExactLayers:
                     res = build_basis_t_exact(state)
                 else:
                     res = build_basis_t_width(state, X[:, :1] ** 3, gamma=6, b=2)
-                assert res.width > 0 and len(res.nodes) == res.width
+                assert res.width > 0 and len(res.triples()) == res.width
                 start, stop = state.layer_ranges[-1]
                 assert (start, stop) == (hi, hi + res.width)
                 new_columns = state.F[:, start:stop]
-                for col, (p, f, w) in zip(new_columns.T, res.nodes):
+                for col, (p, f, w) in zip(new_columns.T, res.triples()):
                     assert 0 <= p < hi - lo and 0 <= f < n1
                     np.testing.assert_array_equal(
                         col, w * (state.F[:, lo + p] * state.F[:, f]))
-                L = product_layer(res.nodes)
                 np.testing.assert_array_equal(
-                    layer_values(state.F[:, :n1], state.F[:, lo:hi], L), new_columns)
+                    layer_values(state.F[:, :n1], state.F[:, lo:hi], res), new_columns)
 
     def test_full_state_yields_empty_layer(self):
         rng = np.random.default_rng(6)
@@ -271,10 +268,70 @@ class TestWidthLayers:
         assert res.width == 0
 
 
+class TestLayerRecord:
+    """The state is the one record of the layers built so far: each product
+    build appends the layer it returns, and the ranges follow the widths."""
+
+    @pytest.mark.parametrize("mode", ["exact", "width"])
+    def test_each_build_appends_the_layer_it_returns(self, mode):
+        rng = np.random.default_rng(19)
+        X = rng.standard_normal((40, 3))
+        state = exact_state(X)
+        for depth in range(1, 4):
+            if mode == "exact":
+                built = build_basis_t_exact(state)
+            else:
+                built = build_basis_t_width(state, rng.standard_normal((40, 1)), gamma=5, b=2)
+            assert built.width > 0
+            assert len(state.layers) == depth and state.layers[-1] is built
+            widths = [state.layer1_cols] + [L.width for L in state.layers]
+            stops = np.cumsum(widths).tolist()
+            assert state.layer_ranges == list(zip([0] + stops[:-1], stops))
+            assert stops[-1] == state.ncols
+
+    @pytest.mark.parametrize("mode", ["exact", "width"])
+    def test_saturated_build_appends_nothing(self, mode):
+        state = exact_state(np.random.default_rng(20).standard_normal((5, 2)))
+        assert build_basis_t_exact(state).width == 2 and state.ncols == 5
+        layers, ranges = list(state.layers), state.layer_ranges
+        if mode == "exact":
+            built = build_basis_t_exact(state)
+        else:
+            built = build_basis_t_width(state, np.ones((5, 1)), gamma=3, b=1)
+        assert built.width == 0 and built.triples() == []
+        assert state.layers == layers and state.layer_ranges == ranges
+
+    @pytest.mark.parametrize("mode", ["exact", "width"])
+    def test_network_keeps_the_states_first_layers(self, mode, monkeypatch):
+        from basis_learner import trainer
+        from basis_learner.dataset import make_dataset
+
+        states = []
+
+        def recording_initial_state(layer1, tol=None):
+            states.append(initial_state(layer1, tol))
+            return states[-1]
+
+        monkeypatch.setattr(trainer, "initial_state", recording_initial_state)
+        rng = np.random.default_rng(22)
+        X = rng.standard_normal((60, 2))
+        y = X[:, 0] * X[:, 1] ** 2 + 0.3 * rng.standard_normal(60)
+        ds = make_dataset(X[:45], y[:45], task="regression")
+        valid = make_dataset(X[45:], y[45:], task="regression")
+        cfg = trainer.TrainConfig(mode=mode, gamma=4, batch=2, max_depth=6, patience=1)
+        net, trace = trainer.train(ds, valid, cfg)
+        (state,) = states
+        assert trace.best_depth < len(trace.records) + 1  # the run built past its best
+        kept = state.layers[: trace.best_depth - 2]
+        assert len(net.product_layers) == len(kept)
+        assert all(a is b for a, b in zip(net.product_layers, kept))
+        np.testing.assert_array_equal(trace.feature_columns, state.F[:, : net.total_nodes])
+
+
 def q_state(Q):
     """State whose F and Q hold exactly the given orthonormal columns."""
     m, k = Q.shape
-    return BasisState(F_buf=Q.copy(), Q_buf=Q.copy(), layer_ranges=[(0, k)], ncols=k)
+    return BasisState(F_buf=Q.copy(), Q_buf=Q.copy(), layer1_cols=k, ncols=k)
 
 
 class TestAdmit:
@@ -454,7 +511,7 @@ def sign_state(m, noise):
     s = np.where(np.arange(m) % 2 == 0, 1.0, -1.0) + noise * rng.standard_normal(m)
     B = np.column_stack([np.ones(m), s, rng.standard_normal(m)])
     B *= math.sqrt(m) / np.linalg.norm(B, axis=0)
-    return initial_state(LayerBuildResult(new_columns=B))
+    return initial_state((B, None))
 
 
 class TestCandidateScores:
@@ -499,7 +556,7 @@ class TestCandidateScores:
         t = state.F[:, 2]
         res = build_basis_t_width(state, (t * t)[:, None], gamma=3, b=3)
         # of the 9 products only s*t (twice, as t*s) and t*t are independent
-        refs = {(p, f) for p, f, _ in res.nodes}
+        refs = {(p, f) for p, f, _ in res.triples()}
         assert res.width == 2
         assert (2, 2) in refs and len(refs & {(1, 2), (2, 1)}) == 1
         check_state_invariants(state)
@@ -557,7 +614,7 @@ class TestAdmissionInvariants:
             layer1 = build_basis1_width(lift_input(X), gamma=3)
         state = initial_state(layer1)
         # layer-1 columns are stored as built, bit-equal to the deployed layer
-        np.testing.assert_array_equal(state.F, lift_input(X) @ layer1.W1)
+        np.testing.assert_array_equal(state.F, lift_input(X) @ layer1[1])
         for _ in range(4):
             if mode == "exact":
                 build_basis_t_exact(state)

@@ -390,6 +390,9 @@ class TestConsoleScript:
              "class id 1000000000.0 is not below MAX_CLASSES=10000"),
             (["train", "--data", str(toy), "--lambda", "nan", "--out", str(tmp_path / "m.bl")],
              "lambda grid must be nonempty, finite and nonnegative, got (nan,)"),
+            (["train", "--data", str(toy), "--depth", "4", "--stop-train-loss", "nan",
+              "--out", str(tmp_path / "m.bl")],
+             "error_threshold must be finite, got nan"),
         ]:
             proc = run_module(argv)
             assert proc.returncode == 1

@@ -73,6 +73,11 @@ class TestConfigValidation:
             (dict(seed=-1), "seed"),
             (dict(lambda_grid=(0.1, float("nan"))), r"lambda grid.*got \(0.1, nan\)"),
             (dict(lambda_grid=(float("inf"),)), r"lambda grid.*got \(inf,\)"),
+            (dict(tol=float("nan")), "tol must be finite and nonnegative, got nan"),
+            (dict(tol=float("inf")), "tol must be finite and nonnegative, got inf"),
+            (dict(tol=-1.0), r"tol must be finite and nonnegative, got -1\.0"),
+            (dict(error_threshold=float("nan")), "error_threshold must be finite, got nan"),
+            (dict(error_threshold=float("inf")), "error_threshold must be finite, got inf"),
         ],
     )
     def test_rejections(self, kw, msg):
