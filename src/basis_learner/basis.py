@@ -14,9 +14,9 @@ Every admission goes through :meth:`BasisState.admit`, the one place that
 decides independence and order: it tests a block of candidates by block
 classical Gram-Schmidt with reorthogonalization (BCGS2), lets a nearly
 dependent column wait behind more independent ones (column pivoting),
-and writes each admitted node's values to F and its unit residual to Q;
-each product-layer builder appends the layer it admitted, a ProductLayer,
-to the state, the one record of the network built so far.
+and writes each admitted node's values to F and its unit residual to Q.
+The state is the one record of the network built so far: layer 1's
+weights, then each ProductLayer a product-layer builder admitted.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def default_tol(m: int) -> float:
 
 @dataclass
 class BasisState:
-    """Feature matrix F, orthonormal companion Q, and the layers built so far.
+    """The network built so far (``W1`` and ``layers``), and F and Q.
 
     F and Q are the first ``ncols`` columns of ``F_buf`` and ``Q_buf``,
     buffers the state owns and grows together by doubling. Every column
@@ -46,13 +46,14 @@ class BasisState:
     their BCGS2 orthonormalisation against the earlier columns to Q, so
     span(Q) = span(F) after every admission and Q^T F is upper
     triangular. F's columns are linearly independent with second moment
-    1. They are layer 1's ``layer1_cols`` columns, then those of each
-    product layer in ``layers``, in construction order.
+    1: the values of layer 1 (weights ``W1``, (d+1) x ``layer1_cols``),
+    then of each product layer in ``layers``, the network that
+    :func:`~basis_learner.network.node_values` evaluates.
     """
 
     F_buf: np.ndarray
     Q_buf: np.ndarray
-    layer1_cols: int
+    W1: np.ndarray
     layers: list[ProductLayer] = field(default_factory=list)
     ncols: int = 0
 
@@ -69,6 +70,10 @@ class BasisState:
     @property
     def m(self) -> int:
         return self.F_buf.shape[0]
+
+    @property
+    def layer1_cols(self) -> int:
+        return self.W1.shape[1]
 
     @property
     def layer_ranges(self) -> list[tuple[int, int]]:
@@ -182,15 +187,17 @@ def build_basis1_width(
 
 
 def initial_state(layer1: tuple[np.ndarray, np.ndarray], tol: float | None = None) -> BasisState:
-    """Basis state holding exactly the first layer's columns B, of the pair (B, W1)."""
-    B = layer1[0]
+    """Basis state holding every column of B = lift_input(X) @ W1, of the pair
+    (B, W1); ``state.W1`` is W1 with its columns in the order admission took B's."""
+    B, W1 = layer1
     m, k = B.shape
     if tol is None:
         tol = default_tol(m)
-    state = BasisState(F_buf=np.empty((m, k)), Q_buf=np.empty((m, k)), layer1_cols=k)
-    # all admitted and in order, so F starts bit-equal to lift_input(X) @ W1
-    if not np.array_equal(state.admit(B, tol, scale=False)[0], np.arange(k)):
+    state = BasisState(F_buf=np.empty((m, k)), Q_buf=np.empty((m, k)), W1=W1)
+    order = state.admit(B, tol, scale=False)[0]
+    if order.size < k:
         raise ValueError("first-layer columns must be linearly independent")
+    state.W1 = W1[:, order]
     return state
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .network import (
     save_model,
 )
 from .output import LOSS_KINDS, decide
-from .trainer import DEFAULT_LAMBDA_GRID, TrainConfig, evaluate, train
+from .trainer import TrainConfig, evaluate, train
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
@@ -55,23 +56,25 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--out", required=True, help="model output path")
     tr.add_argument("--mode", choices=("exact", "width"), default=TrainConfig.mode,
                     help="layer construction mode (default %(default)s)")
-    tr.add_argument("--width", type=int, default=TrainConfig.gamma, metavar="GAMMA",
+    tr.add_argument("--width", dest="gamma", type=int, default=TrainConfig.gamma,
+                    metavar="GAMMA",
                     help="per-layer node budget in width mode (default %(default)s)")
-    tr.add_argument("--depth", type=int, default=None, metavar="DELTA",
+    tr.add_argument("--depth", dest="max_depth", type=int, default=None, metavar="DELTA",
                     help="max depth counting the output layer (default: uncapped)")
     tr.add_argument("--batch", type=int, default=TrainConfig.batch,
                     help="columns admitted per selection round (default %(default)s)")
     tr.add_argument("--loss", choices=LOSS_KINDS, default=TrainConfig.loss,
                     help="output-layer loss (default %(default)s)")
-    tr.add_argument("--lambda", dest="lambdas", type=_parse_lambdas, default=None,
-                    metavar="LIST", help="comma-separated regularization grid "
+    tr.add_argument("--lambda", dest="lambda_grid", type=_parse_lambdas,
+                    default=TrainConfig.lambda_grid, metavar="LIST",
+                    help="comma-separated regularization grid "
                     "(default: 10^-7 .. 10^1 in half-decade steps)")
     tr.add_argument("--valid-count", type=int, default=0,
                     help="rows split off the tail for validation (default 0)")
     tr.add_argument("--patience", type=int, default=TrainConfig.patience,
                     help="stop after this many non-improving depths (default %(default)s)")
-    tr.add_argument("--stop-train-loss", type=float, default=None, metavar="EPS",
-                    help="stop once training loss falls to EPS")
+    tr.add_argument("--stop-train-loss", dest="error_threshold", type=float, default=None,
+                    metavar="EPS", help="stop once training loss falls to EPS")
     tr.add_argument("--tol", type=float, default=None,
                     help="column-independence tolerance (default 1e-8*sqrt(m))")
     tr.add_argument("--svd", choices=("exact", "randomized"), default=TrainConfig.svd,
@@ -101,19 +104,9 @@ def _load(args, task=None):
 def _cmd_train(args) -> int:
     ds = _load(args)
     train_part, valid_part = split(ds, SplitSpec(args.valid_count))
-    config = TrainConfig(
-        mode=args.mode,
-        gamma=args.width,
-        max_depth=args.depth,
-        batch=args.batch,
-        tol=args.tol,
-        loss=args.loss,
-        lambda_grid=args.lambdas if args.lambdas is not None else DEFAULT_LAMBDA_GRID,
-        svd=args.svd,
-        patience=args.patience,
-        error_threshold=args.stop_train_loss,
-        seed=args.seed,
-    )
+    # each config flag's dest is its TrainConfig field name
+    config = TrainConfig(**{f.name: getattr(args, f.name)
+                            for f in fields(TrainConfig) if hasattr(args, f.name)})
     net, trace = train(train_part, valid_part, config)
     for w in trace.warnings:
         print(f"warning: {w}", file=sys.stderr)

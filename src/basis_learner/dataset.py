@@ -58,20 +58,17 @@ def _rows_distinct(X: np.ndarray) -> bool:
     return np.unique(X, axis=0).shape[0] == X.shape[0]
 
 
-def _infer_task(labels: np.ndarray) -> tuple[str, int]:
-    vals = np.unique(labels)
-    if np.isin(vals, (-1.0, 1.0)).all():
-        return "binary", 0
-    if (labels == np.round(labels)).all() and labels.min() >= 0:
-        return "multiclass", int(labels.max()) + 1
-    return "regression", 0
+def _is_class_ids(labels: np.ndarray) -> bool:
+    return bool((labels == np.round(labels)).all() and labels.min() >= 0)
 
 
 def make_dataset(X, labels, task: str | None = None, n_classes: int | None = None) -> LabeledDataset:
     """Validated dataset from arrays; the task is inferred when not given.
 
     Inference: labels all in {-1,+1} mean binary, nonnegative integers
-    mean multiclass with k = max+1, anything else is regression.
+    mean multiclass, anything else is regression. Either way the labels
+    must fit the task, and ``n_classes`` may only be given for multiclass:
+    then it must exceed every class id, otherwise k = max+1 (at least 2).
     """
     X = np.asarray(X, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
@@ -84,34 +81,29 @@ def make_dataset(X, labels, task: str | None = None, n_classes: int | None = Non
     if not (np.isfinite(X).all() and np.isfinite(labels).all()):
         raise ValueError("dataset contains non-finite values")
 
+    binary = bool(np.isin(labels, (-1.0, 1.0)).all())
     if task is None:
-        task, k = _infer_task(labels)
-        if n_classes is not None:
-            if task != "multiclass":
-                raise ValueError("n_classes given but labels are not class ids")
-            k = max(k, n_classes)
-    else:
-        if task not in TASKS:
-            raise ValueError(f"unknown task {task!r}")
-        k = 0
-        if task == "binary":
-            if not np.isin(np.unique(labels), (-1.0, 1.0)).all():
-                raise ValueError("binary labels must be -1 or +1")
-        elif task == "multiclass":
-            if not ((labels == np.round(labels)).all() and labels.min() >= 0):
-                raise ValueError("multiclass labels must be nonnegative integers")
-            k = int(labels.max()) + 1
-            if n_classes is not None:
-                if n_classes < k:
-                    raise ValueError(f"class id {k - 1} out of range for n_classes={n_classes}")
-                k = n_classes
+        task = "binary" if binary else "multiclass" if _is_class_ids(labels) else "regression"
+    elif task not in TASKS:
+        raise ValueError(f"unknown task {task!r}")
+    elif task == "binary" and not binary:
+        raise ValueError("binary labels must be -1 or +1")
+    elif task == "multiclass" and not _is_class_ids(labels):
+        raise ValueError("multiclass labels must be nonnegative integers")
+    if n_classes is not None and task != "multiclass":
+        raise ValueError(f"n_classes given but the task is {task}, not multiclass")
 
+    k = 0
     if task == "multiclass":
         if labels.max() >= MAX_CLASSES:
             raise ValueError(f"class id {float(labels.max())!r} is not below MAX_CLASSES={MAX_CLASSES}")
         labels = labels.astype(np.int64)
-        if k < 2:
-            k = 2
+        k = int(labels.max()) + 1
+        if n_classes is not None:
+            if n_classes < k:
+                raise ValueError(f"class id {k - 1} out of range for n_classes={n_classes}")
+            k = n_classes
+        k = max(k, 2)
     X = np.ascontiguousarray(X)
     X.setflags(write=False)
     labels.setflags(write=False)

@@ -3,8 +3,8 @@
 A network is a linear layer over the constant-lifted input, a stack of
 product layers whose nodes each multiply one previous-layer node with one
 first-layer node (times a fixed weight), and a linear output head over
-the concatenation of every node value. Evaluation fills one flat buffer
-in layer order.
+the concatenation of every node value. One evaluator, :func:`node_values`,
+serves deployed networks and the validation rows during training alike.
 
 Models serialize to a versioned JSON document. Floats go through Python
 repr, which round-trips exactly, so save/load is lossless and the bytes
@@ -105,16 +105,21 @@ def layer_values(N1: np.ndarray, prev: np.ndarray, L: ProductLayer) -> np.ndarra
     return prev[:, L.prev] * N1[:, L.first] * L.weight
 
 
+def node_values(X: np.ndarray, W1: np.ndarray, layers) -> np.ndarray:
+    """All node values for each row of X (unchecked), in layer order, of the
+    network with first-layer weights ``W1`` and the product ``layers``."""
+    blocks = [lift_input(X) @ W1]
+    for L in layers:
+        blocks.append(layer_values(blocks[0], blocks[-1], L))
+    return np.hstack(blocks)
+
+
 def feature_matrix(net: PolyNetwork, X) -> np.ndarray:
-    """All node values for each row of X, in layer order."""
+    """All node values of ``net`` for each row of X (checked), in layer order."""
     X = check_matrix(X, "X")
     if X.shape[1] != net.input_dim:
         raise ValueError(f"expected {net.input_dim} features, got {X.shape[1]}")
-    N1 = lift_input(X) @ net.W1
-    blocks = [N1]
-    for L in net.product_layers:
-        blocks.append(layer_values(N1, blocks[-1], L))
-    return np.hstack(blocks)
+    return node_values(X, net.W1, net.product_layers)
 
 
 def predict(net: PolyNetwork, X) -> np.ndarray:

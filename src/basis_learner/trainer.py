@@ -28,7 +28,7 @@ from .basis import (
 )
 from .dataset import LabeledDataset, target_matrix
 from .linalg import lift_input
-from .network import OutputHead, PolyNetwork, feature_matrix, layer_values
+from .network import OutputHead, PolyNetwork, feature_matrix, node_values
 from .output import (
     LOSS_KINDS,
     LOSS_TASK,
@@ -90,6 +90,8 @@ class TrainConfig:
             raise ValueError(f"lambda grid must be nonempty, finite and nonnegative, got {grid!r}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if self.sgd_epochs < 1:
+            raise ValueError(f"sgd_epochs must be >= 1, got {self.sgd_epochs!r}")
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol >= 0):
             raise ValueError(f"tol must be finite and nonnegative, got {self.tol!r}")
         if self.error_threshold is not None and not math.isfinite(self.error_threshold):
@@ -189,28 +191,23 @@ def train(
     tol = config.tol if config.tol is not None else default_tol(m)
     lifted = lift_input(train_ds.X)
     if config.mode == "exact":
-        B, W1 = build_basis1_exact(lifted)
+        layer1 = build_basis1_exact(lifted)
     else:
-        B, W1 = build_basis1_width(
-            lifted, config.gamma, svd_mode=config.svd, seed=config.seed
-        )
-    state = initial_state((B, W1), tol)
-    # the validation rows' node values, one block per layer, grown through
-    # the same layer_values the deployed network uses
-    valid_blocks = [lift_input(valid_ds.X) @ W1] if has_valid else None
+        layer1 = build_basis1_width(lifted, config.gamma, svd_mode=config.svd, seed=config.seed)
+    state = initial_state(layer1, tol)
 
     n_classes = train_ds.n_classes if train_ds.task == "multiclass" else None
     select_target = target_matrix(train_ds)
 
     records: list[DepthRecord] = []
     best: dict | None = None
-    best_valid_so_far = math.inf
     no_improve = 0
     t = 2
     while True:
         t0 = time.perf_counter()
         F = state.F
-        valid_F = np.hstack(valid_blocks) if has_valid else None
+        # the validation rows' node values, from the deployed network's evaluator
+        valid_F = node_values(valid_ds.X, state.W1, state.layers) if has_valid else None
         # F = QR from the admission: one factor serves every squared head
         factor = (SquaredFactor(state.Q.T @ F, state.Q.T @ fit_y, independent=True)
                   if config.loss == "squared" else None)
@@ -240,12 +237,9 @@ def train(
 
         if best is None or depth_best["key"] < best["key"]:
             best = dict(depth_best, depth=t)
-        if has_valid:
-            if depth_best["valid_err"] < best_valid_so_far:
-                best_valid_so_far = depth_best["valid_err"]
-                no_improve = 0
-            else:
-                no_improve += 1
+            no_improve = 0
+        else:
+            no_improve += 1
 
         lo, hi = state.layer_ranges[-1]
         if (config.error_threshold is not None
@@ -262,12 +256,7 @@ def train(
                 built = build_basis_t_width(
                     state, select_target, config.gamma, config.batch, tol
                 )
-            if built.width == 0:
-                termination = "empty_layer"
-            else:
-                termination = None
-                if has_valid:
-                    valid_blocks.append(layer_values(valid_blocks[0], valid_blocks[-1], built))
+            termination = "empty_layer" if built.width == 0 else None
         records.append(DepthRecord(
             depth=t, layer_width=hi - lo, total_cols=hi,
             lam=depth_best["lam"], train_loss=depth_best["train_loss"],
@@ -302,7 +291,7 @@ def train(
     net = PolyNetwork(
         input_dim=train_ds.dim,
         task=train_ds.task,
-        W1=W1,
+        W1=state.W1,
         product_layers=tuple(state.layers[: best["depth"] - 2]),
         head=head,
         n_classes=train_ds.n_classes if train_ds.task == "multiclass" else 0,

@@ -120,6 +120,34 @@ class TestFirstLayerWidth:
             build_basis1_width(np.ones((2, 2)), 1, svd_mode="qr")
 
 
+class TestInitialState:
+    """The state holds layer 1's weights in the order admission took B's columns."""
+
+    def test_reordered_columns_keep_their_weights(self):
+        # on a rank-3 B, admission's pivot takes c before the near-copy of a
+        rng = np.random.default_rng(7)
+        a, b, c = rng.standard_normal((3, 30))
+        B = np.column_stack([a, a + 1e-3 * b, c])
+        state = initial_state((B, np.eye(3)))
+        assert state.ncols == state.layer1_cols == 3
+        np.testing.assert_array_equal(state.W1, np.eye(3)[:, [0, 2, 1]])
+        np.testing.assert_array_equal(state.F, B @ state.W1)
+        assert state.layer_ranges == [(0, 3)]
+
+    def test_weights_reproduce_columns(self):
+        X = np.random.default_rng(8).standard_normal((12, 3))
+        layer1 = build_basis1_width(lift_input(X), gamma=3)
+        state = initial_state(layer1)
+        np.testing.assert_array_equal(state.W1, layer1[1])
+        np.testing.assert_array_equal(state.F, lift_input(X) @ state.W1)
+
+    def test_dependent_column_refused(self):
+        a, c = np.random.default_rng(9).standard_normal((2, 10))
+        B = np.column_stack([a, c, 2.0 * a])
+        with pytest.raises(ValueError, match="linearly independent"):
+            initial_state((B, np.eye(3)))
+
+
 class TestExactLayers:
     def test_line_saturates_at_three(self, line_points):
         state = exact_state(line_points)
@@ -326,12 +354,16 @@ class TestLayerRecord:
         assert len(net.product_layers) == len(kept)
         assert all(a is b for a, b in zip(net.product_layers, kept))
         np.testing.assert_array_equal(trace.feature_columns, state.F[:, : net.total_nodes])
+        np.testing.assert_array_equal(net.W1, state.W1)
+        assert state.layer1_cols == state.W1.shape[1] == net.layer_widths[0]
 
 
 def q_state(Q):
-    """State whose F and Q hold exactly the given orthonormal columns."""
+    """State whose F and Q hold exactly the given orthonormal columns, as
+    layer 1 of a network whose input is F itself (W1 selects the columns)."""
     m, k = Q.shape
-    return BasisState(F_buf=Q.copy(), Q_buf=Q.copy(), layer1_cols=k, ncols=k)
+    W1 = np.eye(k + 1, k, -1)
+    return BasisState(F_buf=Q.copy(), Q_buf=Q.copy(), W1=W1, ncols=k)
 
 
 class TestAdmit:
@@ -509,9 +541,9 @@ def sign_state(m, noise):
     so the candidate s*s is 1 plus a residual of relative size ~noise."""
     rng = np.random.default_rng(15)
     s = np.where(np.arange(m) % 2 == 0, 1.0, -1.0) + noise * rng.standard_normal(m)
-    B = np.column_stack([np.ones(m), s, rng.standard_normal(m)])
-    B *= math.sqrt(m) / np.linalg.norm(B, axis=0)
-    return initial_state((B, None))
+    lifted = lift_input(np.column_stack([s, rng.standard_normal(m)]))
+    W1 = np.diag(math.sqrt(m) / np.linalg.norm(lifted, axis=0))
+    return initial_state((lifted @ W1, W1))
 
 
 class TestCandidateScores:

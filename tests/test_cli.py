@@ -10,14 +10,16 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import basis_learner
-from basis_learner.cli import main
+from basis_learner.cli import build_parser, main
 from basis_learner.network import load_model, predict
+from basis_learner.trainer import TrainConfig
 
 SECS = re.compile(r" secs=\d+\.\d{3}")
 
@@ -99,6 +101,25 @@ class TestTrain:
         clean1 = SECS.sub("", out1).replace(str(a), "MODEL")
         clean2 = SECS.sub("", out2).replace(str(b), "MODEL")
         assert clean1 == clean2
+
+    def test_every_config_flag_reaches_the_config(self, toy, tmp_path, capsys):
+        # each config flag's dest is its TrainConfig field; sgd_epochs has no flag
+        defaults = vars(build_parser().parse_args(["train", "--data", "d", "--out", "o"]))
+        assert {f.name for f in fields(TrainConfig)} - defaults.keys() == {"sgd_epochs"}
+        expected = dict(mode="width", gamma=5, max_depth=4, batch=2, loss="squared",
+                        lambda_grid=[0.5, 0.25], patience=3, error_threshold=1e-12,
+                        tol=1e-9, svd="randomized", seed=4)
+        model = tmp_path / "m.bl"
+        code, _, _ = run_cli(
+            ["train", "--data", str(toy), "--out", str(model), "--mode", "width",
+             "--width", "5", "--depth", "4", "--batch", "2", "--loss", "squared",
+             "--lambda", "0.5,0.25", "--patience", "3", "--stop-train-loss", "1e-12",
+             "--tol", "1e-9", "--svd", "randomized", "--seed", "4"],
+            capsys,
+        )
+        assert code == 0
+        config = load_model(model).provenance["config"]
+        assert {k: config[k] for k in expected} == expected
 
     def test_width_mode_flags(self, tmp_path, capsys):
         rng = np.random.default_rng(51)

@@ -189,8 +189,19 @@ class TestMakeDataset:
         assert ds.n_classes == 5
 
     def test_n_classes_too_small(self):
-        with pytest.raises(ValueError):
-            make_dataset([[0.0], [1.0]], [0.0, 3.0], task="multiclass", n_classes=2)
+        # one rule whether the task is given or inferred
+        for task in ("multiclass", None):
+            with pytest.raises(ValueError, match="class id 3 out of range for n_classes=2"):
+                make_dataset([[0.0], [1.0]], [0.0, 3.0], task=task, n_classes=2)
+            with pytest.raises(ValueError, match="class id 2 out of range for n_classes=2"):
+                make_dataset([[0.0], [1.0], [2.0]], [0, 1, 2], task=task, n_classes=2)
+
+    @pytest.mark.parametrize("given", [True, False])
+    @pytest.mark.parametrize("task,labels", [("binary", [1.0, -1.0]),
+                                             ("regression", [0.5, -1.5])])
+    def test_n_classes_refused_unless_multiclass(self, task, labels, given):
+        with pytest.raises(ValueError, match=f"n_classes given but the task is {task}"):
+            make_dataset([[0.0], [1.0]], labels, task=task if given else None, n_classes=5)
 
     @pytest.mark.parametrize("label,text", [(1e300, "1e+300"),
                                             (2.0**63, "9.223372036854776e+18")])

@@ -78,6 +78,8 @@ class TestConfigValidation:
             (dict(tol=-1.0), r"tol must be finite and nonnegative, got -1\.0"),
             (dict(error_threshold=float("nan")), "error_threshold must be finite, got nan"),
             (dict(error_threshold=float("inf")), "error_threshold must be finite, got inf"),
+            (dict(sgd_epochs=0), "sgd_epochs must be >= 1, got 0"),
+            (dict(sgd_epochs=-3), "sgd_epochs must be >= 1, got -3"),
         ],
     )
     def test_rejections(self, kw, msg):
@@ -144,6 +146,23 @@ class TestStopping:
         net, trace = train(tr, va, TrainConfig(lambda_grid=(1e-6,), patience=2))
         assert trace.termination == "validation_stop"
         assert trace.best_depth <= trace.records[-1].depth
+
+    @pytest.mark.parametrize("patience", [1, 2, 3])
+    def test_validation_stop_counts_depths_since_last_new_best(self, patience):
+        # validation errors 4.0, 8.1, 0.12, 0.071, 0.087, 0.083, 0.078, ...:
+        # a fall that is no new best (0.078 < 0.083) does not reset the count
+        rng = np.random.default_rng(38)
+        X = rng.standard_normal((90, 2))
+        y = X[:, 0] ** 2 * X[:, 1] + X[:, 1] ** 3 + 0.3 * rng.standard_normal(90)
+        tr, va = split(make_dataset(X, y, task="regression"), SplitSpec(validation_count=30))
+        cfg = TrainConfig(mode="width", gamma=3, batch=1, lambda_grid=(1e-4,), patience=patience)
+        net, trace = train(tr, va, cfg)
+        errs = [r.valid_err for r in trace.records]
+        last_best = max(i for i, e in enumerate(errs) if all(e < f for f in errs[:i]))
+        assert trace.termination == "validation_stop"
+        assert len(errs) - 1 == last_best + patience
+        assert trace.best_depth == trace.records[last_best].depth
+        assert trace.best_valid_err == errs[last_best]
 
     def test_monotone_training_loss_in_depth(self):
         ds = regression_ds(25, 3, 24)
