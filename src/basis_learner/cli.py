@@ -16,6 +16,7 @@ import numpy as np
 
 from .dataset import DatasetFormatError, SplitSpec, load_dense, split
 from .network import (
+    SCHEMA,
     ModelFormatError,
     arithmetic_cost,
     load_model,
@@ -159,7 +160,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_inspect(args) -> int:
     net = load_model(args.model)
     widths = net.layer_widths
-    print("schema: basis-learner/1")
+    print(f"schema: {SCHEMA}")
     print(f"input_dim: {net.input_dim}")
     print(f"task: {net.task}" + (f"({net.n_classes})" if net.task == "multiclass" else ""))
     print(f"depth: {net.depth}")

@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# subspace iterations of the randomized range finder
+POWER_ITERS = 2
+
 
 def check_matrix(A, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-d float64 array and reject non-finite entries."""
@@ -87,14 +90,14 @@ def randomized_range_svd(
     A,
     k: int,
     oversample: int = 10,
-    power_iters: int = 2,
     seed: int = 0,
 ) -> SvdResult:
     """Approximate top-``k`` SVD via a seeded Gaussian range finder.
 
-    Subspace iteration with QR re-orthonormalization at every step; the
-    result is deterministic for a fixed seed. If the numerical rank of
-    ``A`` is below ``k``, only rank-many factors are returned.
+    ``POWER_ITERS`` rounds of subspace iteration with QR
+    re-orthonormalization at every step; the result is deterministic for
+    a fixed seed. If the numerical rank of ``A`` is below ``k``, only
+    rank-many factors are returned.
     """
     A = check_matrix(A)
     m, n = A.shape
@@ -107,7 +110,7 @@ def randomized_range_svd(
     rng = np.random.default_rng(seed)
     Y = A @ rng.standard_normal((n, k + oversample))
     Q, _ = np.linalg.qr(Y)
-    for _ in range(power_iters):
+    for _ in range(POWER_ITERS):
         Q, _ = np.linalg.qr(A.T @ Q)
         Q, _ = np.linalg.qr(A @ Q)
     B = Q.T @ A

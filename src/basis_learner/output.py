@@ -5,15 +5,15 @@ logistic, and multiclass hinge. The regularized objective is always
 
     loss(F w, y) + (lambda / 2) ||w||^2
 
-Squared loss is minimized exactly from a factor F = QR with orthonormal
-Q (:class:`SquaredFactor`): (1/m)||Fw - y||^2 differs from
-(1/m)||Rw - Q^T y||^2 by a constant, so one factor of F serves every
-lambda, through one SVD of R shared by the lambda grid (minimum norm at
-lambda = 0), or an LU solve of R at lambda = 0 when F's columns are known
-independent. The margin losses run averaged mini-batch subgradient
-descent (Pegasos) on :func:`loss_gradient`, with a seeded shuffle, so a
-fit is deterministic given its config. Scores become decisions by one
-rule, :func:`decide`, keyed by task.
+Each margin loss is a function of one margin per row: y s for hinge and
+logistic; for the multiclass hinge, the true score minus the best rival's
+(Crammer-Singer), so its loss is the hinge's. Value, gradient and the
+Pegasos solver share that definition. Squared loss is minimized exactly
+from F = QR with orthonormal Q (:class:`SquaredFactor`), so one factor
+serves every lambda, through one SVD of R and one shrink formula (minimum
+norm at lambda = 0), or an LU solve of R at lambda = 0 when F's columns
+are known independent. Fits are deterministic given their config. Scores
+become decisions by one rule, :func:`decide`, keyed by task.
 """
 
 from __future__ import annotations
@@ -61,38 +61,64 @@ def _scores_matrix(scores) -> np.ndarray:
     return scores
 
 
+def _label_rule(kind: str, y: np.ndarray, k: int) -> np.ndarray:
+    # hinge and logistic take labels in {-1, +1}; mc-hinge takes integer
+    # class ids in [0, k), returned as int64 so they can index score columns
+    if y.ndim != 1:
+        raise ValueError(f"{kind} expects a label vector")
+    y = np.asarray(y, dtype=np.float64)
+    if kind != "mc-hinge":
+        if not np.isin(y, (-1.0, 1.0)).all():
+            raise ValueError(f"{kind} labels must be -1 or +1")
+        return y
+    if k < 2:
+        raise ValueError(f"mc-hinge needs at least 2 classes, got {k}")
+    if not ((y == np.floor(y)) & (y >= 0) & (y < k)).all():
+        raise ValueError(f"mc-hinge labels must be integer class ids in [0, {k})")
+    return y.astype(np.int64)
+
+
+def _labelled(kind: str, scores, y) -> tuple[np.ndarray, np.ndarray]:
+    # m x k scores, and labels that agree with them and with the loss kind
+    if kind not in LOSS_KINDS:
+        raise ValueError(f"unknown loss kind {kind!r}")
+    S = _scores_matrix(scores)
+    y = np.asarray(y)
+    if y.ndim == 0 or y.shape[0] != S.shape[0]:
+        raise ValueError("scores and labels disagree on m")
+    if kind != "squared":
+        return S, _label_rule(kind, y, S.shape[1])
+    Y = y[:, None] if y.ndim == 1 else y
+    if Y.shape != S.shape:
+        raise ValueError("squared loss needs one target per score")
+    return S, Y
+
+
+def _margins(kind: str, S: np.ndarray, y: np.ndarray):
+    # per-row margin: y s, or for mc-hinge the true score minus the best
+    # rival's, returned with the rival's column
+    if kind != "mc-hinge":
+        return y * S[:, 0], None
+    rows = np.arange(S.shape[0])
+    masked = S.copy()
+    masked[rows, y] = -np.inf
+    rival = masked.argmax(axis=1)
+    return S[rows, y] - masked[rows, rival], rival
+
+
 def loss_value(kind: str, scores, y) -> float:
     """Mean loss of the given scores against labels ``y``.
 
     Binary losses take one score column and labels in {-1,+1}; the
-    multiclass hinge takes an m x k score matrix and integer class ids.
+    multiclass hinge takes an m x k score matrix and class ids in [0, k).
     """
-    S = _scores_matrix(scores)
-    y = np.asarray(y)
-    m = S.shape[0]
-    if y.shape[0] != m:
-        raise ValueError("scores and labels disagree on m")
+    S, y = _labelled(kind, scores, y)
     if kind == "squared":
-        Y = y[:, None] if y.ndim == 1 else y
-        if Y.shape != S.shape:
-            raise ValueError("squared loss needs one target per score")
-        return float(np.sum((S - Y) ** 2) / m)
-    if kind == "hinge":
-        v = S[:, 0]
-        return float(np.maximum(0.0, 1.0 - y * v).mean())
+        return float(np.sum((S - y) ** 2) / S.shape[0])
+    z, _ = _margins(kind, S, y)
     if kind == "logistic":
-        v = S[:, 0]
-        return float(np.logaddexp(0.0, -y * v).mean())
-    if kind == "mc-hinge":
-        if S.shape[1] < 2:
-            raise ValueError("mc-hinge needs at least two score columns")
-        idx = y.astype(np.int64)
-        true = S[np.arange(m), idx]
-        masked = S.copy()
-        masked[np.arange(m), idx] = -np.inf
-        rival = masked.max(axis=1)
-        return float(np.maximum(0.0, 1.0 + rival - true).mean())
-    raise ValueError(f"unknown loss kind {kind!r}")
+        return float(np.logaddexp(0.0, -z).mean())
+    return float(np.maximum(0.0, 1.0 - z).mean())
 
 
 def decide(task: str, scores) -> np.ndarray:
@@ -109,42 +135,32 @@ def decide(task: str, scores) -> np.ndarray:
     raise ValueError(f"unknown task {task!r}")
 
 
-def loss_gradient(kind: str, scores, y) -> np.ndarray:
-    """Gradient of :func:`loss_value` with respect to the scores.
-
-    Returns an array shaped like the score matrix. At hinge kinks the
-    inactive subgradient (zero) is returned. The margin-loss solver steps
-    on this gradient, evaluated on mini-batches.
-    """
-    S = _scores_matrix(scores)
-    y = np.asarray(y)
+def _gradient(kind: str, S: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # unchecked gradient: each margin loss's slope d loss / dz, onto the scores
     m = S.shape[0]
-    G = np.zeros_like(S)
     if kind == "squared":
-        Y = y[:, None] if y.ndim == 1 else y
-        return 2.0 * (S - Y) / m
-    if kind == "hinge":
-        z = y * S[:, 0]
-        G[:, 0] = np.where(z < 1.0, -y, 0.0) / m
-        return G
+        return 2.0 * (S - y) / m
+    z, rival = _margins(kind, S, y)
     if kind == "logistic":
-        z = y * S[:, 0]
         e = np.exp(-np.abs(z))
-        sig_neg = np.where(z > 0.0, e, 1.0) / (1.0 + e)
-        G[:, 0] = -y * sig_neg / m
-        return G
-    if kind == "mc-hinge":
-        idx = y.astype(np.int64)
-        rows = np.arange(m)
-        true = S[rows, idx]
-        masked = S.copy()
-        masked[rows, idx] = -np.inf
-        rival = masked.argmax(axis=1)
-        active = 1.0 + masked[rows, rival] - true > 0.0
-        G[rows[active], rival[active]] = 1.0 / m
-        G[rows[active], idx[active]] = -1.0 / m
-        return G
-    raise ValueError(f"unknown loss kind {kind!r}")
+        slope = -np.where(z > 0.0, e, 1.0) / (1.0 + e) / m
+    else:
+        slope = np.where(z < 1.0, -1.0 / m, 0.0)
+    G = np.zeros_like(S)
+    if rival is None:
+        G[:, 0] = y * slope
+    else:
+        G[np.arange(m), y] = slope
+        G[np.arange(m), rival] -= slope
+    return G
+
+
+def loss_gradient(kind: str, scores, y) -> np.ndarray:
+    """Gradient of :func:`loss_value` with respect to the scores, shaped
+    like them, after the input checks of :func:`loss_value`. At hinge kinks
+    the inactive subgradient (zero) is returned. The margin-loss solver
+    steps on the same definition."""
+    return _gradient(kind, *_labelled(kind, scores, y))
 
 
 def objective(kind: str, F, w, y, lam: float) -> float:
@@ -175,25 +191,19 @@ class SquaredFactor:
         if lam == 0.0 and self.independent:
             return np.linalg.solve(self.R, self.QtY)
         U, s, Vt = self._svd
-        shrink = np.zeros_like(s)
-        if lam == 0.0:
-            # the cutoff is eps, not eps * max(m, n), which would drop
-            # singular values of a full-rank F
-            keep = s > np.finfo(np.float64).eps * s[:1]
-            shrink[keep] = 1.0 / s[keep]
-        else:
-            # s / (s^2 + mu), written so that s^2 is never formed: it
-            # overflows when F is huge; a vanishing s (mu / s = inf) gets 0
-            mu = lam * m / 2.0
-            keep = s > 0.0
-            with np.errstate(over="ignore"):
-                shrink[keep] = 1.0 / (s[keep] + mu / s[keep])
+        # s / (s^2 + mu) as 1 / (s + mu / s), never forming s^2, which overflows
+        # for huge F; at lambda = 0, 1 / s over s > eps * s_max (eps * max(m, n)
+        # would drop singular values of a full-rank F); a vanishing s gets 0
+        mu = lam * m / 2.0
+        keep = s > (np.finfo(np.float64).eps * s[:1] if lam == 0.0 else 0.0)
+        with np.errstate(all="ignore"):
+            shrink = np.where(keep, 1.0 / (s + mu / s), 0.0)
         return Vt.T @ (shrink[:, None] * (U.T @ self.QtY))
 
 
 def _sgd(F, y, kind, lam, opt, k):
-    # Pegasos steps on mini-batches of about m/32 rows; the ball
-    # ||W|| <= 1/sqrt(lam) holds the optimum
+    # Pegasos steps on the unchecked gradient (fit_head checked F and y) over
+    # mini-batches of about m/32 rows; the ball ||W|| <= 1/sqrt(lam) holds the optimum
     m, n = F.shape
     batches = range(0, m, max(1, m // 32))
     half = opt.epochs * len(batches) // 2
@@ -209,7 +219,7 @@ def _sgd(F, y, kind, lam, opt, k):
             s += 1
             eta = 1.0 / (lam * s) if lam > 0.0 else 1.0 / math.sqrt(s)
             Fb = F[idx]
-            G = Fb.T @ loss_gradient(kind, Fb @ W, y[idx])
+            G = Fb.T @ _gradient(kind, Fb @ W, y[idx])
             W = (1.0 - eta * lam) * W - eta * G
             norm = np.linalg.norm(W)
             if norm > radius:
@@ -237,8 +247,10 @@ def fit_head(
     configured by ``opt`` and ignore ``factor``. ``n_classes`` fixes the
     weight-column count for mc-hinge; by default it is one more than the
     largest class id seen. Errors are scored separately, by
-    :func:`validation_error`. Non-finite data, weights or objective raise
-    ``ValueError``.
+    :func:`validation_error`. A label count other than F's rows, labels
+    that break the loss's rule (as in :func:`loss_value`), and non-finite
+    data, weights or objective raise ``ValueError``, the labels before any
+    solve.
     """
     F = np.asarray(F, dtype=np.float64)
     y = np.asarray(y)
@@ -248,6 +260,8 @@ def fit_head(
         raise ValueError(f"unknown loss kind {kind!r}")
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError(f"lambda must be finite and nonnegative, got {lam!r}")
+    if y.ndim == 0 or y.shape[0] != F.shape[0]:
+        raise ValueError(f"F has {F.shape[0]} rows but y has shape {y.shape}")
     if not (np.isfinite(F).all() and np.isfinite(y).all()):
         raise ValueError("F and y must be finite")
     if opt is None:
@@ -260,15 +274,11 @@ def fit_head(
             factor = SquaredFactor(R, Q.T @ Y)
         W = factor.solve(lam, F.shape[0])
     else:
-        if y.ndim != 1:
-            raise ValueError(f"{kind} expects a label vector")
+        k = 1
         if kind == "mc-hinge":
-            k = int(y.max()) + 1 if n_classes is None else n_classes
-            if k < 2:
-                raise ValueError("mc-hinge requires at least 2 classes")
-        else:
-            k = 1
-        W = _sgd(F, np.asarray(y, dtype=np.float64), kind, lam, opt, k)
+            k = n_classes if n_classes is not None else int(y.max()) + 1
+        y = _label_rule(kind, y, k)
+        W = _sgd(F, y, kind, lam, opt, k)
     loss = objective(kind, F, W, y, lam)
     if not (math.isfinite(loss) and np.isfinite(W).all()):
         raise ValueError(f"{kind} head at lambda={lam!r} is not finite")
@@ -277,11 +287,14 @@ def fit_head(
 
 def validation_error(features, weights, y, task: str) -> float:
     """Error of a linear head under :func:`decide`: misclassification
-    rate for the classification tasks, MSE for regression."""
+    rate for the classification tasks, MSE for regression. ``y`` holds one
+    label per scored row."""
     features = np.asarray(features, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     pred = decide(task, features @ weights)
     y = np.asarray(y)
+    if y.shape != pred.shape:
+        raise ValueError(f"{pred.shape[0]} rows scored but y has shape {y.shape}")
     if task == "regression":
         return float(np.mean((pred - y) ** 2))
     return float(np.mean(pred != y))

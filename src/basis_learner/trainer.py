@@ -70,6 +70,10 @@ class TrainConfig:
     sgd_epochs: int = 50
 
     def __post_init__(self):
+        for name in ("gamma", "batch", "max_depth", "patience", "seed", "sgd_epochs"):
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "max_depth" and value is None):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.mode not in ("exact", "width"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.svd not in ("exact", "randomized"):

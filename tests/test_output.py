@@ -179,6 +179,50 @@ class TestLossGradient:
             assert after <= before + 1e-12
 
 
+# (kind, scores, labels, message): inputs that break a loss's input rule
+MALFORMED = [
+    ("absolute", [0.0], [0.0], "unknown loss"),
+    ("hinge", np.zeros(5), [1.0], "disagree on m"),
+    ("logistic", np.zeros(2), 1.0, "disagree on m"),
+    ("squared", np.zeros((5, 1)), np.zeros((5, 2)), "one target per score"),
+    ("squared", np.zeros((5, 2)), np.zeros(5), "one target per score"),
+    ("mc-hinge", np.zeros((5, 1)), np.zeros(5), "at least 2 classes"),
+    ("mc-hinge", np.zeros((2, 3)), [0.5, 1.7], r"integer class ids in \[0, 3\)"),
+    ("mc-hinge", np.zeros((2, 3)), [0, -1], r"integer class ids in \[0, 3\)"),
+    ("mc-hinge", np.zeros((2, 3)), [0, 3], r"integer class ids in \[0, 3\)"),
+    ("mc-hinge", np.zeros((2, 3)), np.zeros((2, 1)), "label vector"),
+    ("hinge", np.zeros(2), [0.5, 1.0], "must be -1 or \\+1"),
+    ("logistic", np.zeros(2), [0.0, 1.0], "must be -1 or \\+1"),
+    ("hinge", np.zeros(2), [1.0, float("nan")], "must be -1 or \\+1"),
+]
+
+
+class TestInputRule:
+    """loss_value and loss_gradient share one input rule."""
+
+    @pytest.mark.parametrize("kind,scores,y,msg", MALFORMED)
+    def test_value_and_gradient_refuse_alike(self, kind, scores, y, msg):
+        with pytest.raises(ValueError, match=msg) as by_value:
+            loss_value(kind, scores, y)
+        with pytest.raises(ValueError, match=msg) as by_gradient:
+            loss_gradient(kind, scores, y)
+        assert str(by_value.value) == str(by_gradient.value)
+
+    def test_integer_valued_float_ids_accepted(self):
+        S = np.array([[0.0, 2.0, 0.0], [3.0, 0.0, 0.0]])
+        assert loss_value("mc-hinge", S, [1.0, 0.0]) == 0.0
+        assert np.array_equal(loss_gradient("mc-hinge", S, [1.0, 0.0]), np.zeros((2, 3)))
+
+    def test_mc_hinge_is_hinge_of_multiclass_margin(self):
+        # true score minus best rival, fed to the binary hinge with label +1
+        rng = np.random.default_rng(44)
+        S = rng.standard_normal((30, 4))
+        y = rng.integers(0, 4, 30)
+        rival = np.where(np.arange(4) == y[:, None], -np.inf, S).max(axis=1)
+        margin = S[np.arange(30), y] - rival
+        assert loss_value("mc-hinge", S, y) == loss_value("hinge", margin, np.ones(30))
+
+
 def svd_ridge(F, Y, lam):
     # closed form for (1/m)||Fw - Y||^2 + (lam/2)||w||^2 over the SVD of F
     m = F.shape[0]
@@ -485,6 +529,33 @@ class TestFitHeadValidation:
         with pytest.raises(ValueError, match="at least 2"):
             fit_head(np.ones((3, 1)), [0, 0, 0], "mc-hinge", 0.1)
 
+    @pytest.mark.parametrize(
+        "kind,y,kw,msg",
+        [
+            ("mc-hinge", [0, 1, 2, 0, 1, 2], dict(n_classes=2), r"class ids in \[0, 2\)"),
+            ("mc-hinge", [0, 1, 2, 0, 1, -1], {}, r"class ids in \[0, 3\)"),
+            ("mc-hinge", [0, 1, 2, 0, 1, 1.5], {}, r"class ids in \[0, 3\)"),
+            ("hinge", [0.5, 1, -1, 1, -1, 1], {}, "must be -1 or \\+1"),
+            ("logistic", [0, 1, 0, 1, 0, 1], {}, "must be -1 or \\+1"),
+            ("hinge", [1, -1, 1, -1, 1], {}, r"6 rows but y has shape \(5,\)"),
+            ("hinge", [1, -1, 1, -1, 1, -1, 1], {}, r"6 rows but y has shape \(7,\)"),
+            ("squared", np.zeros(7), {}, r"6 rows but y has shape \(7,\)"),
+            ("mc-hinge", 1, {}, r"6 rows but y has shape \(\)"),
+        ],
+    )
+    def test_label_rules_checked_before_the_solve(self, kind, y, kw, msg):
+        F = np.random.default_rng(45).standard_normal((6, 2))
+        with pytest.raises(ValueError, match=msg):
+            fit_head(F, y, kind, 0.1, OptimizerConfig(epochs=2), **kw)
+
+    def test_float_class_ids_fit_like_ints(self):
+        F = np.random.default_rng(46).standard_normal((9, 3))
+        y = [0, 1, 2] * 3
+        opt = OptimizerConfig(epochs=3)
+        as_int = fit_head(F, y, "mc-hinge", 0.1, opt).weights
+        as_float = fit_head(F, np.asarray(y, dtype=np.float64), "mc-hinge", 0.1, opt).weights
+        assert np.array_equal(as_int, as_float)
+
     def test_loss_kinds_frozen(self):
         assert LOSS_KINDS == ("squared", "hinge", "logistic", "mc-hinge")
 
@@ -509,3 +580,15 @@ class TestValidationError:
     def test_unknown_task(self):
         with pytest.raises(ValueError, match="unknown task"):
             validation_error(np.ones((1, 1)), np.ones((1, 1)), [0.0], "ranking")
+
+    @pytest.mark.parametrize(
+        "task,y",
+        [
+            ("binary", [1.0]),
+            ("multiclass", [0, 1, 0, 1, 0, 1]),
+            ("regression", np.zeros((5, 1))),
+        ],
+    )
+    def test_label_count_must_match_rows(self, task, y):
+        with pytest.raises(ValueError, match=r"5 rows scored but y has shape"):
+            validation_error(np.ones((5, 2)), np.ones((2, 2)), y, task)

@@ -80,6 +80,14 @@ class TestConfigValidation:
             (dict(error_threshold=float("inf")), "error_threshold must be finite, got inf"),
             (dict(sgd_epochs=0), "sgd_epochs must be >= 1, got 0"),
             (dict(sgd_epochs=-3), "sgd_epochs must be >= 1, got -3"),
+            (dict(mode="width", gamma=2.5, batch=1), r"gamma must be an int, got 2\.5"),
+            (dict(gamma=np.int64(4)), r"gamma must be an int, got np\.int64\(4\)"),
+            (dict(batch=True), "batch must be an int, got True"),
+            (dict(max_depth=3.0), r"max_depth must be an int, got 3\.0"),
+            (dict(max_depth=False), "max_depth must be an int, got False"),
+            (dict(patience=np.int32(2)), r"patience must be an int, got np\.int32\(2\)"),
+            (dict(seed=1.0), r"seed must be an int, got 1\.0"),
+            (dict(sgd_epochs="5"), "sgd_epochs must be an int, got '5'"),
         ],
     )
     def test_rejections(self, kw, msg):
