@@ -5,8 +5,12 @@ columns kept linearly independent and normalized to second moment 1)
 together with an orthonormal companion Q spanning the same space. Layer 1
 comes from an SVD of the constant-lifted input. Every later layer draws
 its candidate columns from Hadamard products of a previous-layer column
-with a first-layer column. Exact mode offers every candidate, in index
-order; width mode scores them against Q and a deflated target
+with a first-layer column. Every node is thus a weighted product of
+first-layer nodes, named by the multiset of their indices, and products
+with equal multisets are the same function up to a scalar; both modes
+offer only the first candidate of each multiset
+(:func:`_distinct_candidates`). Exact mode offers them unranked, in
+index order; width mode scores them against Q and a deflated target
 (:class:`CandidateScores`) and offers the ``b`` best per round, at most
 ``gamma`` in all. Candidates are generated one block at a time.
 
@@ -227,9 +231,10 @@ class CandidateScores:
     O_V^T c (O_V is orthogonal to Q), so the score ||O_V^T r|| / ||r||
     needs no residual, except when ||r|| / ||c|| is below
     ``_EXPLICIT_RATIO``: then ||r|| comes from an explicit CGS2 residual,
-    so near-dependent columns are still judged against ``tol``. A
-    candidate found dependent stays out (``live`` is cleared): its
-    residual can only shrink as Q grows.
+    so near-dependent columns are still judged against ``tol``. Only
+    the first candidate of each multiset starts out ``live``, and each
+    block holds only live columns. A candidate found dependent stays out
+    (``live`` is cleared): its residual can only shrink as Q grows.
     """
 
     def __init__(self, state: BasisState):
@@ -239,7 +244,8 @@ class CandidateScores:
         self.norm2 = ((state.F[:, lo:hi] ** 2).T @ state.F[:, :n1] ** 2).ravel()
         self.proj2 = np.zeros_like(self.norm2)
         self.seen = 0  # leading Q columns already folded into proj2
-        self.live = np.ones(self.norm2.size, dtype=bool)
+        self.live = np.zeros(self.norm2.size, dtype=bool)
+        self.live[_distinct_candidates(state)] = True
 
     def round(self, state: BasisState, O_V: np.ndarray, tol: float) -> np.ndarray:
         """Score every live candidate against the current Q and target basis.
@@ -254,25 +260,46 @@ class CandidateScores:
         n1 = state.layer1_cols
         scores = np.full(self.norm2.size, -1.0)
         for prev in range(self.norm2.size // n1):
-            sl = slice(prev * n1, (prev + 1) * n1)
-            live = self.live[sl]
-            if not live.any():
+            cols = np.flatnonzero(self.live[prev * n1 : (prev + 1) * n1])
+            if not cols.size:
                 continue
-            # products of one previous-layer column with every layer-1 column
-            block = state.F[:, lo + prev][:, None] * state.F[:, :n1]
+            # products of one previous-layer column with its live layer-1 columns
+            block = state.F[:, cols]
+            block *= state.F[:, lo + prev, None]
             T = P.T @ block
-            proj2 = self.proj2[sl]
-            proj2 += np.einsum("ij,ij->j", T[:nq], T[:nq])
-            r2 = self.norm2[sl] - proj2
+            at = prev * n1 + cols
+            self.proj2[at] += np.einsum("ij,ij->j", T[:nq], T[:nq])
+            norm2 = self.norm2[at]
+            r2 = norm2 - self.proj2[at]
             nr = np.sqrt(np.maximum(r2, 0.0))
-            explicit = live & (r2 < _EXPLICIT_RATIO**2 * self.norm2[sl])
+            explicit = r2 < _EXPLICIT_RATIO**2 * norm2
             if explicit.any():
                 R = residual(residual(block[:, explicit], Q), Q)
                 nr[explicit] = np.linalg.norm(R, axis=0)
-            live &= nr > tol
-            scores[sl][live] = np.linalg.norm(T[nq:], axis=0)[live] / nr[live]
+            live = nr > tol
+            self.live[at] = live
+            scores[at[live]] = np.linalg.norm(T[nq:, live], axis=0) / nr[live]
         self.seen = state.ncols
         return scores
+
+
+def _distinct_candidates(state: BasisState) -> np.ndarray:
+    """Flat indices ``p * n1 + j`` of the next layer's distinct candidates.
+
+    Every node is a weighted product of layer-1 nodes, labelled by the
+    multiset of their indices: layer-1 node j is {j}, and product node r
+    is its ``prev[r]`` node's multiset plus ``first[r]``. Candidates with
+    equal multisets are the same function up to a scalar, so only the
+    first of each, in ascending flat order, is kept.
+    """
+    n1 = state.layer1_cols
+    sets = np.arange(n1)[:, None]
+    for layer in state.layers:
+        sets = np.column_stack([sets[layer.prev], layer.first])
+    # candidate p * n1 + j is the multiset of node p plus j, as a sorted row
+    rows = np.column_stack([np.repeat(sets, n1, axis=0), np.tile(np.arange(n1), len(sets))])
+    rows.sort(axis=1)
+    return np.sort(np.unique(rows, axis=0, return_index=True)[1])
 
 
 def _admit_products(state: BasisState, flat: np.ndarray, tol: float, nodes: list) -> int:
@@ -295,8 +322,10 @@ def _append_layer(state: BasisState, nodes: list) -> ProductLayer:
 def build_basis_t_exact(state: BasisState, tol: float | None = None) -> ProductLayer:
     """Next layer, exact mode: admit every candidate that enlarges the span.
 
-    The candidates go to :meth:`BasisState.admit` unranked, in index order
-    (previous-layer column outer), in blocks of at most ``_ADMIT_BLOCK``;
+    The first candidate of each multiset (:func:`_distinct_candidates`;
+    a later copy is the same function up to a scalar) goes to
+    :meth:`BasisState.admit` unranked, in index order (previous-layer
+    column outer), in blocks of at most ``_ADMIT_BLOCK``;
     its column pivoting lets near-dependent ones wait behind more
     independent ones. Mutates ``state`` and returns the layer it appended
     to ``state.layers``; a zero-width layer, not appended, means the span
@@ -304,8 +333,7 @@ def build_basis_t_exact(state: BasisState, tol: float | None = None) -> ProductL
     """
     if tol is None:
         tol = default_tol(state.m)
-    lo, hi = state.layer_ranges[-1]
-    flat = np.arange((hi - lo) * state.layer1_cols)
+    flat = _distinct_candidates(state)
     nodes: list[tuple[int, int, float]] = []
     for start in range(0, flat.size, _ADMIT_BLOCK):
         _admit_products(state, flat[start : start + _ADMIT_BLOCK], tol, nodes)
@@ -321,10 +349,10 @@ def build_basis_t_width(
 ) -> ProductLayer:
     """Next layer, width-limited: greedy target-driven candidate selection.
 
-    Rounds of scoring (:class:`CandidateScores`): every candidate whose
-    residual against the current Q is numerically nonzero is scored by
-    the norm of the projection of its unit residual onto the column space
-    of the deflated target V, so candidates aligned with what the current
+    Rounds of scoring (:class:`CandidateScores`): every distinct candidate
+    whose residual against the current Q is numerically nonzero is scored
+    by the norm of the projection of its unit residual onto the column
+    space of the deflated target V, so candidates aligned with what the current
     features cannot yet express rank first. Each round offers the live
     candidates in descending score (stable), in blocks of at most
     ``_ADMIT_BLOCK``, until min(b, gamma - admitted) are in; an offered

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -311,6 +311,15 @@ def evaluate(net: PolyNetwork, ds: LabeledDataset) -> dict:
         raise ValueError("cannot evaluate on an empty dataset")
     if ds.task != net.task:
         raise ValueError(f"dataset task {ds.task!r} does not match model {net.task!r}")
+    if ds.task == "multiclass":
+        # targets and confusion are over the model's classes, not the dataset's
+        unknown = ds.labels[ds.labels >= net.n_classes]
+        if unknown.size:
+            raise ValueError(
+                f"label {int(unknown[0])} is not a class of the model "
+                f"({net.n_classes} classes)"
+            )
+        ds = replace(ds, n_classes=net.n_classes)
     F = feature_matrix(net, ds.X)
     scores = F @ net.head.weights
     metrics = {

@@ -15,6 +15,7 @@ from basis_learner.basis import (
     initial_state,
     lift_input,
 )
+from basis_learner.basis import _distinct_candidates
 from basis_learner.linalg import residual, thin_svd
 from basis_learner.network import layer_values
 from basis_learner.oracle import monomial_matrix, span_equal
@@ -513,18 +514,44 @@ class TestExactLayerSpan:
             check_state_invariants(state)
 
 
+def node_multisets(state):
+    """Each layer's node multisets of layer-1 indices, as sorted tuples,
+    built one node at a time; layer-1 node j is (j,)."""
+    sets = [[(j,) for j in range(state.layer1_cols)]]
+    for layer in state.layers:
+        sets.append([tuple(sorted(sets[-1][p] + (f,))) for p, f, _ in layer.triples()])
+    return sets
+
+
+def candidate_multisets(state):
+    """Each next-layer candidate's multiset, in flat order p * n1 + j."""
+    n1 = state.layer1_cols
+    return [tuple(sorted(s + (j,))) for s in node_multisets(state)[-1] for j in range(n1)]
+
+
+def first_copies(state):
+    """Flat indices of the first candidate of each multiset, ascending."""
+    seen, first = set(), []
+    for flat, key in enumerate(candidate_multisets(state)):
+        if key not in seen:
+            seen.add(key)
+            first.append(flat)
+    return first
+
+
 def reference_scores(state, O_V, tol):
-    """Width-mode scores from an explicit CGS2 residual of every candidate."""
+    """Width-mode scores from an explicit CGS2 residual of every first copy
+    of a multiset; a later copy (t*s beside s*t) scores -1."""
     lo, hi = state.layer_ranges[-1]
     n1 = state.layer1_cols
     Q = state.Q
     scores = np.full((hi - lo) * n1, -1.0)
-    for p in range(hi - lo):
-        for j in range(n1):
-            r = cgs2(state.F[:, lo + p] * state.F[:, j], Q)
-            nr = np.linalg.norm(r)
-            if nr > tol:
-                scores[p * n1 + j] = np.linalg.norm(O_V.T @ r) / nr
+    for flat in first_copies(state):
+        p, j = divmod(flat, n1)
+        r = cgs2(state.F[:, lo + p] * state.F[:, j], Q)
+        nr = np.linalg.norm(r)
+        if nr > tol:
+            scores[flat] = np.linalg.norm(O_V.T @ r) / nr
     return scores
 
 
@@ -565,8 +592,9 @@ class TestCandidateScores:
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
             admit_top(state, want, 3, tol)
             Vd = residual(Vd, state.Q)
-        # admitted candidates scored as dependent and dropped out
-        assert (~scorer.live).sum() >= 12
+        # admitted candidates scored as dependent and dropped out; later
+        # copies of a multiset were never live
+        assert (~scorer.live[first_copies(state)]).sum() >= 12
 
     def test_near_dependent_candidate_scored_explicitly(self):
         state = sign_state(40, 1e-6)
@@ -611,6 +639,68 @@ class TestCandidateScores:
             assert state.ncols <= state.Q_buf.shape[1] == state.F_buf.shape[1] <= state.m
             assert np.shares_memory(Q, state.Q_buf)
             assert np.abs(Q.T @ Q - np.eye(state.ncols)).max() <= 1e-8
+
+
+def grow(state, mode, layers):
+    """Build ``layers`` product layers on ``state`` in the given mode."""
+    y = np.random.default_rng(18).standard_normal((state.m, 1))
+    for _ in range(layers):
+        if mode == "exact":
+            build_basis_t_exact(state)
+        else:
+            build_basis_t_width(state, y, gamma=6, b=2)
+
+
+def mode_state(mode, m=40, d=3, seed=19):
+    X = np.random.default_rng(seed).standard_normal((m, d))
+    if mode == "exact":
+        return exact_state(X)
+    return initial_state(build_basis1_width(lift_input(X), gamma=3))
+
+
+class TestDistinctCandidates:
+    """The one enumerator both builders offer from: the first candidate of
+    each multiset of layer-1 indices, in ascending flat order."""
+
+    @pytest.mark.parametrize("mode", ["exact", "width"])
+    def test_matches_brute_force_first_copies(self, mode):
+        state = mode_state(mode)
+        for _ in range(4):
+            got = _distinct_candidates(state)
+            assert got.tolist() == first_copies(state)
+            keys = candidate_multisets(state)
+            assert len({keys[i] for i in got}) == got.size == len(set(keys))
+            grow(state, mode, 1)
+
+    def test_exact_interp_shape_halves_layer_two(self):
+        # d = 8 gives n1 = 9 layer-1 nodes: 81 products, 9 * 10 / 2 multisets
+        state = exact_state(np.random.default_rng(20).standard_normal((100, 8)))
+        assert state.layer1_cols == 9
+        assert _distinct_candidates(state).size == 45
+
+    def test_exact_builder_offers_each_multiset_once(self, monkeypatch):
+        state = mode_state("exact", m=200, d=5)
+        grow(state, "exact", 1)
+        want = len(first_copies(state))
+        assert want < state.layers[-1].width * state.layer1_cols
+        offered = []
+        admit = BasisState.admit
+
+        def spy(self, C, tol, scale=True):
+            offered.append(C.shape[1])
+            return admit(self, C, tol, scale)
+
+        monkeypatch.setattr(BasisState, "admit", spy)
+        build_basis_t_exact(state)
+        assert offered == [want]
+
+    @pytest.mark.parametrize("mode", ["exact", "width"])
+    def test_no_layer_repeats_a_multiset(self, mode):
+        state = mode_state(mode, m=80)
+        grow(state, mode, 4)
+        assert len(state.layers) == 4
+        for keys in node_multisets(state)[1:]:
+            assert len(set(keys)) == len(keys)
 
 
 class TestAdmissionInvariants:

@@ -288,6 +288,19 @@ class TestEvaluate:
         total = sum(int(v) for row in rows for v in row.split())
         assert total == m
 
+    def test_unknown_class_reports_error_without_traceback(self, tmp_path):
+        rng = np.random.default_rng(55)
+        train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
+        write_csv(train_csv, rng.standard_normal((30, 2)), np.arange(30) % 3)
+        write_csv(test_csv, rng.standard_normal((8, 2)), np.arange(8) % 4)
+        model = tmp_path / "m.bl"
+        assert main(["train", "--data", str(train_csv), "--lambda", "0.1",
+                     "--depth", "2", "--out", str(model)]) == 0
+        proc = run_module(["evaluate", "--model", str(model), "--data", str(test_csv)])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: label 3 is not a class of the model")
+        assert "Traceback" not in proc.stderr
+
 
 class TestInspect:
     def test_depth_two_model(self, toy, tmp_path, capsys):

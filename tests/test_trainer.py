@@ -146,6 +146,18 @@ class TestStopping:
         assert trace.best_train_loss <= 1e-8
         assert net.total_nodes == m
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="at d = 2, m = 100 needs degree about 13; the products' "
+        "conditioning lets candidates fall below tol before rank m",
+    )
+    def test_zero_lambda_interpolates_two_features(self):
+        # ends empty_layer at 96 nodes and MSE 9.8e-3; (80, 2) interpolates
+        cfg = TrainConfig(lambda_grid=(0.0,), error_threshold=1e-8)
+        net, trace = train(random_regression(100, 2, 1), None, cfg)
+        assert trace.best_train_loss <= 1e-8
+        assert net.total_nodes == 100
+
     def test_validation_stop_on_noise(self):
         # pure-noise labels: deeper nets only overfit, so patience fires
         rng = np.random.default_rng(23)
@@ -416,6 +428,25 @@ class TestEvaluate:
         other = binary_ds(10, 44)
         with pytest.raises(ValueError, match="does not match"):
             evaluate(net, other)
+
+    def three_class_model(self):
+        rng = np.random.default_rng(47)
+        ds = make_dataset(rng.standard_normal((90, 2)), np.arange(90) % 3, task="multiclass")
+        net, _ = train(ds, None, TrainConfig(max_depth=2))
+        return net, rng.standard_normal((10, 2))
+
+    def test_test_set_missing_a_model_class(self):
+        # squared targets span the model's 3 classes, not the 2 the set holds
+        net, Xt = self.three_class_model()
+        metrics = evaluate(net, make_dataset(Xt, np.arange(10) % 2, task="multiclass"))
+        assert metrics["confusion"].shape == (3, 3)
+        assert metrics["confusion"].sum() == 10
+        assert np.isfinite(metrics["mean_loss"])
+
+    def test_label_beyond_model_classes_rejected(self):
+        net, Xt = self.three_class_model()
+        with pytest.raises(ValueError, match="label 3 is not a class of the model"):
+            evaluate(net, make_dataset(Xt, np.arange(10) % 4, task="multiclass"))
 
     def test_regression_metrics(self):
         ds = regression_ds(12, 2, 45)
