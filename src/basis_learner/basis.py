@@ -86,9 +86,17 @@ class BasisState:
         return list(zip([0] + stops[:-1], stops))
 
     def reserve(self, cols: int) -> None:
-        """Make room for ``cols`` columns in all; F and Q never need more than m."""
+        """Make room for ``cols`` columns in all; F and Q never need more than m.
+        Buffers over ``_BUFFER_BUDGET`` bytes together raise ``ValueError``."""
         cols = min(cols, self.m)
         if cols > self.F_buf.shape[1]:
+            need = 2 * self.m * cols * self.F_buf.itemsize
+            if need > _BUFFER_BUDGET:
+                raise ValueError(
+                    f"F and Q need {need} bytes for {self.m} rows x {cols} columns, "
+                    f"over the budget of {_BUFFER_BUDGET} bytes; train on fewer "
+                    f"rows or in width mode"
+                )
             F, Q = np.empty((self.m, cols)), np.empty((self.m, cols))
             F[:, : self.ncols] = self.F
             Q[:, : self.ncols] = self.Q
@@ -197,7 +205,8 @@ def initial_state(layer1: tuple[np.ndarray, np.ndarray], tol: float | None = Non
     m, k = B.shape
     if tol is None:
         tol = default_tol(m)
-    state = BasisState(F_buf=np.empty((m, k)), Q_buf=np.empty((m, k)), W1=W1)
+    state = BasisState(F_buf=np.empty((m, 0)), Q_buf=np.empty((m, 0)), W1=W1)
+    state.reserve(k)
     order = state.admit(B, tol, scale=False)[0]
     if order.size < k:
         raise ValueError("first-layer columns must be linearly independent")
@@ -213,6 +222,10 @@ _EXPLICIT_RATIO = 1e-4
 # Candidates go to BasisState.admit in blocks of at most this many
 # columns, which bounds the m x block copies one admission makes.
 _ADMIT_BLOCK = 64
+
+# BasisState.reserve refuses F and Q buffers above this many bytes together.
+# Exact mode grows both to m x m, so it trains on at most 8,192 rows.
+_BUFFER_BUDGET = 2**30
 
 # In BasisState.admit, a column whose residual ratio is below this fraction
 # of the best untested one waits behind the more independent columns.

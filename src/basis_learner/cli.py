@@ -32,7 +32,8 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "sparse"), default="csv")
     p.add_argument("--header", action="store_true", help="skip one header line")
     p.add_argument("--dims", type=int, default=None,
-                   help="feature count for sparse data (default: max index)")
+                   help="feature count for sparse data (default: the model's "
+                   "input width, or the largest index when training)")
 
 
 def _parse_lambdas(text: str) -> tuple[float, ...]:
@@ -97,9 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load(args, task=None):
+def _load(args, task=None, dims=None):
+    # an index a sparse file leaves out is a zero, up to the model's width
     return load_dense(args.data, args.format, header=args.header,
-                      dims=args.dims, task=task)
+                      dims=args.dims if args.dims is not None else dims, task=task)
 
 
 def _cmd_train(args) -> int:
@@ -128,7 +130,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     net = load_model(args.model)
-    ds = _load(args, task=net.task)
+    ds = _load(args, task=net.task, dims=net.input_dim)
     scores = np.atleast_2d(predict(net, ds.X))
     labels = decide(net.task, scores)
     if net.task == "binary":
@@ -145,7 +147,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     net = load_model(args.model)
-    ds = _load(args, task=net.task)
+    ds = _load(args, task=net.task, dims=net.input_dim)
     metrics = evaluate(net, ds)
     print(f"m: {metrics['m']}")
     print(f"error: {metrics['error']!r}")

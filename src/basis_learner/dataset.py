@@ -167,7 +167,7 @@ def _parse_sparse(lines, path: str, skip_header: bool, dims: int | None):
                 raise DatasetFormatError(f"{path}:{lineno}: indices are 1-based, got {idx}")
             if dims is not None and idx > dims:
                 raise DatasetFormatError(
-                    f"{path}:{lineno}: index {idx} exceeds --dims {dims}"
+                    f"{path}:{lineno}: index {idx} exceeds the feature count {dims}"
                 )
             if idx - 1 in feat:
                 raise DatasetFormatError(f"{path}:{lineno}: index {idx} repeated")

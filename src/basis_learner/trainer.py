@@ -3,10 +3,11 @@
 The loop builds feature layer 1, then alternates between (a) fitting one
 output head per regularization value over all features built so far and
 (b) constructing the next layer. Heads are scored on the validation
-split when one exists, otherwise by training objective; the returned
-network is the best (depth, lambda) pair seen anywhere in the run, not
-the last one. Stopping: training loss under a threshold, validation not
-improving for a configured number of consecutive depths, the depth cap,
+split when one exists, otherwise by training objective; each depth's
+best goes into its DepthRecord, and the returned network is the first
+record with the least key: the best (depth, lambda) pair seen anywhere in
+the run, not the last one. Stopping: training loss under a threshold, no
+new best for a configured number of consecutive depths, the depth cap,
 or a layer coming back empty (span saturated / no useful candidate).
 """
 
@@ -53,7 +54,7 @@ class TrainConfig:
     ``max_depth`` counts the output layer, so a network of depth D has
     D-2 product layers; None leaves depth uncapped. ``tol`` of None uses
     the scale-aware default independence threshold. ``error_threshold``
-    stops as soon as the depth-best training loss falls under it.
+    stops as soon as the depth-best training loss falls to it.
     """
 
     mode: str = "exact"
@@ -100,11 +101,14 @@ class TrainConfig:
             raise ValueError(f"tol must be finite and nonnegative, got {self.tol!r}")
         if self.error_threshold is not None and not math.isfinite(self.error_threshold):
             raise ValueError(f"error_threshold must be finite, got {self.error_threshold!r}")
+        if self.error_threshold is not None and self.error_threshold < 0:
+            raise ValueError(f"error_threshold must be nonnegative, got {self.error_threshold!r}")
 
 
 @dataclass(frozen=True)
 class DepthRecord:
-    """One trace line: the state of the run at a given network depth."""
+    """One depth of the run: its trace line and ``weights``, the head of
+    the lambda chosen there (left out of the line, repr and equality)."""
 
     depth: int
     layer_width: int
@@ -114,6 +118,12 @@ class DepthRecord:
     train_err: float
     valid_err: float  # nan when there is no validation split
     secs: float
+    weights: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def key(self) -> float:
+        """Selection key, lower is better: valid_err, else train_loss."""
+        return self.train_loss if math.isnan(self.valid_err) else self.valid_err
 
     def line(self) -> str:
         return (
@@ -122,6 +132,11 @@ class DepthRecord:
             f"train_loss={self.train_loss!r} train_err={self.train_err!r} "
             f"valid_err={self.valid_err!r} secs={self.secs:.3f}"
         )
+
+
+def _best(records: list[DepthRecord]) -> DepthRecord:
+    """The first record with the least key, so ties go to the earliest."""
+    return min(records, key=lambda r: r.key)
 
 
 @dataclass
@@ -199,57 +214,44 @@ def train(
     else:
         layer1 = build_basis1_width(lifted, config.gamma, svd_mode=config.svd, seed=config.seed)
     state = initial_state(layer1, tol)
-
-    n_classes = train_ds.n_classes if train_ds.task == "multiclass" else None
     select_target = target_matrix(train_ds)
 
     records: list[DepthRecord] = []
-    best: dict | None = None
-    no_improve = 0
     t = 2
     while True:
         t0 = time.perf_counter()
         F = state.F
+        lo, hi = state.layer_ranges[-1]
         # the validation rows' node values, from the deployed network's evaluator
         valid_F = node_values(valid_ds.X, state.W1, state.layers) if has_valid else None
         # F = QR from the admission: one factor serves every squared head
         factor = (SquaredFactor(state.Q.T @ F, state.Q.T @ fit_y, independent=True)
                   if config.loss == "squared" else None)
 
-        depth_best: dict | None = None
+        heads = []
         for li, lam in enumerate(config.lambda_grid):
             opt = OptimizerConfig(
                 epochs=config.sgd_epochs, seed=_head_seed(config.seed, t, li)
             )
-            fit = fit_head(F, fit_y, config.loss, lam, opt, n_classes=n_classes,
-                           factor=factor)
-            if has_valid:
-                v_err = validation_error(
-                    valid_F, fit.weights, valid_ds.labels, valid_ds.task
-                )
-                key = v_err
-            else:
-                v_err = math.nan
-                key = fit.train_loss
-            if depth_best is None or key < depth_best["key"]:
-                depth_best = {
-                    "key": key, "lam": lam, "weights": fit.weights,
-                    "train_loss": fit.train_loss, "valid_err": v_err,
-                }
-        depth_best["train_err"] = validation_error(
-            F, depth_best["weights"], train_ds.labels, train_ds.task)
+            fit = fit_head(F, fit_y, config.loss, lam, opt,
+                           n_classes=train_ds.n_classes, factor=factor)
+            v_err = (validation_error(valid_F, fit.weights, valid_ds.labels, valid_ds.task)
+                     if has_valid else math.nan)
+            heads.append(DepthRecord(
+                depth=t, layer_width=hi - lo, total_cols=hi, lam=lam,
+                train_loss=fit.train_loss, train_err=math.nan, valid_err=v_err,
+                secs=math.nan, weights=fit.weights,
+            ))
+        record = _best(heads)
+        record = replace(record, train_err=validation_error(
+            F, record.weights, train_ds.labels, train_ds.task))
+        records.append(record)
+        best = _best(records)
 
-        if best is None or depth_best["key"] < best["key"]:
-            best = dict(depth_best, depth=t)
-            no_improve = 0
-        else:
-            no_improve += 1
-
-        lo, hi = state.layer_ranges[-1]
         if (config.error_threshold is not None
-                and depth_best["train_loss"] <= config.error_threshold):
+                and record.train_loss <= config.error_threshold):
             termination = "error_threshold"
-        elif has_valid and no_improve >= config.patience:
+        elif has_valid and t - best.depth >= config.patience:
             termination = "validation_stop"
         elif config.max_depth is not None and t >= config.max_depth:
             termination = "depth_cap"
@@ -261,32 +263,21 @@ def train(
                     state, select_target, config.gamma, config.batch, tol
                 )
             termination = "empty_layer" if built.width == 0 else None
-        records.append(DepthRecord(
-            depth=t, layer_width=hi - lo, total_cols=hi,
-            lam=depth_best["lam"], train_loss=depth_best["train_loss"],
-            train_err=depth_best["train_err"],
-            valid_err=depth_best["valid_err"], secs=time.perf_counter() - t0,
-        ))
+        records[-1] = replace(record, secs=time.perf_counter() - t0)
         if termination is not None:
             break
         t += 1
 
-    assert best is not None
-    head = OutputHead(
-        weights=np.asarray(best["weights"], dtype=np.float64),
-        loss=config.loss,
-        lam=best["lam"],
-    )
     trace = TrainingTrace(
         records=records,
         termination=termination,
-        best_depth=best["depth"],
-        best_lambda=best["lam"],
-        best_train_loss=best["train_loss"],
-        best_train_err=best["train_err"],
-        best_valid_err=best["valid_err"],
+        best_depth=best.depth,
+        best_lambda=best.lam,
+        best_train_loss=best.train_loss,
+        best_train_err=best.train_err,
+        best_valid_err=best.valid_err,
         warnings=warnings,
-        feature_columns=state.F[:, : state.layer_ranges[best["depth"] - 2][1]].copy(),
+        feature_columns=state.F[:, : best.total_cols].copy(),
     )
     # provenance lives inside the JSON model file, so keep it JSON-native
     # (tuples would come back as lists and break round-trip equality)
@@ -296,9 +287,10 @@ def train(
         input_dim=train_ds.dim,
         task=train_ds.task,
         W1=state.W1,
-        product_layers=tuple(state.layers[: best["depth"] - 2]),
-        head=head,
-        n_classes=train_ds.n_classes if train_ds.task == "multiclass" else 0,
+        product_layers=tuple(state.layers[: best.depth - 2]),
+        head=OutputHead(weights=np.asarray(best.weights, dtype=np.float64),
+                        loss=config.loss, lam=best.lam),
+        n_classes=train_ds.n_classes,
         provenance={"config": cfg_doc, "trace": trace.header()},
     )
     return net, trace

@@ -15,6 +15,7 @@ from basis_learner.basis import (
     initial_state,
     lift_input,
 )
+from basis_learner import basis
 from basis_learner.basis import _distinct_candidates
 from basis_learner.linalg import residual, thin_svd
 from basis_learner.network import layer_values
@@ -744,6 +745,35 @@ class TestAdmissionInvariants:
                 build_basis_t_width(state, rng.standard_normal((40, 1)), gamma=5, b=2)
         assert sum(admitted) == state.ncols
         assert state.ncols - state.layer1_cols >= 18
+
+
+class TestBufferBudget:
+    """F and Q buffers above the byte budget are refused before allocation."""
+
+    def test_reserve_refuses_over_budget(self, monkeypatch):
+        state = exact_state(np.random.default_rng(19).standard_normal((20, 2)))
+        F_buf = state.F_buf
+        # 20 rows x 10 columns, twice, of 8-byte floats
+        monkeypatch.setattr(basis, "_BUFFER_BUDGET", 3199)
+        with pytest.raises(ValueError, match="F and Q need 3200 bytes for 20 rows "
+                           "x 10 columns, over the budget of 3199 bytes"):
+            state.reserve(10)
+        assert state.F_buf is F_buf
+        monkeypatch.setattr(basis, "_BUFFER_BUDGET", 3200)
+        state.reserve(10)
+        assert state.F_buf.shape == state.Q_buf.shape == (20, 10)
+
+    def test_exact_build_refused_at_doubling(self, monkeypatch):
+        # the 3 layer-1 columns fit; doubling for the first product does not
+        state = exact_state(np.random.default_rng(20).standard_normal((20, 2)))
+        monkeypatch.setattr(basis, "_BUFFER_BUDGET", 2 * 20 * 6 * 8)
+        with pytest.raises(ValueError, match="over the budget"):
+            build_basis_t_exact(state)
+
+    def test_initial_state_refused(self, monkeypatch):
+        monkeypatch.setattr(basis, "_BUFFER_BUDGET", 100)
+        with pytest.raises(ValueError, match="F and Q need 960 bytes"):
+            exact_state(np.random.default_rng(21).standard_normal((20, 2)))
 
 
 class TestDeterminism:

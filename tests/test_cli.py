@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import basis_learner
+from basis_learner import basis
 from basis_learner.cli import build_parser, main
 from basis_learner.network import load_model, predict
 from basis_learner.trainer import TrainConfig
@@ -352,6 +353,34 @@ class TestSparseFormat:
         assert code == 0
         assert len(out.strip().splitlines()) == 6
 
+    def test_predict_and_evaluate_read_the_model_width(self, tmp_path, capsys):
+        # the test file never mentions index 3; without --dims it is read
+        # at the model's width, index 3 zero in every row
+        train_sp, test_sp = tmp_path / "s.txt", tmp_path / "te.txt"
+        train_sp.write_text("1.5 1:1.0 3:2.0\n-0.5 2:1.0\n2.0 1:2.0 2:1.0 3:1.0\n"
+                            "0.25 3:1.0\n1.0 1:1.0\n", encoding="utf-8")
+        test_sp.write_text("0.5 1:1.0\n-1.0 2:2.0\n", encoding="utf-8")
+        model = tmp_path / "s.bl"
+        assert main(["train", "--data", str(train_sp), "--format", "sparse",
+                     "--lambda", "0", "--depth", "3", "--out", str(model)]) == 0
+        capsys.readouterr()
+        code, out, err = run_cli(["predict", "--model", str(model), "--data",
+                                  str(test_sp), "--format", "sparse"], capsys)
+        assert code == 0, err
+        X = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+        expected = predict(load_model(model), X)[:, 0]
+        assert np.array_equal([float(l) for l in out.split()], expected)
+        code, out, err = run_cli(["evaluate", "--model", str(model), "--data",
+                                  str(test_sp), "--format", "sparse"], capsys)
+        assert code == 0, err
+        assert out.startswith("m: 2\n")
+        # an index beyond the model's width is named, not a width mismatch
+        test_sp.write_text("0.5 4:1.0\n", encoding="utf-8")
+        code, _, err = run_cli(["predict", "--model", str(model), "--data",
+                                str(test_sp), "--format", "sparse"], capsys)
+        assert code == 1
+        assert "index 4 exceeds the feature count 3" in err
+
 
 class TestHeaderFlag:
     def test_header_skipped(self, tmp_path, capsys):
@@ -427,12 +456,25 @@ class TestConsoleScript:
             (["train", "--data", str(toy), "--depth", "4", "--stop-train-loss", "nan",
               "--out", str(tmp_path / "m.bl")],
              "error_threshold must be finite, got nan"),
+            (["train", "--data", str(toy), "--stop-train-loss", "-1",
+              "--out", str(tmp_path / "m.bl")],
+             "error_threshold must be nonnegative, got -1.0"),
         ]:
             proc = run_module(argv)
             assert proc.returncode == 1
             assert proc.stderr.startswith("error: ")
             assert message in proc.stderr
             assert "Traceback" not in proc.stderr
+
+    def test_buffer_budget_reports_error(self, toy, tmp_path, monkeypatch, capsys):
+        # exact mode on 12 rows grows F and Q to 12 x 12 each, 2304 bytes
+        monkeypatch.setattr(basis, "_BUFFER_BUDGET", 2000)
+        code, _, err = run_cli(["train", "--data", str(toy), "--lambda", "0",
+                                "--depth", "10", "--out", str(tmp_path / "m.bl")], capsys)
+        assert code == 1
+        assert err.startswith("error: F and Q need ")
+        assert "over the budget of 2000 bytes" in err
+        assert not (tmp_path / "m.bl").exists()
 
     def test_entry_point_installed(self, trained):
         exe = shutil.which("basis-learner")

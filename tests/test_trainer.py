@@ -6,6 +6,7 @@ the m=1000 interpolation regression takes well under a second.
 
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,6 +58,9 @@ class TestConfigValidation:
     def test_defaults_valid(self):
         TrainConfig()
 
+    def test_zero_error_threshold_valid(self):
+        assert TrainConfig(error_threshold=0.0).error_threshold == 0.0
+
     @pytest.mark.parametrize(
         "kw,msg",
         [
@@ -88,6 +92,8 @@ class TestConfigValidation:
             (dict(patience=np.int32(2)), r"patience must be an int, got np\.int32\(2\)"),
             (dict(seed=1.0), r"seed must be an int, got 1\.0"),
             (dict(sgd_epochs="5"), "sgd_epochs must be an int, got '5'"),
+            (dict(error_threshold=-1.0), r"error_threshold must be nonnegative, got -1\.0"),
+            (dict(error_threshold=-1e-300), "error_threshold must be nonnegative"),
         ],
     )
     def test_rejections(self, kw, msg):
@@ -244,6 +250,54 @@ class TestModelSelection:
         assert net.total_nodes == trace.feature_columns.shape[1]
         norms = np.linalg.norm(trace.feature_columns, axis=0)
         assert np.allclose(norms, np.sqrt(ds.m), atol=1e-6)
+
+
+    def test_ties_go_to_earliest_depth_and_first_lambda(self):
+        # a wide linear margin: every head at every depth classifies the
+        # validation rows without error, so the first record wins
+        rng = np.random.default_rng(29)
+        X = rng.standard_normal((200, 2))
+        X = X[np.abs(X[:, 0]) >= 0.5][:80]
+        y = np.where(X[:, 0] > 0, 1.0, -1.0)
+        tr, va = split(make_dataset(X, y), SplitSpec(validation_count=30))
+        grid = (1e-2, 1e-4, 1e-3)
+        net, trace = train(tr, va, TrainConfig(lambda_grid=grid, patience=2))
+        assert [r.valid_err for r in trace.records] == [0.0, 0.0, 0.0]
+        assert trace.termination == "validation_stop"
+        assert trace.best_depth == 2 and net.depth == 2
+        assert trace.best_lambda == net.head.lam == grid[0]
+        assert all(r.lam == grid[0] for r in trace.records)
+
+    @pytest.mark.parametrize("with_valid", [True, False])
+    def test_returned_network_is_the_best_record(self, with_valid):
+        rng = np.random.default_rng(30)
+        X = rng.standard_normal((90, 2))
+        y = X[:, 0] ** 2 * X[:, 1] + 0.3 * rng.standard_normal(90)
+        tr, va = split(make_dataset(X, y), SplitSpec(validation_count=30))
+        cfg = TrainConfig(mode="width", gamma=3, batch=1, lambda_grid=(1e-4, 1e-2, 1.0),
+                          patience=2, max_depth=None if with_valid else 5)
+        net, trace = train(tr, va if with_valid else None, cfg)
+        if with_valid:
+            best = min(trace.records, key=lambda r: r.valid_err)
+            assert best.depth < trace.records[-1].depth
+        else:
+            assert all(np.isnan(r.valid_err) for r in trace.records)
+            best = min(trace.records, key=lambda r: r.train_loss)
+        assert (trace.best_depth, trace.best_lambda) == (best.depth, best.lam)
+        assert trace.best_train_loss == best.train_loss
+        assert trace.best_train_err == best.train_err
+        assert np.array_equal(trace.best_valid_err, best.valid_err, equal_nan=True)
+        assert net.depth == best.depth and net.head.lam == best.lam
+        assert net.head.weights.tobytes() == best.weights.tobytes()
+        assert net.head.weights.shape == best.weights.shape == (best.total_cols, 1)
+        assert trace.feature_columns.shape[1] == best.total_cols == net.total_nodes
+
+    def test_record_weights_stay_out_of_line_and_equality(self):
+        ds = regression_ds(12, 2, 31)
+        _, trace = train(ds, None, TrainConfig(lambda_grid=(0.0,), max_depth=3))
+        first = trace.records[0]
+        assert "weights" not in repr(first) and "weights" not in first.line()
+        assert first == replace(first, weights=np.zeros(1))
 
 
 class TestWidthMode:
