@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import check_matrix, randomized_range_svd, residual, thin_svd
+from .linalg import check_matrix, randomized_range_svd, residual, thin_svd, top_svd
 from .linalg import lift_input  # noqa: F401  layer 1 is built from lift_input(X)
 from .network import ProductLayer, product_layer
 
@@ -178,24 +178,25 @@ def build_basis1_width(
 
     ``svd_mode`` selects the exact factorization or the seeded randomized
     range finder (useful when d is large); either way at most
-    min(gamma, rank) columns come back, normalized to norm √m. Returns the
+    min(gamma, rank) columns come back, normalized to norm √m. On a tall
+    lift whose tail is dropped (gamma < d+1 <= m) the exact directions come
+    from the eigendecomposition of the Gram matrix F1_tilde^T F1_tilde, else
+    from the thin SVD (:func:`~basis_learner.linalg.top_svd`). Returns the
     pair (B, W1) of m x k values and (d+1) x k weights, B = F1_tilde @ W1.
     """
     F1_tilde = check_matrix(F1_tilde, "F1_tilde")
     if gamma < 1:
         raise ValueError("gamma must be at least 1")
     if svd_mode == "exact":
-        svd = thin_svd(F1_tilde)
-        V = svd.V[:, :gamma]
+        svd = top_svd(F1_tilde, gamma)
     elif svd_mode == "randomized":
         small = min(F1_tilde.shape)
         k = min(gamma, small)
         # oversample by up to 10, keeping the sketch within the matrix
         svd = randomized_range_svd(F1_tilde, k, oversample=min(10, small - k), seed=seed)
-        V = svd.V
     else:
         raise ValueError(f"unknown svd_mode {svd_mode!r}")
-    return _scaled_projection(F1_tilde, V)
+    return _scaled_projection(F1_tilde, svd.V)
 
 
 def initial_state(layer1: tuple[np.ndarray, np.ndarray], tol: float | None = None) -> BasisState:

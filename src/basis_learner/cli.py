@@ -32,8 +32,9 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "sparse"), default="csv")
     p.add_argument("--header", action="store_true", help="skip one header line")
     p.add_argument("--dims", type=int, default=None,
-                   help="feature count for sparse data (default: the model's "
-                   "input width, or the largest index when training)")
+                   help="feature count: sparse data is read at this width, a CSV "
+                   "file must have it (default: the model's input width, or, when "
+                   "training, the largest sparse index or the CSV width)")
 
 
 def _parse_lambdas(text: str) -> tuple[float, ...]:
@@ -80,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--tol", type=float, default=None,
                     help="column-independence tolerance (default 1e-8*sqrt(m))")
     tr.add_argument("--svd", choices=("exact", "randomized"), default=TrainConfig.svd,
-                    help="first-layer SVD in width mode (default %(default)s)")
+                    help="first-layer factorization in width mode; exact takes the "
+                    "Gram eigendecomposition when gamma < d+1 <= rows (default %(default)s)")
     tr.add_argument("--seed", type=int, default=TrainConfig.seed,
                     help="seed of the randomized SVD and the SGD heads (default %(default)s)")
     tr.add_argument("--trace-out", default=None, help="also write trace lines here")
@@ -99,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args, task=None, dims=None):
-    # an index a sparse file leaves out is a zero, up to the model's width
+    # a sparse file is read at the model's width (an index it leaves out is
+    # zero); a CSV file must have that width
     return load_dense(args.data, args.format, header=args.header,
                       dims=args.dims if args.dims is not None else dims, task=task)
 

@@ -200,8 +200,9 @@ def load_dense(
     """Load a dataset file in ``csv`` or ``sparse`` format.
 
     ``header`` skips the first line; ``dims`` fixes the dimension of
-    sparse data (otherwise the largest index observed is used); ``task``
-    overrides label-based task inference.
+    sparse data (otherwise the largest index observed is used) and is the
+    width a CSV file must have; ``task`` overrides label-based task
+    inference.
     """
     if format not in ("csv", "sparse"):
         raise ValueError(f"unknown format {format!r}")
@@ -221,6 +222,8 @@ def load_dense(
         X, labels = _parse_sparse(lines, path, header, dims)
     if not labels:
         raise DatasetFormatError(f"{path}: empty dataset")
+    if dims is not None and X.shape[1] != dims:
+        raise DatasetFormatError(f"{path}: expected {dims} features, got {X.shape[1]}")
     try:
         return make_dataset(X, np.array(labels), task=task)
     except ValueError as e:

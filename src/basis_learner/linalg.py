@@ -2,8 +2,9 @@
 
 Matrices are plain 2-d float64 numpy arrays throughout the package. This
 module wraps the few factorizations the construction needs: a thin SVD with
-a numerical-rank cutoff, a seeded randomized range-finder SVD for wide data,
-and residual projection against an orthonormal basis.
+a numerical-rank cutoff, its top-k part (from the Gram matrix on tall
+input), a seeded randomized range-finder SVD for wide data, and residual
+projection against an orthonormal basis.
 """
 
 from __future__ import annotations
@@ -84,6 +85,31 @@ def thin_svd(A, tol: float | None = None) -> SvdResult:
     r = int(np.count_nonzero(s > tol * smax)) if smax > 0 else 0
     U, V = _flip_signs(U[:, :r], Vt[:r].T)
     return SvdResult(U, s[:r].copy(), V)
+
+
+def top_svd(A, k: int) -> SvdResult:
+    """The first ``k`` factors of :func:`thin_svd`; from the Gram matrix
+    A^T A when m x n ``A`` is tall and its tail is dropped (k < n <= m).
+
+    Its eigendecomposition is cheaper than the full SVD and spans the same
+    leading subspace. It squares the condition number, so only eigenvalues
+    above ``default_rank_tol(A.shape) * lambda_max`` are kept: singular
+    values above the square root of that times ``s_max``. Other shapes get
+    :func:`thin_svd` truncated to ``k`` factors.
+    """
+    A = check_matrix(A)
+    m, n = A.shape
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if not k < n <= m:
+        svd = thin_svd(A)
+        return SvdResult(svd.U[:, :k], svd.s[:k], svd.V[:, :k])
+    lam, V = np.linalg.eigh(A.T @ A)
+    lam, V = lam[::-1], V[:, ::-1]
+    r = min(int(np.count_nonzero(lam > default_rank_tol(A.shape) * lam[0])), k)
+    s = np.sqrt(lam[:r])
+    U, V = _flip_signs(A @ V[:, :r] / s, V[:, :r])
+    return SvdResult(U, s, V)
 
 
 def randomized_range_svd(

@@ -16,7 +16,7 @@ from basis_learner.basis import (
     lift_input,
 )
 from basis_learner import basis
-from basis_learner.basis import _distinct_candidates
+from basis_learner.basis import _distinct_candidates, _scaled_projection
 from basis_learner.linalg import residual, thin_svd
 from basis_learner.network import layer_values
 from basis_learner.oracle import monomial_matrix, span_equal
@@ -120,6 +120,30 @@ class TestFirstLayerWidth:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             build_basis1_width(np.ones((2, 2)), 1, svd_mode="qr")
+
+    def test_rank_deficient_tall_lift(self):
+        # [1 X] is 200 x 11 of rank 5; gamma = 8 lies between rank and
+        # width, so the top directions come from the Gram matrix
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((200, 4))
+        X = np.hstack([x, x, x[:, :2]])
+        B, W1 = build_basis1_width(lift_input(X), gamma=8)
+        assert B.shape[1] == W1.shape[1] <= 5
+        state = initial_state((B, W1))
+        assert state.layer1_cols == B.shape[1]
+        np.testing.assert_allclose(B.T @ B / 200, np.eye(B.shape[1]), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m, d, gamma", [(30, 4, None), (30, 4, 5), (30, 4, 9), (6, 12, 4)])
+    def test_svd_route_unchanged(self, m, d, gamma):
+        # exact mode (gamma None), width mode with gamma >= d+1, and a wide
+        # lift (rows < d+1) take the plain SVD, bit for bit
+        A = lift_input(np.random.default_rng(5).standard_normal((m, d)))
+        if gamma is None:
+            got, gamma = build_basis1_exact(A), d + 1
+        else:
+            got = build_basis1_width(A, gamma)
+        want = _scaled_projection(A, thin_svd(A).V[:, :gamma])
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 class TestInitialState:

@@ -382,6 +382,26 @@ class TestSparseFormat:
         assert "index 4 exceeds the feature count 3" in err
 
 
+class TestCsvWidth:
+    def test_dims_checked_against_the_csv(self, toy, tmp_path, capsys):
+        model = tmp_path / "m.bl"
+        code, _, err = run_cli(["train", "--data", str(toy), "--dims", "7", "--lambda", "0",
+                                "--depth", "2", "--out", str(model)], capsys)
+        assert code == 1
+        assert err == f"error: {toy}: expected 7 features, got 2\n"
+        assert not model.exists()
+        # predict reads a CSV at the model's width, so a wider file fails at load
+        assert main(["train", "--data", str(toy), "--lambda", "0", "--depth", "2",
+                     "--out", str(model)]) == 0
+        capsys.readouterr()
+        wide = tmp_path / "wide.csv"
+        write_csv(wide, np.ones((3, 3)), np.zeros(3))
+        for cmd in ("predict", "evaluate"):
+            code, _, err = run_cli([cmd, "--model", str(model), "--data", str(wide)], capsys)
+            assert code == 1
+            assert err == f"error: {wide}: expected 2 features, got 3\n"
+
+
 class TestHeaderFlag:
     def test_header_skipped(self, tmp_path, capsys):
         data = tmp_path / "h.csv"

@@ -60,6 +60,13 @@ class TestCsvLoading:
         with pytest.raises(DatasetFormatError, match="class id .* is not below MAX_CLASSES"):
             load_dense(write(tmp_path, f"{label},0.5\n0,1.5\n"))
 
+    def test_dims_must_match_the_width(self, tmp_path):
+        p = write(tmp_path, "1,0.5,0.25\n-1,0.1,0.9\n")
+        assert load_dense(p, dims=2).dim == 2
+        with pytest.raises(DatasetFormatError,
+                           match=re.escape(f"{p}: expected 7 features, got 2")):
+            load_dense(p, dims=7)
+
     def test_task_override(self, tmp_path):
         ds = load_dense(write(tmp_path, "1,1\n0,2\n"), task="regression")
         assert ds.task == "regression"

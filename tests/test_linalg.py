@@ -7,6 +7,7 @@ from basis_learner.linalg import (
     randomized_range_svd,
     residual,
     thin_svd,
+    top_svd,
 )
 
 
@@ -72,6 +73,54 @@ class TestThinSvd:
     def test_rank_deficient_detected(self, seed, n):
         A = random_matrix(seed, n + 3, n, rank=max(1, n - 1))
         assert thin_svd(A).rank == max(1, n - 1)
+
+
+def decaying_matrix(seed, m, n, ratio=0.9):
+    # m x n with singular values ratio**i and random singular vectors
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((m, n)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return U * ratio ** np.arange(n) @ V.T
+
+
+class TestTopSvd:
+    def test_gram_route_matches_thin_svd(self):
+        # tall with a dropped tail (k < n <= m): the Gram eigendecomposition
+        A = decaying_matrix(30, 300, 120)
+        ref, res = thin_svd(A), top_svd(A, 20)
+        assert res.U.shape == (300, 20) and res.V.shape == (120, 20)
+        np.testing.assert_allclose(res.s, ref.s[:20], rtol=1e-12, atol=0)
+        # sine of the largest principal angle between the two V subspaces
+        Vr = ref.V[:, :20]
+        assert np.linalg.norm(res.V - Vr @ (Vr.T @ res.V), 2) <= 1e-10
+
+    def test_gram_route_follows_the_sign_rule(self):
+        A = decaying_matrix(31, 300, 120)
+        res = top_svd(A, 20)
+        rows = np.argmax(np.abs(res.U), axis=0)
+        assert (res.U[rows, np.arange(20)] > 0).all()
+        # the same signs as thin_svd's factors, column by column
+        ref = thin_svd(A)
+        assert (np.sum(res.U * ref.U[:, :20], axis=0) > 0).all()
+        assert (np.sum(res.V * ref.V[:, :20], axis=0) > 0).all()
+
+    def test_gram_route_drops_zero_modes(self):
+        A = random_matrix(32, 50, 12, rank=4)
+        res = top_svd(A, 8)
+        assert res.rank == 4
+        np.testing.assert_allclose(res.U * res.s @ res.V.T, A, atol=1e-10)
+
+    @pytest.mark.parametrize("m, n, k", [(40, 12, 12), (40, 12, 20), (10, 30, 5)])
+    def test_other_shapes_are_thin_svd_truncated(self, m, n, k):
+        # k >= n keeps every column, m < n is wide: both stay on the SVD
+        A = random_matrix(33, m, n)
+        ref, res = thin_svd(A), top_svd(A, k)
+        for got, want in zip((res.U, res.s, res.V), (ref.U[:, :k], ref.s[:k], ref.V[:, :k])):
+            assert np.array_equal(got, want)
+
+    def test_rejects_nonpositive_k(self):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            top_svd(np.eye(3), 0)
 
 
 class TestRandomizedSvd:
