@@ -1,7 +1,11 @@
 """SHA-256 of the model file and the trace each bench workload trains, per seed.
 
 Builds each workload's inputs with ``bench/workloads.py`` (imported, never
-changed), trains once per seed and prints one line per run:
+changed), trains once per seed and prints one line per run. The bench
+workloads all take layer 1 from the exact SVD, so one more case,
+``randomized``, trains the acceptance suite's SVD comparison configuration
+with the randomized first layer: ``random_regression(500, 20, seed)`` with
+its last 100 rows for validation. Each line reads
 
     <workload> <seed> <sha256 of network.serialize(model)> <sha256 of the trace>
 
@@ -13,7 +17,7 @@ trace the same depths; diff their outputs to check that a refactor left
 every answer unchanged.
 
 Usage:
-    python3 scripts/model_digests.py [--workloads rect-hinge ...] [--seeds 1 2 3]
+    python3 scripts/model_digests.py [--workloads rect-hinge randomized ...] [--seeds 1 2 3]
 """
 
 import os
@@ -30,22 +34,37 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
+from basis_learner.dataset import SplitSpec, split  # noqa: E402
 from basis_learner.network import serialize  # noqa: E402
-from basis_learner.trainer import train  # noqa: E402
+from basis_learner.synthetic import random_regression  # noqa: E402
+from basis_learner.trainer import TrainConfig, train  # noqa: E402
 from workloads import BUILDERS, make_inputs  # noqa: E402
 
 _SECS = re.compile(r" secs=\S+")
 
+# SVD_CFG of tests/test_acceptance.py
+_SVD_CFG = dict(mode="width", gamma=30, batch=15, max_depth=4,
+                lambda_grid=(1e-6, 1e-4, 1e-2))
+CASES = [*BUILDERS, "randomized"]
+
+
+def _inputs(name, seed):
+    """(fit, valid, config) of a bench workload or of the randomized case."""
+    if name != "randomized":
+        inputs = make_inputs(name, seed)
+        return inputs.fit, inputs.valid, inputs.config
+    fit, valid = split(random_regression(500, 20, seed), SplitSpec(validation_count=100))
+    return fit, valid, TrainConfig(svd="randomized", seed=seed, **_SVD_CFG)
+
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workloads", nargs="+", choices=list(BUILDERS), default=list(BUILDERS))
+    ap.add_argument("--workloads", nargs="+", choices=CASES, default=CASES)
     ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
     args = ap.parse_args(argv)
     for name in args.workloads:
         for seed in args.seeds:
-            inputs = make_inputs(name, seed)
-            net, trace = train(inputs.fit, inputs.valid, inputs.config)
+            net, trace = train(*_inputs(name, seed))
             model_digest = hashlib.sha256(serialize(net)).hexdigest()
             lines = "\n".join(_SECS.sub(" secs=*", line) for line in trace.lines())
             trace_digest = hashlib.sha256(lines.encode()).hexdigest()

@@ -181,7 +181,8 @@ def build_basis1_width(
     min(gamma, rank) columns come back, normalized to norm √m. On a tall
     lift whose tail is dropped (gamma < d+1 <= m) the exact directions come
     from the eigendecomposition of the Gram matrix F1_tilde^T F1_tilde, else
-    from the thin SVD (:func:`~basis_learner.linalg.top_svd`). Returns the
+    from the thin SVD (:func:`~basis_learner.linalg.top_svd`); the
+    randomized range finder oversamples by its own rule. Returns the
     pair (B, W1) of m x k values and (d+1) x k weights, B = F1_tilde @ W1.
     """
     F1_tilde = check_matrix(F1_tilde, "F1_tilde")
@@ -190,10 +191,7 @@ def build_basis1_width(
     if svd_mode == "exact":
         svd = top_svd(F1_tilde, gamma)
     elif svd_mode == "randomized":
-        small = min(F1_tilde.shape)
-        k = min(gamma, small)
-        # oversample by up to 10, keeping the sketch within the matrix
-        svd = randomized_range_svd(F1_tilde, k, oversample=min(10, small - k), seed=seed)
+        svd = randomized_range_svd(F1_tilde, min(gamma, *F1_tilde.shape), seed=seed)
     else:
         raise ValueError(f"unknown svd_mode {svd_mode!r}")
     return _scaled_projection(F1_tilde, svd.V)

@@ -10,9 +10,11 @@ Datasets are immutable after construction and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .linalg import check_matrix
 
 TASKS = ("regression", "binary", "multiclass")
 
@@ -53,9 +55,12 @@ class LabeledDataset:
 
 
 def _rows_distinct(X: np.ndarray) -> bool:
-    if X.shape[0] < 2:
+    """Whether the finite rows of X are pairwise distinct (-0.0 == 0.0). Equal
+    rows hash equal once + 0.0 turns -0.0 to 0.0; only a collision is sorted."""
+    m = X.shape[0]
+    if m < 2 or len({hash((row + 0.0).tobytes()) for row in X}) == m:
         return True
-    return np.unique(X, axis=0).shape[0] == X.shape[0]
+    return np.unique(X, axis=0).shape[0] == m
 
 
 def _is_class_ids(labels: np.ndarray) -> bool:
@@ -69,16 +74,15 @@ def make_dataset(X, labels, task: str | None = None, n_classes: int | None = Non
     mean multiclass, anything else is regression. Either way the labels
     must fit the task, and ``n_classes`` may only be given for multiclass:
     then it must exceed every class id, otherwise k = max+1 (at least 2).
+    X must pass :func:`~basis_learner.linalg.check_matrix` and hold a row.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = check_matrix(X, "X")
     labels = np.asarray(labels, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError(f"X must be 2-dimensional, got shape {X.shape}")
     if labels.ndim != 1 or labels.shape[0] != X.shape[0]:
         raise ValueError("labels must be a vector with one entry per row of X")
     if X.shape[0] < 1:
         raise ValueError("dataset must contain at least one instance")
-    if not (np.isfinite(X).all() and np.isfinite(labels).all()):
+    if not np.isfinite(labels).all():
         raise ValueError("dataset contains non-finite values")
 
     binary = bool(np.isin(labels, (-1.0, 1.0)).all())
@@ -110,16 +114,20 @@ def make_dataset(X, labels, task: str | None = None, n_classes: int | None = Non
     return LabeledDataset(X=X, labels=labels, task=task, n_classes=k, distinct=_rows_distinct(X))
 
 
+def _data_lines(lines, skip_header: bool):
+    """(line number from 1, stripped text) of each line that holds data:
+    blank lines and, with ``skip_header``, the first line are skipped."""
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if line and not (lineno == 1 and skip_header):
+            yield lineno, line
+
+
 def _parse_csv(lines, path: str, skip_header: bool):
     rows = []
     labels = []
     width = None
-    for lineno, raw in enumerate(lines, 1):
-        if lineno == 1 and skip_header:
-            continue
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, line in _data_lines(lines, skip_header):
         fields = line.split(",")
         if width is None:
             width = len(fields)
@@ -142,12 +150,7 @@ def _parse_sparse(lines, path: str, skip_header: bool, dims: int | None):
     entries = []  # (label, {index: value}) with 0-based indices
     labels = []
     max_idx = 0
-    for lineno, raw in enumerate(lines, 1):
-        if lineno == 1 and skip_header:
-            continue
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, line in _data_lines(lines, skip_header):
         tokens = line.split()
         try:
             label = float(tokens[0])
@@ -240,22 +243,20 @@ class SplitSpec:
 def split(ds: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, LabeledDataset]:
     """Split off the last ``validation_count`` rows as a validation set.
 
-    Row order is preserved on both sides. A zero count returns the
-    dataset unchanged together with an empty validation set.
+    Row order, task and class count are kept on both sides; a zero count
+    gives an empty validation set. A part of distinct rows is distinct,
+    else its own rows decide.
     """
     n = spec.validation_count
     if n < 0 or n >= ds.m:
         raise ValueError(f"validation_count must be in [0, {ds.m - 1}], got {n}")
+
+    def part(rows: slice) -> LabeledDataset:
+        X = ds.X[rows]
+        return replace(ds, X=X, labels=ds.labels[rows], distinct=ds.distinct or _rows_distinct(X))
+
     cut = ds.m - n
-    train = LabeledDataset(
-        X=ds.X[:cut], labels=ds.labels[:cut], task=ds.task,
-        n_classes=ds.n_classes, distinct=_rows_distinct(ds.X[:cut]),
-    )
-    valid = LabeledDataset(
-        X=ds.X[cut:], labels=ds.labels[cut:], task=ds.task,
-        n_classes=ds.n_classes, distinct=True,
-    )
-    return train, valid
+    return part(slice(cut)), part(slice(cut, None))
 
 
 def target_matrix(ds: LabeledDataset) -> np.ndarray:

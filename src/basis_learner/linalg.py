@@ -16,14 +16,18 @@ import numpy as np
 # subspace iterations of the randomized range finder
 POWER_ITERS = 2
 
+# extra sketch columns of the randomized range finder (Halko et al. 2011)
+OVERSAMPLE = 10
+
 
 def check_matrix(A, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-d float64 array and reject non-finite entries."""
+    """The one rule for a matrix from outside: a 2-d float64 array of finite
+    entries. Anything else raises ``ValueError`` naming ``name``."""
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {A.shape}")
     if A.size and not np.isfinite(A).all():
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ValueError(f"{name} must be finite, {A.size - np.isfinite(A).sum()} of {A.size} entries are not")
     return A
 
 
@@ -112,29 +116,20 @@ def top_svd(A, k: int) -> SvdResult:
     return SvdResult(U, s, V)
 
 
-def randomized_range_svd(
-    A,
-    k: int,
-    oversample: int = 10,
-    seed: int = 0,
-) -> SvdResult:
+def randomized_range_svd(A, k: int, seed: int = 0) -> SvdResult:
     """Approximate top-``k`` SVD via a seeded Gaussian range finder.
 
-    ``POWER_ITERS`` rounds of subspace iteration with QR
-    re-orthonormalization at every step; the result is deterministic for
-    a fixed seed. If the numerical rank of ``A`` is below ``k``, only
-    rank-many factors are returned.
+    Needs 1 <= k <= min(rows, cols); the sketch has k + ``OVERSAMPLE``
+    columns, at most min(rows, cols). ``POWER_ITERS`` rounds of subspace
+    iteration with QR re-orthonormalization at every step; deterministic
+    for a fixed seed. Numerical rank below ``k`` gives rank-many factors.
     """
     A = check_matrix(A)
     m, n = A.shape
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if k + oversample > min(m, n):
-        raise ValueError(
-            f"k + oversample = {k + oversample} exceeds min(rows, cols) = {min(m, n)}"
-        )
+    if not 1 <= k <= min(m, n):
+        raise ValueError(f"k must be in [1, min(rows, cols) = {min(m, n)}], got {k}")
     rng = np.random.default_rng(seed)
-    Y = A @ rng.standard_normal((n, k + oversample))
+    Y = A @ rng.standard_normal((n, min(k + OVERSAMPLE, m, n)))
     Q, _ = np.linalg.qr(Y)
     for _ in range(POWER_ITERS):
         Q, _ = np.linalg.qr(A.T @ Q)

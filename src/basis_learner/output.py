@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import check_matrix
+
 LOSS_KINDS = ("squared", "hinge", "logistic", "mc-hinge")
 # the task whose labels a margin loss fits; squared heads fit every task
 LOSS_TASK = {"hinge": "binary", "logistic": "binary", "mc-hinge": "multiclass"}
@@ -247,23 +249,21 @@ def fit_head(
     configured by ``opt`` and ignore ``factor``. ``n_classes`` fixes the
     weight-column count for mc-hinge; by default it is one more than the
     largest class id seen. Errors are scored separately, by
-    :func:`validation_error`. A label count other than F's rows, labels
-    that break the loss's rule (as in :func:`loss_value`), and non-finite
-    data, weights or objective raise ``ValueError``, the labels before any
-    solve.
+    :func:`validation_error`. F is checked by :func:`check_matrix`; a label
+    count other than F's rows, labels that break the loss's rule (as in
+    :func:`loss_value`), and non-finite labels, weights or objective raise
+    ``ValueError``, the labels before any solve.
     """
-    F = np.asarray(F, dtype=np.float64)
+    F = check_matrix(F, "F")
     y = np.asarray(y)
-    if F.ndim != 2:
-        raise ValueError("F must be a matrix")
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError(f"lambda must be finite and nonnegative, got {lam!r}")
     if y.ndim == 0 or y.shape[0] != F.shape[0]:
         raise ValueError(f"F has {F.shape[0]} rows but y has shape {y.shape}")
-    if not (np.isfinite(F).all() and np.isfinite(y).all()):
-        raise ValueError("F and y must be finite")
+    if not np.isfinite(y).all():
+        raise ValueError("y must be finite")
     if opt is None:
         opt = OptimizerConfig()
 

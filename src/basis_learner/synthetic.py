@@ -12,6 +12,10 @@ import numpy as np
 
 from .dataset import LabeledDataset, make_dataset
 
+# rectangle images are SIZE x SIZE pixels; each side spans at least MIN_SIDE
+SIZE = 28
+MIN_SIDE = 3
+
 
 def random_regression(m: int, d: int, seed: int) -> LabeledDataset:
     """Gaussian inputs with independent Gaussian targets.
@@ -26,8 +30,8 @@ def random_regression(m: int, d: int, seed: int) -> LabeledDataset:
     return ds
 
 
-def _render_outline(size: int, top: int, left: int, h: int, w: int) -> np.ndarray:
-    img = np.zeros((size, size))
+def _render_outline(top: int, left: int, h: int, w: int) -> np.ndarray:
+    img = np.zeros((SIZE, SIZE))
     img[top, left:left + w] = 1.0
     img[top + h - 1, left:left + w] = 1.0
     img[top:top + h, left] = 1.0
@@ -35,32 +39,32 @@ def _render_outline(size: int, top: int, left: int, h: int, w: int) -> np.ndarra
     return img
 
 
-def rectangles(m: int, seed: int, size: int = 28, min_side: int = 3,
-               min_gap: int = 1) -> LabeledDataset:
+def rectangles(m: int, seed: int, min_gap: int = 1) -> LabeledDataset:
     """Outline-rectangle images labeled by their aspect: +1 iff taller
     than wide.
 
+    Images are ``SIZE`` x ``SIZE`` with sides of at least ``MIN_SIDE``.
     ``min_gap`` is the smallest |height - width| allowed; raising it
     widens the margin of the concept. Parameter tuples are sampled
     without replacement, so rows are pairwise distinct.
     """
     rng = np.random.default_rng(seed)
-    X = np.empty((m, size * size))
+    X = np.empty((m, SIZE * SIZE))
     y = np.empty(m)
     seen = set()
     i = 0
     while i < m:
-        h = int(rng.integers(min_side, size + 1))
-        w = int(rng.integers(min_side, size + 1))
+        h = int(rng.integers(MIN_SIDE, SIZE + 1))
+        w = int(rng.integers(MIN_SIDE, SIZE + 1))
         if abs(h - w) < min_gap:
             continue
-        top = int(rng.integers(0, size - h + 1))
-        left = int(rng.integers(0, size - w + 1))
+        top = int(rng.integers(0, SIZE - h + 1))
+        left = int(rng.integers(0, SIZE - w + 1))
         key = (top, left, h, w)
         if key in seen:
             continue
         seen.add(key)
-        X[i] = _render_outline(size, top, left, h, w).ravel()
+        X[i] = _render_outline(top, left, h, w).ravel()
         y[i] = 1.0 if h > w else -1.0
         i += 1
     return make_dataset(X, y, task="binary")

@@ -129,6 +129,16 @@ class TestSparseLoading:
             load_dense(p, format="sparse", dims=0)
 
 
+class TestDataLines:
+    @pytest.mark.parametrize("fmt, good, bad", [("csv", "1,2", "1,x"), ("sparse", "1 1:2", "1 1:x")])
+    def test_line_numbers_count_header_and_blank_lines(self, tmp_path, fmt, good, bad):
+        p = write(tmp_path, f"header\n\n{good}\n   \n{bad}\n", "d.txt")
+        assert load_dense(write(tmp_path, f"header\n\n{good}\n   \n", "ok.txt"),
+                          format=fmt, header=True).m == 1
+        with pytest.raises(DatasetFormatError, match=r"d\.txt:5: "):
+            load_dense(p, format=fmt, header=True)
+
+
 # field and token material: mostly well-formed, with the corner cases a
 # loader must refuse (non-finite values, junk, unallocatable indices)
 NUMBERS = st.one_of(
@@ -240,6 +250,23 @@ class TestMakeDataset:
         assert make_dataset([[1.0], [2.0]], [0.1, 0.2]).distinct
         assert not make_dataset([[1.0], [1.0]], [0.1, 0.2]).distinct
 
+    def test_signed_zeros_are_equal_rows(self):
+        # -0.0 == 0.0, so rows differing only in the sign of a zero repeat
+        assert not make_dataset([[0.0, 1.0], [-0.0, 1.0]], [0.1, 0.2]).distinct
+        assert not make_dataset([[1.0, -0.0], [2.0, 3.0], [1.0, 0.0]], [0.1, 0.2, 0.3]).distinct
+
+    def test_distinct_flag_matches_a_sort(self):
+        # many rows, few of them repeated: the flag agrees with np.unique
+        rng = np.random.default_rng(5)
+        X = rng.integers(0, 2, size=(300, 12)).astype(float)
+        for rows in (X[:40], X, np.unique(X, axis=0)):
+            expected = np.unique(rows, axis=0).shape[0] == rows.shape[0]
+            assert make_dataset(rows, np.zeros(len(rows)), task="regression").distinct == expected
+
+    def test_non_finite_x_named(self):
+        with pytest.raises(ValueError, match="X must be finite"):
+            make_dataset([[0.0], [np.nan]], [0.1, 0.2])
+
 
 class TestSplit:
     def test_tail_goes_to_validation(self):
@@ -257,6 +284,29 @@ class TestSplit:
     def test_full_count_rejected(self, toy_regression):
         with pytest.raises(ValueError):
             split(toy_regression, SplitSpec(toy_regression.m))
+
+    def test_repeat_in_the_validation_part(self):
+        ds = make_dataset([[0.0], [1.0], [2.0], [2.0]], [0.1, 0.2, 0.3, 0.4])
+        tr, va = split(ds, SplitSpec(2))
+        assert not ds.distinct
+        assert tr.distinct
+        assert not va.distinct
+
+    def test_repeat_across_the_cut(self):
+        ds = make_dataset([[0.0], [1.0], [2.0], [1.0]], [0.1, 0.2, 0.3, 0.4])
+        tr, va = split(ds, SplitSpec(2))
+        assert not ds.distinct
+        assert tr.distinct and va.distinct
+
+    def test_parts_of_distinct_rows_are_distinct(self):
+        ds = make_dataset(np.arange(6.0)[:, None], np.arange(6.0), task="regression")
+        for count in range(6):
+            assert all(part.distinct for part in split(ds, SplitSpec(count)))
+
+    def test_parts_keep_task_and_classes(self):
+        ds = make_dataset([[0.0], [1.0], [2.0], [3.0]], [0, 2, 1, 0], n_classes=4)
+        for part in split(ds, SplitSpec(1)):
+            assert (part.task, part.n_classes) == ("multiclass", 4)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 30), st.integers(0, 29))

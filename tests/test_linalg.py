@@ -134,35 +134,47 @@ class TestRandomizedSvd:
 
     def test_orthonormal_input_recovers_subspace(self):
         Q = np.linalg.qr(random_matrix(5, 30, 4))[0]
-        res = randomized_range_svd(Q, k=4, oversample=0, seed=1)
+        # k = min(rows, cols) = 4 leaves no room to oversample
+        res = randomized_range_svd(Q, k=4, seed=1)
         # principal angles via singular values of the cross-product
         cos = np.linalg.svd(res.U.T @ Q, compute_uv=False)
         np.testing.assert_allclose(cos, 1.0, atol=1e-6)
 
     def test_deterministic_given_seed(self):
         A = random_matrix(7, 40, 12)
-        r1 = randomized_range_svd(A, k=5, oversample=5, seed=123)
-        r2 = randomized_range_svd(A, k=5, oversample=5, seed=123)
+        r1 = randomized_range_svd(A, k=5, seed=123)
+        r2 = randomized_range_svd(A, k=5, seed=123)
         assert np.array_equal(r1.U, r2.U)
         assert np.array_equal(r1.s, r2.s)
         assert np.array_equal(r1.V, r2.V)
 
     def test_different_seed_differs(self):
         A = random_matrix(7, 40, 12)
-        r1 = randomized_range_svd(A, k=5, oversample=5, seed=1)
-        r2 = randomized_range_svd(A, k=5, oversample=5, seed=2)
+        r1 = randomized_range_svd(A, k=5, seed=1)
+        r2 = randomized_range_svd(A, k=5, seed=2)
         assert not np.array_equal(r1.U, r2.U)
 
     def test_k_above_rank_returns_rank_many_factors(self):
         A = random_matrix(11, 20, 8, rank=3)
-        res = randomized_range_svd(A, k=6, seed=0, oversample=2)
+        res = randomized_range_svd(A, k=6, seed=0)
         assert res.rank == 3 and res.U.shape == (20, 3) and res.V.shape == (8, 3)
 
     def test_precondition_checked(self):
-        with pytest.raises(ValueError):
-            randomized_range_svd(np.eye(5), k=3, oversample=10)
-        with pytest.raises(ValueError):
-            randomized_range_svd(np.eye(5), k=0)
+        # k = min(rows, cols) + 1 and k = 0 are refused on square, tall and wide input
+        for shape in [(5, 5), (30, 6), (6, 30)]:
+            for k in (min(shape) + 1, 0):
+                with pytest.raises(ValueError, match=rf"k must be in \[1, min\(rows, cols\) = {min(shape)}\], got {k}"):
+                    randomized_range_svd(random_matrix(13, *shape), k=k)
+
+    @pytest.mark.parametrize("shape", [(30, 6), (6, 30)])
+    def test_k_at_min_dimension_needs_no_oversampling(self, shape):
+        # the sketch spans the whole smaller side, so every factor is exact
+        A = random_matrix(13, *shape)
+        res = randomized_range_svd(A, k=min(shape), seed=0)
+        exact = thin_svd(A)
+        assert res.rank == min(shape)
+        np.testing.assert_allclose(res.s, exact.s, rtol=1e-10)
+        np.testing.assert_allclose((res.U * res.s) @ res.V.T, A, atol=1e-10)
 
     def test_agrees_with_exact_on_gapped_spectrum(self):
         rng = np.random.default_rng(21)
@@ -219,6 +231,12 @@ class TestCheckMatrix:
     def test_rejects_inf(self):
         with pytest.raises(ValueError):
             check_matrix(np.array([[np.inf, 1.0]]))
+
+    def test_messages_name_the_argument(self):
+        with pytest.raises(ValueError, match=r"^X must be 2-dimensional, got shape \(3,\)$"):
+            check_matrix(np.ones(3), "X")
+        with pytest.raises(ValueError, match=r"^F must be finite, 2 of 4 entries are not$"):
+            check_matrix([[np.nan, 1.0], [2.0, -np.inf]], "F")
 
     def test_coerces_lists(self):
         A = check_matrix([[1, 2], [3, 4]])
