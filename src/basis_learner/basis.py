@@ -33,6 +33,7 @@ import numpy as np
 from .linalg import check_matrix, randomized_range_svd, residual, thin_svd, top_svd
 from .linalg import lift_input  # noqa: F401  layer 1 is built from lift_input(X)
 from .network import ProductLayer, product_layer
+from .output import SquaredFactor
 
 
 def default_tol(m: int) -> float:
@@ -45,14 +46,13 @@ class BasisState:
     """The network built so far (``W1`` and ``layers``), and F and Q.
 
     F and Q are the first ``ncols`` columns of ``F_buf`` and ``Q_buf``,
-    buffers the state owns and grows together by doubling. Every column
-    enters through :meth:`admit`, which writes the node's values to F and
-    their BCGS2 orthonormalisation against the earlier columns to Q, so
-    span(Q) = span(F) after every admission and Q^T F is upper
-    triangular. F's columns are linearly independent with second moment
-    1: the values of layer 1 (weights ``W1``, (d+1) x ``layer1_cols``),
-    then of each product layer in ``layers``, the network that
-    :func:`~basis_learner.network.node_values` evaluates.
+    which only :meth:`reserve` allocates, for a whole layer before it is
+    admitted. Every column enters through :meth:`admit`, which writes the
+    node's values to F and their BCGS2 orthonormalisation to Q, so F = QR
+    with R = Q^T F upper triangular (:meth:`squared_factor`). F's columns
+    are linearly independent with second moment 1: the values of layer 1
+    (weights ``W1``, (d+1) x ``layer1_cols``), then of each product layer
+    in ``layers``, the network :func:`~basis_learner.network.node_values` evaluates.
     """
 
     F_buf: np.ndarray
@@ -87,7 +87,7 @@ class BasisState:
 
     def reserve(self, cols: int) -> None:
         """Make room for ``cols`` columns in all; F and Q never need more than m.
-        Buffers over ``_BUFFER_BUDGET`` bytes together raise ``ValueError``."""
+        Buffers over ``_BUFFER_BUDGET`` bytes together raise ``ValueError``, changing nothing."""
         cols = min(cols, self.m)
         if cols > self.F_buf.shape[1]:
             need = 2 * self.m * cols * self.F_buf.itemsize
@@ -105,18 +105,19 @@ class BasisState:
     def admit(self, C: np.ndarray, tol: float, scale: bool = True) -> tuple[np.ndarray, np.ndarray]:
         """Admit each column of the m x n block C that enlarges the span.
 
-        C is projected twice off Q as it stood (two GEMM passes); each
-        column's squared residual norm is kept and downdated by (q^T Y)^2
-        as each new Q column q joins. The caller's next untested column is
-        tested next unless its residual ratio ||r|| / ||c|| is below
-        ``_PIVOT`` times the best untested one (column pivoting). It is
-        projected twice off the columns this call admitted (BCGS2) and
-        admitted if that residual's norm is above ``tol``: its unit
-        residual goes to Q, the column scaled to norm √m to F (as given,
-        weight 1.0, with ``scale=False``: layer 1's columns must stay
-        bit-equal to lift_input(X) @ W1). Returns the admitted columns'
-        indices into C, in the order they joined F, and their weights.
+        C is projected twice off Q as it stood (two GEMM passes), after room for
+        all of C is reserved, so a refusal admits nothing; each column's squared
+        residual norm is kept and downdated by (q^T Y)^2 as each new Q column q
+        joins. The caller's next untested column is tested next unless its
+        residual ratio ||r|| / ||c|| is below ``_PIVOT`` times the best untested
+        one (column pivoting). It is projected twice off the columns this call
+        admitted (BCGS2) and admitted if that residual's norm is above ``tol``:
+        its unit residual goes to Q, the column scaled to norm √m to F (as
+        given, weight 1.0, with ``scale=False``: layer 1's columns must stay
+        bit-equal to lift_input(X) @ W1). Returns the admitted columns' indices
+        into C, in the order they joined F, and their weights.
         """
+        self.reserve(self.ncols + C.shape[1])
         idx, weights = [], []
         if self.ncols < self.m:
             Y = residual(residual(C, self.Q), self.Q)
@@ -133,8 +134,6 @@ class BasisState:
                 nr = np.linalg.norm(r)
                 if nr <= tol:
                     continue
-                if self.ncols == self.F_buf.shape[1]:
-                    self.reserve(2 * self.ncols + 1)
                 w = math.sqrt(self.m) / np.linalg.norm(C[:, j]) if scale else 1.0
                 q = np.divide(r, nr, out=self.Q_buf[:, self.ncols])
                 np.multiply(w, C[:, j], out=self.F_buf[:, self.ncols])
@@ -143,6 +142,10 @@ class BasisState:
                 idx.append(j)
                 weights.append(w)
         return np.array(idx, dtype=int), np.array(weights)
+
+    def squared_factor(self, Y: np.ndarray) -> SquaredFactor:
+        """R = Q^T F and Q^T Y, certified independent: every squared head's factor."""
+        return SquaredFactor(self.Q.T @ self.F, self.Q.T @ Y, independent=True)
 
 
 def _scaled_projection(F1_tilde: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -205,7 +208,6 @@ def initial_state(layer1: tuple[np.ndarray, np.ndarray], tol: float | None = Non
     if tol is None:
         tol = default_tol(m)
     state = BasisState(F_buf=np.empty((m, 0)), Q_buf=np.empty((m, 0)), W1=W1)
-    state.reserve(k)
     order = state.admit(B, tol, scale=False)[0]
     if order.size < k:
         raise ValueError("first-layer columns must be linearly independent")
@@ -242,8 +244,9 @@ class CandidateScores:
     residual r of c has ||r||^2 = ||c||^2 - ||Q^T c||^2 and O_V^T r =
     O_V^T c (O_V is orthogonal to Q), so the score ||O_V^T r|| / ||r||
     needs no residual, except when ||r|| / ||c|| is below
-    ``_EXPLICIT_RATIO``: then ||r|| comes from an explicit CGS2 residual,
-    so near-dependent columns are still judged against ``tol``. Only
+    ``_EXPLICIT_RATIO``: then ||r|| and O_V^T r both come from an explicit
+    CGS2 residual, so a near-dependent column is judged against ``tol``
+    and scored with numerator and denominator from one residual. Only
     the first candidate of each multiset starts out ``live``, and each
     block holds only live columns. A candidate found dependent stays out
     (``live`` is cleared): its residual can only shrink as Q grows.
@@ -288,6 +291,7 @@ class CandidateScores:
             if explicit.any():
                 R = residual(residual(block[:, explicit], Q), Q)
                 nr[explicit] = np.linalg.norm(R, axis=0)
+                T[nq:, explicit] = O_V.T @ R
             live = nr > tol
             self.live[at] = live
             scores[at[live]] = np.linalg.norm(T[nq:, live], axis=0) / nr[live]
@@ -337,15 +341,16 @@ def build_basis_t_exact(state: BasisState, tol: float | None = None) -> ProductL
     The first candidate of each multiset (:func:`_distinct_candidates`;
     a later copy is the same function up to a scalar) goes to
     :meth:`BasisState.admit` unranked, in index order (previous-layer
-    column outer), in blocks of at most ``_ADMIT_BLOCK``;
-    its column pivoting lets near-dependent ones wait behind more
-    independent ones. Mutates ``state`` and returns the layer it appended
-    to ``state.layers``; a zero-width layer, not appended, means the span
-    is saturated.
+    column outer), in blocks of at most ``_ADMIT_BLOCK``, after room for
+    all of them is reserved; its column pivoting lets near-dependent ones
+    wait behind more independent ones. Mutates ``state`` and returns the
+    layer it appended to ``state.layers``; a zero-width layer, not
+    appended, means the span is saturated.
     """
     if tol is None:
         tol = default_tol(state.m)
     flat = _distinct_candidates(state)
+    state.reserve(state.ncols + flat.size)
     nodes: list[tuple[int, int, float]] = []
     for start in range(0, flat.size, _ADMIT_BLOCK):
         _admit_products(state, flat[start : start + _ADMIT_BLOCK], tol, nodes)

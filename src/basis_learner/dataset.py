@@ -74,7 +74,8 @@ def make_dataset(X, labels, task: str | None = None, n_classes: int | None = Non
     mean multiclass, anything else is regression. Either way the labels
     must fit the task, and ``n_classes`` may only be given for multiclass:
     then it must exceed every class id, otherwise k = max+1 (at least 2).
-    X must pass :func:`~basis_learner.linalg.check_matrix` and hold a row.
+    X must pass :func:`~basis_learner.linalg.check_matrix` and hold a row
+    and a feature column.
     """
     X = check_matrix(X, "X")
     labels = np.asarray(labels, dtype=np.float64)
@@ -82,6 +83,8 @@ def make_dataset(X, labels, task: str | None = None, n_classes: int | None = Non
         raise ValueError("labels must be a vector with one entry per row of X")
     if X.shape[0] < 1:
         raise ValueError("dataset must contain at least one instance")
+    if X.shape[1] < 1:
+        raise ValueError("dataset must have at least one feature column")
     if not np.isfinite(labels).all():
         raise ValueError("dataset contains non-finite values")
 

@@ -34,7 +34,6 @@ from .output import (
     LOSS_KINDS,
     LOSS_TASK,
     OptimizerConfig,
-    SquaredFactor,
     decide,
     fit_head,
     loss_value,
@@ -177,6 +176,22 @@ def _fit_target(ds: LabeledDataset, loss: str):
     return target_matrix(ds) if loss == "squared" else ds.labels
 
 
+def _check_fits(ds: LabeledDataset, owner: str, dim: int, task: str, n_classes: int) -> None:
+    """Refuse a dataset unless it has the ``owner``'s (the model's or the
+    training set's) ``dim`` features and ``task`` and, for multiclass, only
+    ids of its ``n_classes`` classes."""
+    if ds.dim != dim:
+        raise ValueError(f"expected {dim} features, got {ds.dim}")
+    if ds.task != task:
+        raise ValueError(f"dataset task {ds.task!r} does not match the {owner}'s {task!r}")
+    if task == "multiclass":
+        unknown = ds.labels[ds.labels >= n_classes]
+        if unknown.size:
+            raise ValueError(
+                f"label {int(unknown[0])} is not a class of the {owner} ({n_classes} classes)"
+            )
+
+
 def _head_seed(seed: int, depth: int, lam_index: int) -> int:
     return int(np.random.SeedSequence((seed, depth, lam_index)).generate_state(1)[0])
 
@@ -194,7 +209,9 @@ def train(
     if train_ds.m < 1:
         raise ValueError("training set is empty")
     has_valid = valid_ds is not None and valid_ds.m > 0
-    if not has_valid and config.error_threshold is None and config.max_depth is None:
+    if has_valid:
+        _check_fits(valid_ds, "training set", train_ds.dim, train_ds.task, train_ds.n_classes)
+    elif config.error_threshold is None and config.max_depth is None:
         raise ValueError(
             "without a validation split, set error_threshold or max_depth"
         )
@@ -224,9 +241,7 @@ def train(
         lo, hi = state.layer_ranges[-1]
         # the validation rows' node values, from the deployed network's evaluator
         valid_F = node_values(valid_ds.X, state.W1, state.layers) if has_valid else None
-        # F = QR from the admission: one factor serves every squared head
-        factor = (SquaredFactor(state.Q.T @ F, state.Q.T @ fit_y, independent=True)
-                  if config.loss == "squared" else None)
+        factor = state.squared_factor(fit_y) if config.loss == "squared" else None
 
         heads = []
         for li, lam in enumerate(config.lambda_grid):
@@ -301,16 +316,9 @@ def evaluate(net: PolyNetwork, ds: LabeledDataset) -> dict:
     per-class confusion matrix for multiclass tasks."""
     if ds.m < 1:
         raise ValueError("cannot evaluate on an empty dataset")
-    if ds.task != net.task:
-        raise ValueError(f"dataset task {ds.task!r} does not match model {net.task!r}")
+    _check_fits(ds, "model", net.input_dim, net.task, net.n_classes)
     if ds.task == "multiclass":
         # targets and confusion are over the model's classes, not the dataset's
-        unknown = ds.labels[ds.labels >= net.n_classes]
-        if unknown.size:
-            raise ValueError(
-                f"label {int(unknown[0])} is not a class of the model "
-                f"({net.n_classes} classes)"
-            )
         ds = replace(ds, n_classes=net.n_classes)
     F = feature_matrix(net, ds.X)
     scores = F @ net.head.weights

@@ -622,18 +622,19 @@ class TestCandidateScores:
         assert (~scorer.live[first_copies(state)]).sum() >= 12
 
     def test_near_dependent_candidate_scored_explicitly(self):
-        state = sign_state(40, 1e-6)
         tol = default_tol(40)
         V = np.random.default_rng(16).standard_normal((40, 1))
-        O_V = thin_svd(residual(V, state.Q)).U
-        scorer = CandidateScores(state)
-        got = scorer.round(state, O_V, tol)
-        want = reference_scores(state, O_V, tol)
         ss = 1 * 3 + 1  # candidate s * s
-        # its residual ratio is ~1e-6, so ||c||^2 - ||Q^T c||^2 has lost
-        # about twelve digits; the score matches only via an explicit residual
-        assert want[ss] >= 0 and got[ss] >= 0
-        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+        for noise in (1e-6, 1e-7):
+            state = sign_state(40, noise)
+            O_V = thin_svd(residual(V, state.Q)).U
+            got = CandidateScores(state).round(state, O_V, tol)
+            want = reference_scores(state, O_V, tol)
+            # its residual ratio is ~noise, so ||c||^2 - ||Q^T c||^2 has lost twelve
+            # digits or more; the score matches only if its norm and its projection
+            # onto O_V both come from an explicit residual
+            assert want[ss] >= 0 and got[ss] >= 0
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
     def test_exactly_dependent_candidate_never_admitted(self):
         state = sign_state(40, 0.0)  # s * s == 1 exactly
@@ -788,11 +789,22 @@ class TestBufferBudget:
         assert state.F_buf.shape == state.Q_buf.shape == (20, 10)
 
     def test_exact_build_refused_at_doubling(self, monkeypatch):
-        # the 3 layer-1 columns fit; doubling for the first product does not
+        # the 3 layer-1 columns fit; room for the layer's 6 distinct products does not
         state = exact_state(np.random.default_rng(20).standard_normal((20, 2)))
         monkeypatch.setattr(basis, "_BUFFER_BUDGET", 2 * 20 * 6 * 8)
         with pytest.raises(ValueError, match="over the budget"):
             build_basis_t_exact(state)
+
+    def test_refused_layer_leaves_state_as_it_was(self, monkeypatch):
+        # 4 layer-1 columns and 10 distinct products need 14 columns; 9 fit
+        state = exact_state(np.random.default_rng(20).standard_normal((20, 3)))
+        F_buf, F = state.F_buf, state.F.copy()
+        monkeypatch.setattr(basis, "_BUFFER_BUDGET", 3000)
+        with pytest.raises(ValueError, match="over the budget"):
+            build_basis_t_exact(state)
+        assert state.ncols == 4 and state.layers == []
+        assert state.F_buf is F_buf
+        np.testing.assert_array_equal(state.F, F)
 
     def test_initial_state_refused(self, monkeypatch):
         monkeypatch.setattr(basis, "_BUFFER_BUDGET", 100)

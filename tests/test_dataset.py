@@ -242,6 +242,11 @@ class TestMakeDataset:
         with pytest.raises(ValueError):
             make_dataset(np.zeros((0, 2)), np.zeros(0))
 
+    def test_rejects_no_feature_columns(self):
+        # a model of input_dim 0 could be written but never loaded again
+        with pytest.raises(ValueError, match="at least one feature column"):
+            make_dataset(np.zeros((5, 0)), np.arange(5.0))
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             make_dataset([[np.inf]], [0.0])

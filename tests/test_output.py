@@ -22,7 +22,6 @@ from basis_learner.basis import (
 from basis_learner.output import (
     LOSS_KINDS,
     OptimizerConfig,
-    SquaredFactor,
     decide,
     fit_head,
     loss_gradient,
@@ -305,11 +304,6 @@ def relative_gap(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
-def basis_factor(state, Y):
-    # the trainer's per-depth factor: F = QR from the admission
-    return SquaredFactor(state.Q.T @ state.F, state.Q.T @ Y, independent=True)
-
-
 class TestSquaredFactor:
     @pytest.mark.parametrize("outputs", [1, 3])
     def test_basis_factor_matches_closed_form(self, outputs):
@@ -322,7 +316,7 @@ class TestSquaredFactor:
         state = initial_state(build_basis1_width(lift_input(X), gamma=6))
         for _ in range(2):
             assert build_basis_t_width(state, Y, gamma=10, b=5).width > 0
-        factor = basis_factor(state, Y)
+        factor = state.squared_factor(Y)  # the trainer's per-depth factor
         for lam in DEFAULT_LAMBDA_GRID + (0.0,):
             w = fit_head(state.F, Y, "squared", lam, factor=factor).weights
             assert w.shape == (state.ncols, outputs)
@@ -335,7 +329,7 @@ class TestSquaredFactor:
         state = initial_state(build_basis1_exact(lift_input(ds.X)))
         while state.ncols < ds.m:
             assert build_basis_t_exact(state, default_tol(ds.m)).width > 0
-        fit = fit_head(state.F, Y, "squared", 0.0, factor=basis_factor(state, Y))
+        fit = fit_head(state.F, Y, "squared", 0.0, factor=state.squared_factor(Y))
         assert validation_error(state.F, fit.weights, ds.labels, "regression") <= 1e-20
 
 

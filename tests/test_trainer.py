@@ -394,6 +394,23 @@ class TestPreconditions:
         with pytest.raises(ValueError, match="empty"):
             train(empty, None, TrainConfig(lambda_grid=(0.0,), max_depth=3))
 
+    @pytest.mark.parametrize("train_ds, valid, message", [
+        # a different input width
+        (regression_ds(10, 2, 37), make_dataset(np.ones((4, 3)), np.arange(4.0) + 0.5),
+         "expected 2 features, got 3"),
+        # binary labels against a regression training set
+        (regression_ds(10, 2, 37), make_dataset(np.ones((4, 2)), [1.0, -1.0, 1.0, -1.0]),
+         "dataset task 'binary' does not match the training set's 'regression'"),
+        # class ids the 3-class training set does not have
+        (make_dataset(np.arange(24.0).reshape(12, 2), np.arange(12) % 3),
+         make_dataset(np.ones((4, 2)), [3, 4, 3, 4], task="multiclass"),
+         "label 3 is not a class of the training set (3 classes)"),
+    ], ids=["width", "task", "classes"])
+    def test_validation_set_must_fit_training_set(self, monkeypatch, train_ds, valid, message):
+        monkeypatch.setattr(trainer, "build_basis1_exact", None)  # refused before layer 1
+        with pytest.raises(ValueError, match=re.escape(message)):
+            train(train_ds, valid, TrainConfig(lambda_grid=(0.0,)))
+
     def test_duplicate_rows_warn(self):
         X = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 1.0]])
         ds = make_dataset(X, np.array([1.0, 1.0, 2.0]))
