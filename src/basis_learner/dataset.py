@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import check_matrix
+from .linalg import check_matrix, is_int
 
 TASKS = ("regression", "binary", "multiclass")
 
@@ -73,9 +73,10 @@ def make_dataset(X, labels, task: str | None = None, n_classes: int | None = Non
     Inference: labels all in {-1,+1} mean binary, nonnegative integers
     mean multiclass, anything else is regression. Either way the labels
     must fit the task, and ``n_classes`` may only be given for multiclass:
-    then it must exceed every class id, otherwise k = max+1 (at least 2).
-    X must pass :func:`~basis_learner.linalg.check_matrix` and hold a row
-    and a feature column.
+    then it must pass :func:`~basis_learner.linalg.is_int`, exceed every
+    class id and be at most ``MAX_CLASSES``, otherwise k = max+1 (at least
+    2). X must pass :func:`~basis_learner.linalg.check_matrix` and hold a
+    row and a feature column.
     """
     X = check_matrix(X, "X")
     labels = np.asarray(labels, dtype=np.float64)
@@ -99,6 +100,8 @@ def make_dataset(X, labels, task: str | None = None, n_classes: int | None = Non
         raise ValueError("multiclass labels must be nonnegative integers")
     if n_classes is not None and task != "multiclass":
         raise ValueError(f"n_classes given but the task is {task}, not multiclass")
+    if n_classes is not None and not is_int(n_classes):
+        raise ValueError(f"n_classes must be an int, got {n_classes!r}")
 
     k = 0
     if task == "multiclass":
@@ -109,6 +112,8 @@ def make_dataset(X, labels, task: str | None = None, n_classes: int | None = Non
         if n_classes is not None:
             if n_classes < k:
                 raise ValueError(f"class id {k - 1} out of range for n_classes={n_classes}")
+            if n_classes > MAX_CLASSES:
+                raise ValueError(f"n_classes={n_classes} is above MAX_CLASSES={MAX_CLASSES}")
             k = n_classes
         k = max(k, 2)
     X = np.ascontiguousarray(X)
@@ -208,10 +213,12 @@ def load_dense(
     ``header`` skips the first line; ``dims`` fixes the dimension of
     sparse data (otherwise the largest index observed is used) and is the
     width a CSV file must have; ``task`` overrides label-based task
-    inference.
+    inference. ``dims`` must pass :func:`~basis_learner.linalg.is_int`.
     """
     if format not in ("csv", "sparse"):
         raise ValueError(f"unknown format {format!r}")
+    if dims is not None and not is_int(dims):
+        raise ValueError(f"dims must be an int, got {dims!r}")
     if dims is not None and dims < 1:
         raise ValueError(f"dims must be positive, got {dims}")
     path = str(path)
@@ -248,11 +255,12 @@ def split(ds: LabeledDataset, spec: SplitSpec) -> tuple[LabeledDataset, LabeledD
 
     Row order, task and class count are kept on both sides; a zero count
     gives an empty validation set. A part of distinct rows is distinct,
-    else its own rows decide.
+    else its own rows decide. The count must pass
+    :func:`~basis_learner.linalg.is_int`.
     """
     n = spec.validation_count
-    if n < 0 or n >= ds.m:
-        raise ValueError(f"validation_count must be in [0, {ds.m - 1}], got {n}")
+    if not (is_int(n) and 0 <= n < ds.m):
+        raise ValueError(f"validation_count must be an int in [0, {ds.m - 1}], got {n!r}")
 
     def part(rows: slice) -> LabeledDataset:
         X = ds.X[rows]

@@ -4,11 +4,14 @@ Matrices are plain 2-d float64 numpy arrays throughout the package. This
 module wraps the few factorizations the construction needs: a thin SVD with
 a numerical-rank cutoff, its top-k part (from the Gram matrix on tall
 input), a seeded randomized range-finder SVD for wide data, and residual
-projection against an orthonormal basis.
+projection against an orthonormal basis. It also holds the one rule for
+each input from outside: a matrix (:func:`check_matrix`), a count
+(:func:`is_int`) and a real (:func:`is_finite`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +32,22 @@ def check_matrix(A, name: str = "matrix") -> np.ndarray:
     if A.size and not np.isfinite(A).all():
         raise ValueError(f"{name} must be finite, {A.size - np.isfinite(A).sum()} of {A.size} entries are not")
     return A
+
+
+def is_int(x) -> bool:
+    """The one rule for a count from outside: a Python int, not a bool (JSON
+    true/false load as bool, a subclass of int). numpy integers fail it."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def is_finite(x) -> bool:
+    """The one rule for a real from outside: a finite int or float, not a
+    bool; a JSON integer too large for a float fails it. numpy float64
+    scalars pass (they are floats), other numpy scalars fail."""
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def lift_input(X) -> np.ndarray:
@@ -70,6 +89,15 @@ def _flip_signs(U, V):
     return U * signs, V * signs
 
 
+def _rank_cut(U, s, Vt, tol: float, k: int) -> SvdResult:
+    # the first min(k, count above tol * s_max) modes of U s Vt (none when
+    # s_max is 0), signs fixed
+    smax = s[0] if s.size else 0.0
+    r = min(int(np.count_nonzero(s > tol * smax)) if smax > 0 else 0, k)
+    U, V = _flip_signs(U[:, :r], Vt[:r].T)
+    return SvdResult(U, s[:r].copy(), V)
+
+
 def thin_svd(A, tol: float | None = None) -> SvdResult:
     """Thin SVD of ``A`` keeping only singular values above ``tol * s_max``.
 
@@ -85,10 +113,7 @@ def thin_svd(A, tol: float | None = None) -> SvdResult:
     elif tol < 0:
         raise ValueError("tol must be nonnegative")
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    smax = s[0] if s.size else 0.0
-    r = int(np.count_nonzero(s > tol * smax)) if smax > 0 else 0
-    U, V = _flip_signs(U[:, :r], Vt[:r].T)
-    return SvdResult(U, s[:r].copy(), V)
+    return _rank_cut(U, s, Vt, tol, s.size)
 
 
 def top_svd(A, k: int) -> SvdResult:
@@ -136,11 +161,7 @@ def randomized_range_svd(A, k: int, seed: int = 0) -> SvdResult:
         Q, _ = np.linalg.qr(A @ Q)
     B = Q.T @ A
     Ub, s, Vt = np.linalg.svd(B, full_matrices=False)
-    smax = s[0] if s.size else 0.0
-    cutoff = default_rank_tol(A.shape) * smax
-    r = min(int(np.count_nonzero(s > cutoff)) if smax > 0 else 0, k)
-    U, V = _flip_signs((Q @ Ub)[:, :r], Vt[:r].T)
-    return SvdResult(U, s[:r].copy(), V)
+    return _rank_cut(Q @ Ub, s, Vt, default_rank_tol(A.shape), k)
 
 
 def residual(v, Q) -> np.ndarray:

@@ -14,12 +14,11 @@ are deterministic for a given network.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import check_matrix, lift_input
+from .linalg import check_matrix, is_finite, is_int, lift_input
 from .output import LOSS_KINDS, LOSS_TASK
 
 SCHEMA = "basis-learner/1"
@@ -153,18 +152,6 @@ def _require(cond: bool, msg: str) -> None:
         raise ModelFormatError(msg)
 
 
-def _is_int(x) -> bool:
-    # JSON true/false load as bool, which is a subclass of int
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_finite(x) -> bool:
-    try:
-        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
-    except OverflowError:  # a JSON integer too large for a float
-        return False
-
-
 def _weight_matrix(rows, what: str) -> np.ndarray:
     """A JSON list of rows of numbers (bools refused) as a float64 array."""
     _require(isinstance(rows, list)
@@ -229,10 +216,10 @@ def deserialize(data) -> PolyNetwork:
         _require(key in doc, f"missing field {key!r}")
     d = doc["input_dim"]
     task = doc["task"]
-    _require(_is_int(d) and d >= 1, "input_dim must be a positive integer")
+    _require(is_int(d) and d >= 1, "input_dim must be a positive integer")
     _require(task in ("regression", "binary", "multiclass"), f"unknown task {task!r}")
     n_classes = doc.get("n_classes", 0)
-    _require(_is_int(n_classes) and n_classes >= 0, "n_classes must be a count")
+    _require(is_int(n_classes) and n_classes >= 0, "n_classes must be a count")
     if task == "multiclass":
         _require(n_classes >= 2, "multiclass model needs n_classes >= 2")
 
@@ -243,7 +230,7 @@ def deserialize(data) -> PolyNetwork:
     _require(layers[0].get("kind") == "linear", "first layer must be linear")
     W1 = _weight_matrix(layers[0].get("weights"), "linear layer")
     cols = layers[0].get("cols")
-    _require(_is_int(cols) and W1.ndim == 2 and W1.shape == (d + 1, cols),
+    _require(is_int(cols) and W1.ndim == 2 and W1.shape == (d + 1, cols),
              f"linear layer must be {d + 1} x cols")
     _require(bool(np.isfinite(W1).all()), "linear layer weights must be finite")
     n1 = W1.shape[1]
@@ -258,17 +245,17 @@ def deserialize(data) -> PolyNetwork:
         for r, t in enumerate(triples):
             _require(isinstance(t, list) and len(t) == 3, f"layer {li} node {r}: malformed triple")
             p, f, w = t
-            _require(_is_int(p) and 0 <= p < prev_width,
+            _require(is_int(p) and 0 <= p < prev_width,
                      f"layer {li} node {r}: prev_index {p} out of range "
                      f"(previous layer has {prev_width} nodes)")
-            _require(_is_int(f) and 0 <= f < n1,
+            _require(is_int(f) and 0 <= f < n1,
                      f"layer {li} node {r}: first_index {f} out of range "
                      f"(first layer has {n1} nodes)")
-            _require(_is_finite(w) and w != 0,
+            _require(is_finite(w) and w != 0,
                      f"layer {li} node {r}: weight must be finite and nonzero")
         L = product_layer(triples)
         width = spec.get("width")
-        _require(_is_int(width) and width == L.width,
+        _require(is_int(width) and width == L.width,
                  f"layer {li}: width field disagrees with triples")
         product_layers.append(L)
         prev_width = L.width
@@ -279,7 +266,7 @@ def deserialize(data) -> PolyNetwork:
     _require(loss in LOSS_KINDS, f"unknown loss {loss!r}")
     _require(LOSS_TASK.get(loss, task) == task, f"a {loss} head does not fit a {task} model")
     lam = head_doc.get("lambda")
-    _require(_is_finite(lam) and lam >= 0, "lambda must be finite and nonnegative")
+    _require(is_finite(lam) and lam >= 0, "lambda must be finite and nonnegative")
     Wh = _weight_matrix(head_doc.get("weights"), "head")
     total = n1 + sum(L.width for L in product_layers)
     expected_outputs = n_classes if task == "multiclass" else 1
@@ -287,7 +274,7 @@ def deserialize(data) -> PolyNetwork:
              f"head weights must be {total} x {expected_outputs}, got {Wh.shape}")
     _require(bool(np.isfinite(Wh).all()), "head weights must be finite")
     outputs = head_doc.get("outputs")
-    _require(_is_int(outputs) and outputs == expected_outputs,
+    _require(is_int(outputs) and outputs == expected_outputs,
              "head outputs field inconsistent")
 
     provenance = doc.get("provenance", {})

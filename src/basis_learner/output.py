@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import check_matrix
+from .linalg import check_matrix, is_finite, is_int
 
 LOSS_KINDS = ("squared", "hinge", "logistic", "mc-hinge")
 # the task whose labels a margin loss fits; squared heads fit every task
@@ -249,16 +249,17 @@ def fit_head(
     configured by ``opt`` and ignore ``factor``. ``n_classes`` fixes the
     weight-column count for mc-hinge; by default it is one more than the
     largest class id seen. Errors are scored separately, by
-    :func:`validation_error`. F is checked by :func:`check_matrix`; a label
-    count other than F's rows, labels that break the loss's rule (as in
-    :func:`loss_value`), and non-finite labels, weights or objective raise
+    :func:`validation_error`. F is checked by :func:`check_matrix`, ``lam``
+    by :func:`is_finite` and mc-hinge's ``n_classes`` by :func:`is_int`; a
+    label count other than F's rows, labels that break the loss's rule (as
+    in :func:`loss_value`), and non-finite labels, weights or objective raise
     ``ValueError``, the labels before any solve.
     """
     F = check_matrix(F, "F")
     y = np.asarray(y)
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
-    if not (math.isfinite(lam) and lam >= 0):
+    if not (is_finite(lam) and lam >= 0):
         raise ValueError(f"lambda must be finite and nonnegative, got {lam!r}")
     if y.ndim == 0 or y.shape[0] != F.shape[0]:
         raise ValueError(f"F has {F.shape[0]} rows but y has shape {y.shape}")
@@ -276,6 +277,8 @@ def fit_head(
     else:
         k = 1
         if kind == "mc-hinge":
+            if n_classes is not None and not is_int(n_classes):
+                raise ValueError(f"n_classes must be an int, got {n_classes!r}")
             k = n_classes if n_classes is not None else int(y.max()) + 1
         y = _label_rule(kind, y, k)
         W = _sgd(F, y, kind, lam, opt, k)

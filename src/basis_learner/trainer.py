@@ -28,7 +28,7 @@ from .basis import (
     initial_state,
 )
 from .dataset import LabeledDataset, target_matrix
-from .linalg import lift_input
+from .linalg import is_finite, is_int, lift_input
 from .network import OutputHead, PolyNetwork, feature_matrix, node_values
 from .output import (
     LOSS_KINDS,
@@ -53,7 +53,10 @@ class TrainConfig:
     ``max_depth`` counts the output layer, so a network of depth D has
     D-2 product layers; None leaves depth uncapped. ``tol`` of None uses
     the scale-aware default independence threshold. ``error_threshold``
-    stops as soon as the depth-best training loss falls to it.
+    stops as soon as the depth-best training loss falls to it. The counts
+    must pass :func:`~basis_learner.linalg.is_int` and the reals (lambdas,
+    ``tol``, ``error_threshold``) :func:`~basis_learner.linalg.is_finite`,
+    else ``ValueError`` names the field.
     """
 
     mode: str = "exact"
@@ -72,7 +75,7 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("gamma", "batch", "max_depth", "patience", "seed", "sgd_epochs"):
             value = getattr(self, name)
-            if type(value) is not int and not (name == "max_depth" and value is None):
+            if not is_int(value) and not (name == "max_depth" and value is None):
                 raise ValueError(f"{name} must be an int, got {value!r}")
         if self.mode not in ("exact", "width"):
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -90,15 +93,15 @@ class TrainConfig:
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         grid = self.lambda_grid
-        if not grid or not all(math.isfinite(lam) and lam >= 0 for lam in grid):
+        if not grid or not all(is_finite(lam) and lam >= 0 for lam in grid):
             raise ValueError(f"lambda grid must be nonempty, finite and nonnegative, got {grid!r}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.sgd_epochs < 1:
             raise ValueError(f"sgd_epochs must be >= 1, got {self.sgd_epochs!r}")
-        if self.tol is not None and not (math.isfinite(self.tol) and self.tol >= 0):
+        if self.tol is not None and not (is_finite(self.tol) and self.tol >= 0):
             raise ValueError(f"tol must be finite and nonnegative, got {self.tol!r}")
-        if self.error_threshold is not None and not math.isfinite(self.error_threshold):
+        if self.error_threshold is not None and not is_finite(self.error_threshold):
             raise ValueError(f"error_threshold must be finite, got {self.error_threshold!r}")
         if self.error_threshold is not None and self.error_threshold < 0:
             raise ValueError(f"error_threshold must be nonnegative, got {self.error_threshold!r}")
@@ -304,7 +307,7 @@ def train(
         W1=state.W1,
         product_layers=tuple(state.layers[: best.depth - 2]),
         head=OutputHead(weights=np.asarray(best.weights, dtype=np.float64),
-                        loss=config.loss, lam=best.lam),
+                        loss=config.loss, lam=float(best.lam)),
         n_classes=train_ds.n_classes,
         provenance={"config": cfg_doc, "trace": trace.header()},
     )

@@ -237,6 +237,8 @@ class TestMakeDataset:
     def test_largest_exact_class_id_accepted(self):
         ds = make_dataset([[0.0], [1.0]], [MAX_CLASSES - 1, 0.0])
         assert ds.labels[0] == MAX_CLASSES - 1 and ds.n_classes == MAX_CLASSES
+        ds = make_dataset([[0.0], [1.0]], [1.0, 0.0], n_classes=MAX_CLASSES)
+        assert ds.n_classes == MAX_CLASSES
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -324,6 +326,32 @@ class TestSplit:
         tr, va = split(ds, SplitSpec(count))
         np.testing.assert_array_equal(np.vstack([tr.X, va.X]), ds.X)
         np.testing.assert_array_equal(np.concatenate([tr.labels, va.labels]), ds.labels)
+
+
+def _count_argument(where, value, tmp_path):
+    if where == "n_classes":
+        return make_dataset(np.eye(3), [0.0, 1.0, 2.0], task="multiclass", n_classes=value)
+    if where == "validation_count":
+        return split(make_dataset(np.eye(3), [0.1, 1.0, 2.0]), SplitSpec(value))
+    return load_dense(write(tmp_path, "1,0.5,0.25\n-1,0.1,0.9\n"), dims=value)
+
+
+class TestCountArguments:
+    # a count from outside must pass linalg.is_int: a Python int, not a bool
+    @pytest.mark.parametrize("where,value,msg", [
+        ("n_classes", 3.5, r"n_classes must be an int, got 3\.5"),
+        ("n_classes", True, "n_classes must be an int, got True"),
+        ("n_classes", np.int64(3), r"n_classes must be an int, got np\.int64\(3\)"),
+        ("n_classes", MAX_CLASSES + 1, f"n_classes={MAX_CLASSES + 1} is above MAX_CLASSES"),
+        ("n_classes", 10**12, f"n_classes={10**12} is above MAX_CLASSES={MAX_CLASSES}"),
+        ("validation_count", 2.5, r"validation_count must be an int in \[0, 2\], got 2\.5"),
+        ("validation_count", True, r"validation_count must be an int in \[0, 2\], got True"),
+        ("dims", 2.0, r"dims must be an int, got 2\.0"),
+        ("dims", True, "dims must be an int, got True"),
+    ])
+    def test_refused(self, tmp_path, where, value, msg):
+        with pytest.raises(ValueError, match=msg):
+            _count_argument(where, value, tmp_path)
 
 
 class TestTargetMatrix:

@@ -500,6 +500,15 @@ class TestModelDocumentProperties:
         blob = serialize(net)
         assert serialize(deserialize(blob)) == blob
 
+    def test_integer_lambda_grid_round_trips(self):
+        # Python ints are reals; the head's lambda is written as a float
+        ds = make_dataset(np.random.default_rng(7).standard_normal((12, 2)),
+                          np.arange(12.0), task="regression")
+        net, trace = train(ds, None, TrainConfig(lambda_grid=(1, 0), max_depth=3))
+        blob = serialize(net)
+        assert serialize(deserialize(blob)) == blob
+        assert deserialize(blob).head.lam == trace.best_lambda
+
 
 class TestProperties:
     def test_layer_widths_and_depth(self):

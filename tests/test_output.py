@@ -488,7 +488,8 @@ class TestFitHeadValidation:
             fit_head(np.ones((2, 1)), [1.0, -1.0], "hinge", -1.0)
 
     @pytest.mark.parametrize("kind", ["squared", "hinge"])
-    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), True, "0.1",
+                                     pytest.param(10**400, id="10**400")])
     def test_rejects_non_finite_lambda(self, kind, lam):
         with pytest.raises(ValueError, match=f"finite and nonnegative, got {lam!r}"):
             fit_head(np.ones((2, 1)), [1.0, -1.0], kind, lam)
@@ -535,6 +536,8 @@ class TestFitHeadValidation:
             ("hinge", [1, -1, 1, -1, 1, -1, 1], {}, r"6 rows but y has shape \(7,\)"),
             ("squared", np.zeros(7), {}, r"6 rows but y has shape \(7,\)"),
             ("mc-hinge", 1, {}, r"6 rows but y has shape \(\)"),
+            ("mc-hinge", [0, 1, 2] * 2, dict(n_classes=3.5), r"n_classes must be an int, got 3\.5"),
+            ("mc-hinge", [0, 1, 2] * 2, dict(n_classes=True), "n_classes must be an int, got True"),
         ],
     )
     def test_label_rules_checked_before_the_solve(self, kind, y, kw, msg):

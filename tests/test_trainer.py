@@ -94,6 +94,12 @@ class TestConfigValidation:
             (dict(sgd_epochs="5"), "sgd_epochs must be an int, got '5'"),
             (dict(error_threshold=-1.0), r"error_threshold must be nonnegative, got -1\.0"),
             (dict(error_threshold=-1e-300), "error_threshold must be nonnegative"),
+            (dict(lambda_grid=(True,)), r"lambda grid.*got \(True,\)"),
+            (dict(lambda_grid=(np.float32(0.5),)), "lambda grid"),
+            (dict(tol=True), "tol must be finite and nonnegative, got True"),
+            (dict(tol="1e-8"), "tol must be finite and nonnegative, got '1e-8'"),
+            (dict(error_threshold=True), "error_threshold must be finite, got True"),
+            (dict(error_threshold=10**400), "error_threshold must be finite, got 1000"),
         ],
     )
     def test_rejections(self, kw, msg):
