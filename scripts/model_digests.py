@@ -8,9 +8,14 @@ with the randomized first layer: ``random_regression(500, 20, seed)`` with
 its last 100 rows for validation. Each line reads
 
     <workload> <seed> <sha256 of network.serialize(model)> <sha256 of the trace>
+        <termination> <best_depth> <best_lambda> <total_nodes> <best_valid_err>
 
-The trace digest covers ``trace.lines()``, one line per depth, with the
-wall-clock ``secs=`` field masked. BLAS is pinned to one thread before
+on one line. The trace digest covers ``trace.lines()``, one line per depth,
+with the wall-clock ``secs=`` field masked. The answers after the digests
+come from the trace header and the network: ``best_valid_err`` is printed
+to 10 significant digits, ``-`` when there is no validation split. When a
+change moves the digests by rounding alone, a diff of two outputs shows
+that the answers did not move. BLAS is pinned to one thread before
 numpy loads, so the printed digests depend only on the code and the seed.
 Two checkouts that print the same lines write byte-identical models and
 trace the same depths; diff their outputs to check that a refactor left
@@ -68,7 +73,11 @@ def main(argv=None):
             model_digest = hashlib.sha256(serialize(net)).hexdigest()
             lines = "\n".join(_SECS.sub(" secs=*", line) for line in trace.lines())
             trace_digest = hashlib.sha256(lines.encode()).hexdigest()
-            print(name, seed, model_digest, trace_digest, flush=True)
+            head = trace.header()
+            err = head["best_valid_err"]
+            print(name, seed, model_digest, trace_digest, head["termination"],
+                  head["best_depth"], repr(float(head["best_lambda"])), net.total_nodes,
+                  "-" if err is None else f"{err:.10g}", flush=True)
     return 0
 
 

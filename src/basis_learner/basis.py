@@ -47,12 +47,15 @@ class BasisState:
 
     F and Q are the first ``ncols`` columns of ``F_buf`` and ``Q_buf``,
     which only :meth:`reserve` allocates, for a whole layer before it is
-    admitted. Every column enters through :meth:`admit`, which writes the
-    node's values to F and their BCGS2 orthonormalisation to Q, so F = QR
-    with R = Q^T F upper triangular (:meth:`squared_factor`). F's columns
-    are linearly independent with second moment 1: the values of layer 1
-    (weights ``W1``, (d+1) x ``layer1_cols``), then of each product layer
-    in ``layers``, the network :func:`~basis_learner.network.node_values` evaluates.
+    admitted. Both are column-major: the builders read, score and write
+    F and Q a column at a time and project off runs of Q's columns, so
+    each column and each run is contiguous. Every column enters through
+    :meth:`admit`, which writes the node's values to F and their BCGS2
+    orthonormalisation to Q, so F = QR with R = Q^T F upper triangular
+    (:meth:`squared_factor`). F's columns are linearly independent with
+    second moment 1: the values of layer 1 (weights ``W1``, (d+1) x
+    ``layer1_cols``), then of each product layer in ``layers``, the
+    network :func:`~basis_learner.network.node_values` evaluates.
     """
 
     F_buf: np.ndarray
@@ -97,7 +100,8 @@ class BasisState:
                     f"over the budget of {_BUFFER_BUDGET} bytes; train on fewer "
                     f"rows or in width mode"
                 )
-            F, Q = np.empty((self.m, cols)), np.empty((self.m, cols))
+            F = np.empty((self.m, cols), order="F")
+            Q = np.empty_like(F)
             F[:, : self.ncols] = self.F
             Q[:, : self.ncols] = self.Q
             self.F_buf, self.Q_buf = F, Q
@@ -207,7 +211,9 @@ def initial_state(layer1: tuple[np.ndarray, np.ndarray], tol: float | None = Non
     m, k = B.shape
     if tol is None:
         tol = default_tol(m)
-    state = BasisState(F_buf=np.empty((m, 0)), Q_buf=np.empty((m, 0)), W1=W1)
+    state = BasisState(
+        F_buf=np.empty((m, 0), order="F"), Q_buf=np.empty((m, 0), order="F"), W1=W1
+    )
     order = state.admit(B, tol, scale=False)[0]
     if order.size < k:
         raise ValueError("first-layer columns must be linearly independent")

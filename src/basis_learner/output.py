@@ -207,6 +207,7 @@ def _sgd(F, y, kind, lam, opt, k):
     # Pegasos steps on the unchecked gradient (fit_head checked F and y) over
     # mini-batches of about m/32 rows; the ball ||W|| <= 1/sqrt(lam) holds the optimum
     m, n = F.shape
+    F = np.ascontiguousarray(F)  # the steps take rows, so take them from a C-ordered copy
     batches = range(0, m, max(1, m // 32))
     half = opt.epochs * len(batches) // 2
     radius = 1.0 / math.sqrt(lam) if lam > 0.0 else math.inf

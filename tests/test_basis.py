@@ -772,6 +772,28 @@ class TestAdmissionInvariants:
         assert state.ncols - state.layer1_cols >= 18
 
 
+class TestLayout:
+    """F and Q are column-major, so an admitted column is contiguous."""
+
+    @staticmethod
+    def check(state):
+        assert state.F_buf.flags.f_contiguous and state.Q_buf.flags.f_contiguous
+        assert state.Q[:, -1].flags.contiguous
+
+    @pytest.mark.parametrize("mode", ["exact", "width"])
+    def test_column_major(self, mode):
+        rng = np.random.default_rng(22)
+        X = rng.standard_normal((30, 3))
+        state = initial_state(build_basis1_width(lift_input(X), gamma=3))
+        self.check(state)
+        for _ in range(2):
+            if mode == "exact":
+                build_basis_t_exact(state)
+            else:
+                build_basis_t_width(state, rng.standard_normal((30, 1)), gamma=5, b=2)
+            self.check(state)
+
+
 class TestBufferBudget:
     """F and Q buffers above the byte budget are refused before allocation."""
 

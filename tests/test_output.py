@@ -411,6 +411,18 @@ class TestMarginFits:
         b = fit_head(F, y, "hinge", 0.1, OptimizerConfig(seed=3)).weights
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("kind", ["hinge", "logistic", "mc-hinge"])
+    def test_same_answer_from_column_major_features(self, kind):
+        # the basis keeps F column-major; a head must not depend on that layout
+        F, y = classification_features(300, 40, 23)
+        if kind == "mc-hinge":
+            y = np.random.default_rng(23).integers(0, 3, 300)
+        opt = OptimizerConfig(epochs=5, seed=4)
+        a = fit_head(F, y, kind, 1e-3, opt)
+        b = fit_head(np.asfortranarray(F), y, kind, 1e-3, opt)
+        assert np.array_equal(a.weights, b.weights)
+        assert a.train_loss == b.train_loss
+
     def test_seed_changes_weights(self):
         F, y = classification_features(60, 4, 17)
         a = fit_head(F, y, "hinge", 0.1, OptimizerConfig(seed=0)).weights
