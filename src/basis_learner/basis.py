@@ -18,7 +18,8 @@ Every admission goes through :meth:`BasisState.admit`, the one place that
 decides independence and order: it tests a block of candidates by block
 classical Gram-Schmidt with reorthogonalization (BCGS2), lets a nearly
 dependent column wait behind more independent ones (column pivoting),
-and writes each admitted node's values to F and its unit residual to Q.
+and writes each admitted node's values to F, its unit residual to Q and
+its projection coefficients to R, so F = QR with R upper triangular.
 The state is the one record of the network built so far: layer 1's
 weights, then each ProductLayer a product-layer builder admitted.
 """
@@ -43,16 +44,17 @@ def default_tol(m: int) -> float:
 
 @dataclass
 class BasisState:
-    """The network built so far (``W1`` and ``layers``), and F and Q.
+    """The network built so far (``W1`` and ``layers``), and F = QR.
 
-    F and Q are the first ``ncols`` columns of ``F_buf`` and ``Q_buf``,
-    which only :meth:`reserve` allocates, for a whole layer before it is
-    admitted. Both are column-major: the builders read, score and write
-    F and Q a column at a time and project off runs of Q's columns, so
-    each column and each run is contiguous. Every column enters through
-    :meth:`admit`, which writes the node's values to F and their BCGS2
-    orthonormalisation to Q, so F = QR with R = Q^T F upper triangular
-    (:meth:`squared_factor`). F's columns are linearly independent with
+    F and Q are the first ``ncols`` columns of ``F_buf`` and ``Q_buf``, R
+    the leading ``ncols`` x ``ncols`` block of ``R_buf``; only :meth:`reserve`
+    allocates them, for a whole layer before it is admitted. All three are
+    column-major: the builders read, score and write them a column at a
+    time and project off runs of Q's columns, so each column and each run
+    is contiguous. Every column enters through :meth:`admit`, which writes
+    the node's values to F, their BCGS2 orthonormalisation to Q and its
+    coefficients to R: R is upper triangular and F = QR to rounding, with
+    no Q^T F formed (:meth:`squared_factor`). F's columns are linearly independent with
     second moment 1: the values of layer 1 (weights ``W1``, (d+1) x
     ``layer1_cols``), then of each product layer in ``layers``, the
     network :func:`~basis_learner.network.node_values` evaluates.
@@ -60,6 +62,7 @@ class BasisState:
 
     F_buf: np.ndarray
     Q_buf: np.ndarray
+    R_buf: np.ndarray
     W1: np.ndarray
     layers: list[ProductLayer] = field(default_factory=list)
     ncols: int = 0
@@ -73,6 +76,11 @@ class BasisState:
     def Q(self) -> np.ndarray:
         """The orthonormal columns admitted so far (a view of ``Q_buf``)."""
         return self.Q_buf[:, : self.ncols]
+
+    @property
+    def R(self) -> np.ndarray:
+        """The upper-triangular factor with F = QR (a view of ``R_buf``)."""
+        return self.R_buf[: self.ncols, : self.ncols]
 
     @property
     def m(self) -> int:
@@ -93,54 +101,60 @@ class BasisState:
         Buffers over ``_BUFFER_BUDGET`` bytes together raise ``ValueError``, changing nothing."""
         cols = min(cols, self.m)
         if cols > self.F_buf.shape[1]:
-            need = 2 * self.m * cols * self.F_buf.itemsize
+            need = (2 * self.m + cols) * cols * self.F_buf.itemsize
             if need > _BUFFER_BUDGET:
                 raise ValueError(
-                    f"F and Q need {need} bytes for {self.m} rows x {cols} columns, "
+                    f"F, Q and R need {need} bytes for {self.m} rows x {cols} columns, "
                     f"over the budget of {_BUFFER_BUDGET} bytes; train on fewer "
                     f"rows or in width mode"
                 )
             F = np.empty((self.m, cols), order="F")
             Q = np.empty_like(F)
+            R = np.zeros((cols, cols), order="F")
             F[:, : self.ncols] = self.F
             Q[:, : self.ncols] = self.Q
-            self.F_buf, self.Q_buf = F, Q
+            R[: self.ncols, : self.ncols] = self.R
+            self.F_buf, self.Q_buf, self.R_buf = F, Q, R
 
     def admit(self, C: np.ndarray, tol: float, scale: bool = True) -> tuple[np.ndarray, np.ndarray]:
         """Admit each column of the m x n block C that enlarges the span.
 
-        C is projected twice off Q as it stood (two GEMM passes), after room for
-        all of C is reserved, so a refusal admits nothing; each column's squared
-        residual norm is kept and downdated by (q^T Y)^2 as each new Q column q
-        joins. The caller's next untested column is tested next unless its
-        residual ratio ||r|| / ||c|| is below ``_PIVOT`` times the best untested
-        one (column pivoting). It is projected twice off the columns this call
-        admitted (BCGS2) and admitted if that residual's norm is above ``tol``:
-        its unit residual goes to Q, the column scaled to norm √m to F (as
+        C is projected twice off Q as it stood (:func:`_cgs2`, coefficients S),
+        after room for all of C is reserved, so a refusal admits nothing; each column's squared residual norm is kept and downdated by
+        (q^T Y)^2 as each new Q column q joins. The caller's next untested
+        column is tested next unless its residual ratio ||r|| / ||c|| is below
+        ``_PIVOT`` times the best untested one (column pivoting). It is
+        projected twice off the columns this call admitted (BCGS2, coefficients
+        t) and admitted if that residual's norm is above ``tol``: its
+        unit residual goes to Q, the column scaled by w to norm √m to F (as
         given, weight 1.0, with ``scale=False``: layer 1's columns must stay
-        bit-equal to lift_input(X) @ W1). Returns the admitted columns' indices
-        into C, in the order they joined F, and their weights.
+        bit-equal to lift_input(X) @ W1), and w times (S_j, t, ||r||) to R's
+        new column, so F = QR column by column. Returns the admitted columns'
+        indices into C, in the order they joined F, and their weights.
         """
         self.reserve(self.ncols + C.shape[1])
         idx, weights = [], []
         if self.ncols < self.m:
-            Y = residual(residual(C, self.Q), self.Q)
+            start = self.ncols
+            S, Y = _cgs2(C, self.Q)
             r2 = np.einsum("ij,ij->j", Y, Y)
             c2 = np.maximum(np.einsum("ij,ij->j", C, C), np.finfo(float).tiny)
             untested = np.ones(C.shape[1], dtype=bool)
-            start = self.ncols
             while untested.any() and self.ncols < self.m:
                 ratio2 = np.where(untested, np.maximum(r2, 0.0) / c2, -1.0)
                 j = int(np.argmax(ratio2 >= _PIVOT**2 * ratio2.max()))
                 untested[j] = False
-                new = self.Q_buf[:, start : self.ncols]
-                r = residual(residual(Y[:, j], new), new)
+                k = self.ncols
+                t, r = _cgs2(Y[:, j], self.Q_buf[:, start:k])
                 nr = np.linalg.norm(r)
                 if nr <= tol:
                     continue
                 w = math.sqrt(self.m) / np.linalg.norm(C[:, j]) if scale else 1.0
-                q = np.divide(r, nr, out=self.Q_buf[:, self.ncols])
-                np.multiply(w, C[:, j], out=self.F_buf[:, self.ncols])
+                q = np.divide(r, nr, out=self.Q_buf[:, k])
+                np.multiply(w, C[:, j], out=self.F_buf[:, k])
+                np.multiply(w, S[:, j], out=self.R_buf[:start, k])
+                np.multiply(w, t, out=self.R_buf[start:k, k])
+                self.R_buf[k, k] = w * nr
                 self.ncols += 1
                 r2 -= (q @ Y) ** 2
                 idx.append(j)
@@ -148,8 +162,17 @@ class BasisState:
         return np.array(idx, dtype=int), np.array(weights)
 
     def squared_factor(self, Y: np.ndarray) -> SquaredFactor:
-        """R = Q^T F and Q^T Y, certified independent: every squared head's factor."""
-        return SquaredFactor(self.Q.T @ self.F, self.Q.T @ Y, independent=True)
+        """Admission's R and Q^T Y, certified independent: every squared head's factor."""
+        return SquaredFactor(self.R, self.Q.T @ Y, independent=True)
+
+
+def _cgs2(C: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C projected twice off Q's orthonormal columns: (S, Y) with C = QS + Y."""
+    S = Q.T @ C
+    Y = C - Q @ S
+    S2 = Q.T @ Y
+    Y -= Q @ S2
+    return S + S2, Y
 
 
 def _scaled_projection(F1_tilde: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -211,9 +234,8 @@ def initial_state(layer1: tuple[np.ndarray, np.ndarray], tol: float | None = Non
     m, k = B.shape
     if tol is None:
         tol = default_tol(m)
-    state = BasisState(
-        F_buf=np.empty((m, 0), order="F"), Q_buf=np.empty((m, 0), order="F"), W1=W1
-    )
+    state = BasisState(F_buf=np.empty((m, 0), order="F"), Q_buf=np.empty((m, 0), order="F"),
+                       R_buf=np.empty((0, 0), order="F"), W1=W1)
     order = state.admit(B, tol, scale=False)[0]
     if order.size < k:
         raise ValueError("first-layer columns must be linearly independent")
@@ -230,8 +252,8 @@ _EXPLICIT_RATIO = 1e-4
 # columns, which bounds the m x block copies one admission makes.
 _ADMIT_BLOCK = 64
 
-# BasisState.reserve refuses F and Q buffers above this many bytes together.
-# Exact mode grows both to m x m, so it trains on at most 8,192 rows.
+# BasisState.reserve refuses F, Q and R buffers above this many bytes together.
+# Exact mode grows all three to m x m, so it trains on at most 6,688 rows.
 _BUFFER_BUDGET = 2**30
 
 # In BasisState.admit, a column whose residual ratio is below this fraction

@@ -11,8 +11,9 @@ logistic; for the multiclass hinge, the true score minus the best rival's
 Pegasos solver share that definition. Squared loss is minimized exactly
 from F = QR with orthonormal Q (:class:`SquaredFactor`), so one factor
 serves every lambda, through one SVD of R and one shrink formula (minimum
-norm at lambda = 0), or an LU solve of R at lambda = 0 when F's columns
-are known independent. Fits are deterministic given their config. Scores
+norm at lambda = 0), or a triangular back-substitution on the basis
+admission's upper-triangular R at lambda = 0 when F's columns are known
+independent. Fits are deterministic given their config. Scores
 become decisions by one rule, :func:`decide`, keyed by task.
 """
 
@@ -171,13 +172,15 @@ def objective(kind: str, F, w, y, lam: float) -> float:
 
 @dataclass
 class SquaredFactor:
-    """R = Q^T F and Q^T Y for an orthonormal Q with span(Q) = span(F).
+    """R and Q^T Y for F = QR with orthonormal Q and span(Q) = span(F).
 
     Every squared head over F is solved from these alone. ``independent``
-    certifies that F has full column rank (the basis admission tests each
-    column), so lambda = 0 is an LU solve of the square R; otherwise it
-    takes the minimum-norm answer from the SVD of R with an eps cutoff.
-    Every lambda > 0 shares that one SVD, taken on first use.
+    certifies that F has full column rank and R is upper triangular (the
+    basis admission tests each column and records R as it goes), so
+    lambda = 0 is a back-substitution on R (:func:`_back_substitute`) that
+    never reads its strict lower triangle; otherwise it takes the
+    minimum-norm answer from the SVD of R with an eps cutoff. Every
+    lambda > 0 shares that one SVD, taken on first use.
     """
 
     R: np.ndarray
@@ -191,7 +194,7 @@ class SquaredFactor:
     def solve(self, lam: float, m: int) -> np.ndarray:
         """Minimizer of (1/m)||Fw - Y||^2 + (lam/2)||w||^2."""
         if lam == 0.0 and self.independent:
-            return np.linalg.solve(self.R, self.QtY)
+            return _back_substitute(self.R, self.QtY)
         U, s, Vt = self._svd
         # s / (s^2 + mu) as 1 / (s + mu / s), never forming s^2, which overflows
         # for huge F; at lambda = 0, 1 / s over s > eps * s_max (eps * max(m, n)
@@ -201,6 +204,24 @@ class SquaredFactor:
         with np.errstate(all="ignore"):
             shrink = np.where(keep, 1.0 / (s + mu / s), 0.0)
         return Vt.T @ (shrink[:, None] * (U.T @ self.QtY))
+
+
+def _back_substitute(R: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """X with R X = B for upper-triangular R, by blocks of ``_SOLVE_BLOCK`` rows
+    from the bottom: each diagonal block is solved as its upper triangle, then
+    one product removes the block from the rows above. R is neither copied whole
+    nor read below its diagonal."""
+    X = np.array(B, dtype=np.float64)
+    for lo in range((R.shape[0] - 1) // _SOLVE_BLOCK * _SOLVE_BLOCK, -1, -_SOLVE_BLOCK):
+        hi = lo + _SOLVE_BLOCK
+        X[lo:hi] = np.linalg.solve(np.triu(R[lo:hi, lo:hi]), X[lo:hi])
+        X[:lo] -= R[:lo, lo:hi] @ X[lo:hi]
+    return X
+
+
+# Rows per diagonal block of _back_substitute: the blocks' small solves and
+# the products above them keep the work in BLAS without an LU copy of R.
+_SOLVE_BLOCK = 64
 
 
 def _sgd(F, y, kind, lam, opt, k):

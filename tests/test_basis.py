@@ -385,11 +385,23 @@ class TestLayerRecord:
 
 
 def q_state(Q):
-    """State whose F and Q hold exactly the given orthonormal columns, as
-    layer 1 of a network whose input is F itself (W1 selects the columns)."""
+    """State whose F and Q hold exactly the given orthonormal columns, so R
+    is the identity, as layer 1 of a network whose input is F itself (W1
+    selects the columns)."""
     m, k = Q.shape
     W1 = np.eye(k + 1, k, -1)
-    return BasisState(F_buf=Q.copy(), Q_buf=Q.copy(), W1=W1, ncols=k)
+    return BasisState(F_buf=Q.copy(), Q_buf=Q.copy(), R_buf=np.eye(k, order="F"),
+                      W1=W1, ncols=k)
+
+
+def check_recorded_r(state):
+    """R is exactly upper triangular, with F = QR and R = Q^T F to rounding."""
+    F, Q, R = state.F, state.Q, state.R
+    assert R.base is state.R_buf and R.shape == (state.ncols, state.ncols)
+    assert not np.tril(R, -1).any()
+    scale = 1e-12 * np.linalg.norm(F)
+    assert np.linalg.norm(F - Q @ R) <= scale
+    assert np.linalg.norm(R - Q.T @ F) <= scale
 
 
 class TestAdmit:
@@ -446,6 +458,7 @@ class TestAdmit:
         np.testing.assert_array_equal(state.F[:, 4], w[2] * c)
         assert np.abs(state.Q.T @ state.Q - np.eye(5)).max() <= 1e-12
         assert np.abs(np.tril(state.Q.T @ state.F, -1)).max() <= 1e-12 * math.sqrt(10)
+        check_recorded_r(state)
 
     def test_near_dependent_block_column_reorthogonalized(self):
         # one pass off the first column would leave ~eps / 1e-6 of it behind
@@ -484,6 +497,7 @@ class TestAdmit:
         np.testing.assert_array_equal(idx, [0, 2, 1])
         np.testing.assert_array_equal(state.F[:, 1], w[1] * c)
         assert np.abs(np.tril(state.Q.T @ state.F, -1)).max() <= 1e-12 * math.sqrt(30)
+        check_recorded_r(state)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 6))
@@ -732,7 +746,8 @@ class TestDistinctCandidates:
 class TestAdmissionInvariants:
     """After every admission F and Q are views of the state's buffers,
     Q^T F is upper triangular (Q is the CGS2 orthonormalisation of F,
-    column by column) and every F column has norm √m."""
+    column by column), admission's R is its F = QR factor and every F
+    column has norm √m."""
 
     @staticmethod
     def check(state):
@@ -740,6 +755,7 @@ class TestAdmissionInvariants:
         assert F.base is state.F_buf and Q.base is state.Q_buf
         below = np.tril(Q.T @ F, -1)
         assert np.abs(below).max(initial=0.0) <= 1e-12 * math.sqrt(m)
+        check_recorded_r(state)
         np.testing.assert_allclose(np.linalg.norm(F, axis=0), math.sqrt(m), rtol=1e-12)
 
     @pytest.mark.parametrize("mode", ["exact", "width"])
@@ -772,12 +788,33 @@ class TestAdmissionInvariants:
         assert state.ncols - state.layer1_cols >= 18
 
 
+class TestRecordedR:
+    """R is written by admission, not formed as Q^T F (check_recorded_r);
+    the pivoted and skipped-column blocks are checked in TestAdmit."""
+
+    @pytest.mark.parametrize("mode", ["exact", "width"])
+    def test_after_two_layers(self, mode):
+        state = mode_state(mode, m=60)
+        check_recorded_r(state)
+        grow(state, mode, 2)
+        assert len(state.layers) == 2
+        check_recorded_r(state)
+
+    def test_survives_buffer_growth(self):
+        state = mode_state("exact", m=60)
+        R = state.R.copy()
+        state.reserve(state.ncols + 5)
+        np.testing.assert_array_equal(state.R, R)
+        assert state.R_buf.flags.f_contiguous and state.R_buf.shape == (state.ncols + 5,) * 2
+
+
 class TestLayout:
-    """F and Q are column-major, so an admitted column is contiguous."""
+    """F, Q and R are column-major, so an admitted column is contiguous."""
 
     @staticmethod
     def check(state):
         assert state.F_buf.flags.f_contiguous and state.Q_buf.flags.f_contiguous
+        assert state.R_buf.flags.f_contiguous
         assert state.Q[:, -1].flags.contiguous
 
     @pytest.mark.parametrize("mode", ["exact", "width"])
@@ -795,20 +832,21 @@ class TestLayout:
 
 
 class TestBufferBudget:
-    """F and Q buffers above the byte budget are refused before allocation."""
+    """F, Q and R buffers above the byte budget are refused before allocation."""
 
     def test_reserve_refuses_over_budget(self, monkeypatch):
         state = exact_state(np.random.default_rng(19).standard_normal((20, 2)))
-        F_buf = state.F_buf
-        # 20 rows x 10 columns, twice, of 8-byte floats
-        monkeypatch.setattr(basis, "_BUFFER_BUDGET", 3199)
-        with pytest.raises(ValueError, match="F and Q need 3200 bytes for 20 rows "
-                           "x 10 columns, over the budget of 3199 bytes"):
+        F_buf, R_buf = state.F_buf, state.R_buf
+        # 20 rows x 10 columns twice, and 10 x 10, of 8-byte floats
+        monkeypatch.setattr(basis, "_BUFFER_BUDGET", 3999)
+        with pytest.raises(ValueError, match="F, Q and R need 4000 bytes for 20 rows "
+                           "x 10 columns, over the budget of 3999 bytes"):
             state.reserve(10)
-        assert state.F_buf is F_buf
-        monkeypatch.setattr(basis, "_BUFFER_BUDGET", 3200)
+        assert state.F_buf is F_buf and state.R_buf is R_buf
+        monkeypatch.setattr(basis, "_BUFFER_BUDGET", 4000)
         state.reserve(10)
         assert state.F_buf.shape == state.Q_buf.shape == (20, 10)
+        assert state.R_buf.shape == (10, 10)
 
     def test_exact_build_refused_at_doubling(self, monkeypatch):
         # the 3 layer-1 columns fit; room for the layer's 6 distinct products does not
@@ -818,7 +856,7 @@ class TestBufferBudget:
             build_basis_t_exact(state)
 
     def test_refused_layer_leaves_state_as_it_was(self, monkeypatch):
-        # 4 layer-1 columns and 10 distinct products need 14 columns; 9 fit
+        # 4 layer-1 columns and 10 distinct products need 14 columns; 7 fit
         state = exact_state(np.random.default_rng(20).standard_normal((20, 3)))
         F_buf, F = state.F_buf, state.F.copy()
         monkeypatch.setattr(basis, "_BUFFER_BUDGET", 3000)
@@ -830,7 +868,7 @@ class TestBufferBudget:
 
     def test_initial_state_refused(self, monkeypatch):
         monkeypatch.setattr(basis, "_BUFFER_BUDGET", 100)
-        with pytest.raises(ValueError, match="F and Q need 960 bytes"):
+        with pytest.raises(ValueError, match="F, Q and R need 1032 bytes"):
             exact_state(np.random.default_rng(21).standard_normal((20, 2)))
 
 

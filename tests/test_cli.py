@@ -487,12 +487,12 @@ class TestConsoleScript:
             assert "Traceback" not in proc.stderr
 
     def test_buffer_budget_reports_error(self, toy, tmp_path, monkeypatch, capsys):
-        # exact mode on 12 rows grows F and Q to 12 x 12 each, 2304 bytes
+        # exact mode on 12 rows grows F, Q and R to 12 x 12 each, 3456 bytes
         monkeypatch.setattr(basis, "_BUFFER_BUDGET", 2000)
         code, _, err = run_cli(["train", "--data", str(toy), "--lambda", "0",
                                 "--depth", "10", "--out", str(tmp_path / "m.bl")], capsys)
         assert code == 1
-        assert err.startswith("error: F and Q need ")
+        assert err.startswith("error: F, Q and R need ")
         assert "over the budget of 2000 bytes" in err
         assert not (tmp_path / "m.bl").exists()
 

@@ -22,6 +22,7 @@ from basis_learner.basis import (
 from basis_learner.output import (
     LOSS_KINDS,
     OptimizerConfig,
+    SquaredFactor,
     decide,
     fit_head,
     loss_gradient,
@@ -331,6 +332,50 @@ class TestSquaredFactor:
             assert build_basis_t_exact(state, default_tol(ds.m)).width > 0
         fit = fit_head(state.F, Y, "squared", 0.0, factor=state.squared_factor(Y))
         assert validation_error(state.F, fit.weights, ds.labels, "regression") <= 1e-20
+
+
+def upper_triangular(n, seed):
+    """A well-conditioned upper-triangular n x n matrix: unit-scale diagonal,
+    off-diagonal entries of size 1/sqrt(n)."""
+    rng = np.random.default_rng(seed)
+    R = np.triu(rng.standard_normal((n, n))) / math.sqrt(n)
+    R[np.diag_indices(n)] = rng.uniform(1.0, 2.0, n)
+    return R
+
+
+class TestTriangularSolve:
+    """lambda = 0 on an independent factor is a blocked back-substitution on
+    R's upper triangle, not a dense solve of all of R."""
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("outputs", [1, 3])
+    def test_matches_dense_solve(self, n, outputs):
+        R = upper_triangular(n, n)
+        QtY = np.random.default_rng(n + outputs).standard_normal((n, outputs))
+        w = SquaredFactor(R, QtY, independent=True).solve(0.0, 2 * n)
+        assert w.shape == (n, outputs)
+        assert relative_gap(w, np.linalg.solve(R, QtY)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+    def test_never_reads_below_diagonal(self, n):
+        R = upper_triangular(n, n)
+        QtY = np.random.default_rng(n).standard_normal((n, 3))
+        w = SquaredFactor(R, QtY, independent=True).solve(0.0, 2 * n)
+        R[np.tril_indices(n, -1)] = 1e300
+        np.testing.assert_array_equal(SquaredFactor(R, QtY, independent=True).solve(0.0, 2 * n), w)
+
+    def test_dense_solves_only_on_small_diagonal_blocks(self, monkeypatch):
+        sizes = []
+        solve = np.linalg.solve
+
+        def spy(A, B):
+            sizes.append(A.shape[0])
+            return solve(A, B)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        R = upper_triangular(200, 3)
+        SquaredFactor(R, np.ones((200, 1)), independent=True).solve(0.0, 400)
+        assert sizes == [8, 64, 64, 64]
 
 
 def newton_logistic(F, y, lam, iters=60):
