@@ -27,12 +27,11 @@ def main(argv=None):
     ap.add_argument("--depth", type=int, default=4)
     ap.add_argument("--batch", type=int, default=50)
     ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--min-gap", type=int, default=1)
     args = ap.parse_args(argv)
 
     total = args.train + args.test
     print(f"rendering {total} distinct rectangle images (seed {args.seed})")
-    full = rectangles(total, seed=args.seed, min_gap=args.min_gap)
+    full = rectangles(total, seed=args.seed)
     train_block, test_ds = split(full, SplitSpec(args.test))
     fit_ds, valid_ds = split(train_block, SplitSpec(args.valid))
 

@@ -34,7 +34,6 @@ import numpy as np
 from .linalg import check_matrix, randomized_range_svd, residual, thin_svd, top_svd
 from .linalg import lift_input  # noqa: F401  layer 1 is built from lift_input(X)
 from .network import ProductLayer, product_layer
-from .output import SquaredFactor
 
 
 def default_tol(m: int) -> float:
@@ -54,10 +53,10 @@ class BasisState:
     is contiguous. Every column enters through :meth:`admit`, which writes
     the node's values to F, their BCGS2 orthonormalisation to Q and its
     coefficients to R: R is upper triangular and F = QR to rounding, with
-    no Q^T F formed (:meth:`squared_factor`). F's columns are linearly independent with
-    second moment 1: the values of layer 1 (weights ``W1``, (d+1) x
-    ``layer1_cols``), then of each product layer in ``layers``, the
-    network :func:`~basis_learner.network.node_values` evaluates.
+    no Q^T F formed; R is every squared head's factor. F's columns are
+    linearly independent with second moment 1: the values of layer 1
+    (weights ``W1``, (d+1) x ``layer1_cols``), then of each product layer
+    in ``layers``, the network :func:`~basis_learner.network.node_values` evaluates.
     """
 
     F_buf: np.ndarray
@@ -160,10 +159,6 @@ class BasisState:
                 idx.append(j)
                 weights.append(w)
         return np.array(idx, dtype=int), np.array(weights)
-
-    def squared_factor(self, Y: np.ndarray) -> SquaredFactor:
-        """Admission's R and Q^T Y, certified independent: every squared head's factor."""
-        return SquaredFactor(self.R, self.Q.T @ Y, independent=True)
 
 
 def _cgs2(C: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -317,7 +312,7 @@ class CandidateScores:
             nr = np.sqrt(np.maximum(r2, 0.0))
             explicit = r2 < _EXPLICIT_RATIO**2 * norm2
             if explicit.any():
-                R = residual(residual(block[:, explicit], Q), Q)
+                _, R = _cgs2(block[:, explicit], Q)
                 nr[explicit] = np.linalg.norm(R, axis=0)
                 T[nq:, explicit] = O_V.T @ R
             live = nr > tol

@@ -8,13 +8,13 @@ logistic, and multiclass hinge. The regularized objective is always
 Each margin loss is a function of one margin per row: y s for hinge and
 logistic; for the multiclass hinge, the true score minus the best rival's
 (Crammer-Singer), so its loss is the hinge's. Value, gradient and the
-Pegasos solver share that definition. Squared loss is minimized exactly
-from F = QR with orthonormal Q (:class:`SquaredFactor`), so one factor
-serves every lambda, through one SVD of R and one shrink formula (minimum
-norm at lambda = 0), or a triangular back-substitution on the basis
-admission's upper-triangular R at lambda = 0 when F's columns are known
-independent. Fits are deterministic given their config. Scores
-become decisions by one rule, :func:`decide`, keyed by task.
+Pegasos solver share that definition. Squared loss is minimized exactly,
+through one shrink formula on an SVD (:func:`_shrink`, minimum norm at
+lambda = 0): over the basis admission's F = QR (:class:`SquaredFactor`),
+lambda = 0 is a back-substitution on its upper-triangular R and every
+lambda > 0 shares one SVD of R; a bare F is solved from its own SVD.
+Fits are deterministic given their config. Scores become decisions by
+one rule, :func:`decide`, keyed by task.
 """
 
 from __future__ import annotations
@@ -47,6 +47,12 @@ class OptimizerConfig:
 
     epochs: int = 50
     seed: int = 0
+
+    def __post_init__(self):
+        if not (is_int(self.epochs) and self.epochs >= 1):
+            raise ValueError(f"epochs must be an int >= 1, got {self.epochs!r}")
+        if not (is_int(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -172,20 +178,17 @@ def objective(kind: str, F, w, y, lam: float) -> float:
 
 @dataclass
 class SquaredFactor:
-    """R and Q^T Y for F = QR with orthonormal Q and span(Q) = span(F).
+    """The basis admission's factor of F = QR: R, upper triangular with a
+    nonzero diagonal (F has full column rank), and Q^T Y.
 
-    Every squared head over F is solved from these alone. ``independent``
-    certifies that F has full column rank and R is upper triangular (the
-    basis admission tests each column and records R as it goes), so
-    lambda = 0 is a back-substitution on R (:func:`_back_substitute`) that
-    never reads its strict lower triangle; otherwise it takes the
-    minimum-norm answer from the SVD of R with an eps cutoff. Every
-    lambda > 0 shares that one SVD, taken on first use.
+    Every squared head over F at one depth is solved from these alone:
+    lambda = 0 by a back-substitution on R (:func:`_back_substitute`) that
+    never reads its strict lower triangle, every lambda > 0 by
+    :func:`_shrink` on one SVD of R, taken on first use.
     """
 
     R: np.ndarray
     QtY: np.ndarray
-    independent: bool = False
 
     @functools.cached_property
     def _svd(self):
@@ -193,17 +196,23 @@ class SquaredFactor:
 
     def solve(self, lam: float, m: int) -> np.ndarray:
         """Minimizer of (1/m)||Fw - Y||^2 + (lam/2)||w||^2."""
-        if lam == 0.0 and self.independent:
+        if lam == 0.0:
             return _back_substitute(self.R, self.QtY)
-        U, s, Vt = self._svd
-        # s / (s^2 + mu) as 1 / (s + mu / s), never forming s^2, which overflows
-        # for huge F; at lambda = 0, 1 / s over s > eps * s_max (eps * max(m, n)
-        # would drop singular values of a full-rank F); a vanishing s gets 0
-        mu = lam * m / 2.0
-        keep = s > (np.finfo(np.float64).eps * s[:1] if lam == 0.0 else 0.0)
-        with np.errstate(all="ignore"):
-            shrink = np.where(keep, 1.0 / (s + mu / s), 0.0)
-        return Vt.T @ (shrink[:, None] * (U.T @ self.QtY))
+        return _shrink(*self._svd, self.QtY, lam, m)
+
+
+def _shrink(U, s, Vt, B, lam: float, m: int) -> np.ndarray:
+    """Minimizer of (1/m)||Aw - B||^2 + (lam/2)||w||^2 for A = U diag(s) Vt,
+    the minimum-norm least-squares answer at lam = 0: the one ridge formula
+    of every squared head."""
+    # s / (s^2 + mu) as 1 / (s + mu / s), never forming s^2, which overflows
+    # for huge F; at lambda = 0, 1 / s over s > eps * s_max (eps * max(m, n)
+    # would drop singular values of a full-rank F); a vanishing s gets 0
+    mu = lam * m / 2.0
+    keep = s > (np.finfo(np.float64).eps * s[:1] if lam == 0.0 else 0.0)
+    with np.errstate(all="ignore"):
+        shrink = np.where(keep, 1.0 / (s + mu / s), 0.0)
+    return Vt.T @ (shrink[:, None] * (U.T @ B))
 
 
 def _back_substitute(R: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -264,20 +273,22 @@ def fit_head(
 ) -> FitResult:
     """Fit output weights over the feature matrix ``F``.
 
-    Squared loss is solved exactly from ``factor``, a :class:`SquaredFactor`
-    of F and the targets shared by the calls over a lambda grid, or from
-    ``np.linalg.qr(F)`` when none is given (minimum-norm at lambda = 0);
-    the margin losses use the averaged mini-batch subgradient method
-    configured by ``opt`` and ignore ``factor``. ``n_classes`` fixes the
+    Squared loss is solved exactly from ``factor``, the basis admission's
+    :class:`SquaredFactor` of F and the targets shared by the calls over a
+    lambda grid, or by :func:`_shrink` on F's own SVD when none is given
+    (minimum-norm at lambda = 0); the margin losses use the averaged
+    mini-batch subgradient method configured by ``opt`` and ignore ``factor``. ``n_classes`` fixes the
     weight-column count for mc-hinge; by default it is one more than the
     largest class id seen. Errors are scored separately, by
     :func:`validation_error`. F is checked by :func:`check_matrix`, ``lam``
     by :func:`is_finite` and mc-hinge's ``n_classes`` by :func:`is_int`; a
     label count other than F's rows, labels that break the loss's rule (as
     in :func:`loss_value`), and non-finite labels, weights or objective raise
-    ``ValueError``, the labels before any solve.
+    ``ValueError``, the labels before any solve, as does an F with no rows.
     """
     F = check_matrix(F, "F")
+    if F.shape[0] == 0:
+        raise ValueError("F must have at least one row")
     y = np.asarray(y)
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
@@ -292,10 +303,8 @@ def fit_head(
 
     if kind == "squared":
         Y = y[:, None] if y.ndim == 1 else np.asarray(y, dtype=np.float64)
-        if factor is None:
-            Q, R = np.linalg.qr(F)
-            factor = SquaredFactor(R, Q.T @ Y)
-        W = factor.solve(lam, F.shape[0])
+        W = (_shrink(*np.linalg.svd(F, full_matrices=False), Y, lam, F.shape[0])
+             if factor is None else factor.solve(lam, F.shape[0]))
     else:
         k = 1
         if kind == "mc-hinge":

@@ -15,6 +15,10 @@ from .dataset import LabeledDataset, make_dataset
 # rectangle images are SIZE x SIZE pixels; each side spans at least MIN_SIDE
 SIZE = 28
 MIN_SIDE = 3
+# a side of length s fits at SIZE - s + 1 offsets: sum the products of the
+# height's and the width's offset counts over all pairs, less the squares
+_OFFSETS = range(1, SIZE - MIN_SIDE + 2)
+DISTINCT_IMAGES = sum(_OFFSETS) ** 2 - sum(k * k for k in _OFFSETS)
 
 
 def random_regression(m: int, d: int, seed: int) -> LabeledDataset:
@@ -39,15 +43,17 @@ def _render_outline(top: int, left: int, h: int, w: int) -> np.ndarray:
     return img
 
 
-def rectangles(m: int, seed: int, min_gap: int = 1) -> LabeledDataset:
+def rectangles(m: int, seed: int) -> LabeledDataset:
     """Outline-rectangle images labeled by their aspect: +1 iff taller
     than wide.
 
-    Images are ``SIZE`` x ``SIZE`` with sides of at least ``MIN_SIDE``.
-    ``min_gap`` is the smallest |height - width| allowed; raising it
-    widens the margin of the concept. Parameter tuples are sampled
-    without replacement, so rows are pairwise distinct.
+    Images are ``SIZE`` x ``SIZE`` with sides of at least ``MIN_SIDE``,
+    never square. Parameter tuples are sampled without replacement, so
+    rows are pairwise distinct; an ``m`` above ``DISTINCT_IMAGES`` raises
+    ``ValueError``.
     """
+    if m > DISTINCT_IMAGES:
+        raise ValueError(f"only {DISTINCT_IMAGES} distinct rectangle images exist, asked for {m}")
     rng = np.random.default_rng(seed)
     X = np.empty((m, SIZE * SIZE))
     y = np.empty(m)
@@ -56,7 +62,7 @@ def rectangles(m: int, seed: int, min_gap: int = 1) -> LabeledDataset:
     while i < m:
         h = int(rng.integers(MIN_SIDE, SIZE + 1))
         w = int(rng.integers(MIN_SIDE, SIZE + 1))
-        if abs(h - w) < min_gap:
+        if h == w:
             continue
         top = int(rng.integers(0, SIZE - h + 1))
         left = int(rng.integers(0, SIZE - w + 1))

@@ -34,6 +34,7 @@ from .output import (
     LOSS_KINDS,
     LOSS_TASK,
     OptimizerConfig,
+    SquaredFactor,
     decide,
     fit_head,
     loss_value,
@@ -93,6 +94,8 @@ class TrainConfig:
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         grid = self.lambda_grid
+        if not isinstance(grid, (tuple, list)):
+            raise ValueError(f"lambda_grid must be a tuple or list, got {type(grid).__name__}")
         if not grid or not all(is_finite(lam) and lam >= 0 for lam in grid):
             raise ValueError(f"lambda grid must be nonempty, finite and nonnegative, got {grid!r}")
         if self.seed < 0:
@@ -244,7 +247,7 @@ def train(
         lo, hi = state.layer_ranges[-1]
         # the validation rows' node values, from the deployed network's evaluator
         valid_F = node_values(valid_ds.X, state.W1, state.layers) if has_valid else None
-        factor = state.squared_factor(fit_y) if config.loss == "squared" else None
+        factor = SquaredFactor(state.R, state.Q.T @ fit_y) if config.loss == "squared" else None
 
         heads = []
         for li, lam in enumerate(config.lambda_grid):

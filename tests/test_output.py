@@ -6,6 +6,7 @@ fit against a Newton solver, both implemented here independently.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -317,7 +318,7 @@ class TestSquaredFactor:
         state = initial_state(build_basis1_width(lift_input(X), gamma=6))
         for _ in range(2):
             assert build_basis_t_width(state, Y, gamma=10, b=5).width > 0
-        factor = state.squared_factor(Y)  # the trainer's per-depth factor
+        factor = SquaredFactor(state.R, state.Q.T @ Y)  # the trainer's per-depth factor
         for lam in DEFAULT_LAMBDA_GRID + (0.0,):
             w = fit_head(state.F, Y, "squared", lam, factor=factor).weights
             assert w.shape == (state.ncols, outputs)
@@ -330,7 +331,7 @@ class TestSquaredFactor:
         state = initial_state(build_basis1_exact(lift_input(ds.X)))
         while state.ncols < ds.m:
             assert build_basis_t_exact(state, default_tol(ds.m)).width > 0
-        fit = fit_head(state.F, Y, "squared", 0.0, factor=state.squared_factor(Y))
+        fit = fit_head(state.F, Y, "squared", 0.0, factor=SquaredFactor(state.R, state.Q.T @ Y))
         assert validation_error(state.F, fit.weights, ds.labels, "regression") <= 1e-20
 
 
@@ -344,7 +345,7 @@ def upper_triangular(n, seed):
 
 
 class TestTriangularSolve:
-    """lambda = 0 on an independent factor is a blocked back-substitution on
+    """lambda = 0 on admission's factor is a blocked back-substitution on
     R's upper triangle, not a dense solve of all of R."""
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
@@ -352,7 +353,7 @@ class TestTriangularSolve:
     def test_matches_dense_solve(self, n, outputs):
         R = upper_triangular(n, n)
         QtY = np.random.default_rng(n + outputs).standard_normal((n, outputs))
-        w = SquaredFactor(R, QtY, independent=True).solve(0.0, 2 * n)
+        w = SquaredFactor(R, QtY).solve(0.0, 2 * n)
         assert w.shape == (n, outputs)
         assert relative_gap(w, np.linalg.solve(R, QtY)) <= 1e-12
 
@@ -360,9 +361,9 @@ class TestTriangularSolve:
     def test_never_reads_below_diagonal(self, n):
         R = upper_triangular(n, n)
         QtY = np.random.default_rng(n).standard_normal((n, 3))
-        w = SquaredFactor(R, QtY, independent=True).solve(0.0, 2 * n)
+        w = SquaredFactor(R, QtY).solve(0.0, 2 * n)
         R[np.tril_indices(n, -1)] = 1e300
-        np.testing.assert_array_equal(SquaredFactor(R, QtY, independent=True).solve(0.0, 2 * n), w)
+        np.testing.assert_array_equal(SquaredFactor(R, QtY).solve(0.0, 2 * n), w)
 
     def test_dense_solves_only_on_small_diagonal_blocks(self, monkeypatch):
         sizes = []
@@ -374,7 +375,7 @@ class TestTriangularSolve:
 
         monkeypatch.setattr(np.linalg, "solve", spy)
         R = upper_triangular(200, 3)
-        SquaredFactor(R, np.ones((200, 1)), independent=True).solve(0.0, 400)
+        SquaredFactor(R, np.ones((200, 1))).solve(0.0, 400)
         assert sizes == [8, 64, 64, 64]
 
 
@@ -610,8 +611,37 @@ class TestFitHeadValidation:
         as_float = fit_head(F, np.asarray(y, dtype=np.float64), "mc-hinge", 0.1, opt).weights
         assert np.array_equal(as_int, as_float)
 
+    @pytest.mark.parametrize("kind,y", [("squared", np.ones(0)), ("hinge", np.ones(0)),
+                                        ("mc-hinge", np.zeros(0, dtype=int))])
+    def test_rejects_f_without_rows(self, kind, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="F must have at least one row"):
+                fit_head(np.ones((0, 3)), y, kind, 0.0)
+
     def test_loss_kinds_frozen(self):
         assert LOSS_KINDS == ("squared", "hinge", "logistic", "mc-hinge")
+
+
+class TestOptimizerConfig:
+    @pytest.mark.parametrize(
+        "kw,msg",
+        [
+            (dict(epochs=0), "epochs must be an int >= 1, got 0"),
+            (dict(epochs=-3), "epochs must be an int >= 1, got -3"),
+            (dict(epochs=2.5), r"epochs must be an int >= 1, got 2\.5"),
+            (dict(epochs=True), "epochs must be an int >= 1, got True"),
+            (dict(seed=-1), "seed must be an int >= 0, got -1"),
+            (dict(seed=1.0), r"seed must be an int >= 0, got 1\.0"),
+            (dict(seed=np.int64(3)), r"seed must be an int >= 0, got np\.int64\(3\)"),
+        ],
+    )
+    def test_rejections(self, kw, msg):
+        with pytest.raises(ValueError, match=msg):
+            OptimizerConfig(**kw)
+
+    def test_smallest_budget_valid(self):
+        assert OptimizerConfig(epochs=1, seed=0).epochs == 1
 
 
 class TestValidationError:

@@ -100,6 +100,9 @@ class TestConfigValidation:
             (dict(tol="1e-8"), "tol must be finite and nonnegative, got '1e-8'"),
             (dict(error_threshold=True), "error_threshold must be finite, got True"),
             (dict(error_threshold=10**400), "error_threshold must be finite, got 1000"),
+            (dict(lambda_grid=5), "lambda_grid must be a tuple or list, got int"),
+            (dict(lambda_grid=np.array([0.1, 0.2])), "lambda_grid must be a tuple or list, got ndarray"),
+            (dict(lambda_grid=0.1), "lambda_grid must be a tuple or list, got float"),
         ],
     )
     def test_rejections(self, kw, msg):
