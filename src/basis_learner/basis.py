@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import check_matrix, randomized_range_svd, residual, thin_svd, top_svd
+from .linalg import check_matrix, is_finite, is_int, randomized_range_svd, residual, thin_svd
 from .linalg import lift_input  # noqa: F401  layer 1 is built from lift_input(X)
 from .network import ProductLayer, product_layer
 
@@ -39,6 +39,23 @@ from .network import ProductLayer, product_layer
 def default_tol(m: int) -> float:
     """Independence threshold for residual norms, scaled to column norm √m."""
     return 1e-8 * math.sqrt(m)
+
+
+def resolve_tol(tol, m: int) -> float:
+    """The one independence-threshold rule: None means default_tol(m), else a
+    finite real >= 0 (:func:`~basis_learner.linalg.is_finite`) or ``ValueError``."""
+    if tol is None:
+        return default_tol(m)
+    if not (is_finite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    return tol
+
+
+def check_width(gamma, b: int = 1) -> None:
+    """The one width-budget rule, ``gamma`` columns a layer and ``b`` a round:
+    ints (:func:`~basis_learner.linalg.is_int`) 1 <= b <= gamma, else ``ValueError``."""
+    if not (is_int(gamma) and is_int(b) and 1 <= b <= gamma):
+        raise ValueError(f"need ints gamma >= 1 and 1 <= batch <= gamma, got gamma={gamma!r}, batch={b!r}")
 
 
 @dataclass
@@ -203,18 +220,18 @@ def build_basis1_width(
 
     ``svd_mode`` selects the exact factorization or the seeded randomized
     range finder (useful when d is large); either way at most
-    min(gamma, rank) columns come back, normalized to norm √m. On a tall
-    lift whose tail is dropped (gamma < d+1 <= m) the exact directions come
-    from the eigendecomposition of the Gram matrix F1_tilde^T F1_tilde, else
-    from the thin SVD (:func:`~basis_learner.linalg.top_svd`); the
-    randomized range finder oversamples by its own rule. Returns the
-    pair (B, W1) of m x k values and (d+1) x k weights, B = F1_tilde @ W1.
+    min(gamma, rank) columns come back, normalized to norm √m. ``gamma``
+    passes :func:`check_width`. The exact directions are
+    ``thin_svd(F1_tilde, k=gamma)``: on a tall lift whose tail is dropped
+    (gamma < d+1 <= m) from the eigendecomposition of the Gram matrix
+    F1_tilde^T F1_tilde, else from the SVD; the randomized range finder
+    oversamples by its own rule. Returns the pair (B, W1) of m x k values
+    and (d+1) x k weights, B = F1_tilde @ W1.
     """
     F1_tilde = check_matrix(F1_tilde, "F1_tilde")
-    if gamma < 1:
-        raise ValueError("gamma must be at least 1")
+    check_width(gamma)
     if svd_mode == "exact":
-        svd = top_svd(F1_tilde, gamma)
+        svd = thin_svd(F1_tilde, k=gamma)
     elif svd_mode == "randomized":
         svd = randomized_range_svd(F1_tilde, min(gamma, *F1_tilde.shape), seed=seed)
     else:
@@ -224,11 +241,11 @@ def build_basis1_width(
 
 def initial_state(layer1: tuple[np.ndarray, np.ndarray], tol: float | None = None) -> BasisState:
     """Basis state holding every column of B = lift_input(X) @ W1, of the pair
-    (B, W1); ``state.W1`` is W1 with its columns in the order admission took B's."""
+    (B, W1); ``state.W1`` is W1 with its columns in the order admission took B's.
+    ``tol`` passes :func:`resolve_tol`."""
     B, W1 = layer1
     m, k = B.shape
-    if tol is None:
-        tol = default_tol(m)
+    tol = resolve_tol(tol, m)
     state = BasisState(F_buf=np.empty((m, 0), order="F"), Q_buf=np.empty((m, 0), order="F"),
                        R_buf=np.empty((0, 0), order="F"), W1=W1)
     order = state.admit(B, tol, scale=False)[0]
@@ -368,10 +385,9 @@ def build_basis_t_exact(state: BasisState, tol: float | None = None) -> ProductL
     all of them is reserved; its column pivoting lets near-dependent ones
     wait behind more independent ones. Mutates ``state`` and returns the
     layer it appended to ``state.layers``; a zero-width layer, not
-    appended, means the span is saturated.
+    appended, means the span is saturated. ``tol`` passes :func:`resolve_tol`.
     """
-    if tol is None:
-        tol = default_tol(state.m)
+    tol = resolve_tol(tol, state.m)
     flat = _distinct_candidates(state)
     state.reserve(state.ncols + flat.size)
     nodes: list[tuple[int, int, float]] = []
@@ -400,14 +416,11 @@ def build_basis_t_width(
     deflated. Stops after a round that admits nothing; at most ``gamma``
     columns total. Nodes are recorded in the order admission took them.
 
-    Mutates ``state`` and returns the layer it appended, as the exact builder does.
+    Mutates ``state`` and returns the layer it appended, as the exact builder
+    does. ``tol`` passes :func:`resolve_tol`, ``gamma`` and ``b`` :func:`check_width`.
     """
-    if tol is None:
-        tol = default_tol(state.m)
-    if gamma < 1 or b < 1:
-        raise ValueError("gamma and b must be at least 1")
-    if b > gamma:
-        raise ValueError("batch size b must not exceed gamma")
+    tol = resolve_tol(tol, state.m)
+    check_width(gamma, b)
     V = check_matrix(V, "V")
     if V.shape[0] != state.m:
         raise ValueError("V must have one row per training instance")

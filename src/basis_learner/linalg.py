@@ -2,11 +2,11 @@
 
 Matrices are plain 2-d float64 numpy arrays throughout the package. This
 module wraps the few factorizations the construction needs: a thin SVD with
-a numerical-rank cutoff, its top-k part (from the Gram matrix on tall
-input), a seeded randomized range-finder SVD for wide data, and residual
-projection against an orthonormal basis. It also holds the one rule for
-each input from outside: a matrix (:func:`check_matrix`), a count
-(:func:`is_int`) and a real (:func:`is_finite`).
+a numerical-rank cutoff and an optional cap of k factors (taken from the
+Gram matrix on tall input), a seeded randomized range-finder SVD for wide
+data, and residual projection against an orthonormal basis. It also holds
+the one rule for each input from outside: a matrix (:func:`check_matrix`),
+a count (:func:`is_int`) and a real (:func:`is_finite`).
 """
 
 from __future__ import annotations
@@ -98,61 +98,55 @@ def _rank_cut(U, s, Vt, tol: float, k: int) -> SvdResult:
     return SvdResult(U, s[:r].copy(), V)
 
 
-def thin_svd(A, tol: float | None = None) -> SvdResult:
-    """Thin SVD of ``A`` keeping only singular values above ``tol * s_max``.
+def thin_svd(A, tol: float | None = None, k: int | None = None) -> SvdResult:
+    """Thin SVD of ``A`` keeping only singular values above ``tol * s_max``,
+    at most ``k`` of them.
 
     ``tol=None`` uses :func:`default_rank_tol`. An empty matrix yields an
-    empty result (rank 0).
+    empty result (rank 0). ``k``, an int >= 1 (:func:`is_int`), keeps the
+    first k factors. With no ``tol`` on a tall m x n ``A`` whose tail is
+    dropped (k < n <= m) they come from the eigendecomposition of the Gram
+    matrix A^T A, cheaper than the full SVD and spanning the same leading
+    subspace. It squares the condition number, so only eigenvalues above
+    ``default_rank_tol(A.shape) * lambda_max`` are kept: singular values
+    above the square root of that times ``s_max``.
     """
     A = check_matrix(A)
     m, n = A.shape
+    if k is not None and not (is_int(k) and k >= 1):
+        raise ValueError(f"k must be at least 1 and an int, got {k!r}")
     if m == 0 or n == 0:
         return SvdResult(np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0)))
     if tol is None:
         tol = default_rank_tol(A.shape)
+        if k is not None and k < n <= m:
+            lam, V = np.linalg.eigh(A.T @ A)
+            lam, V = lam[::-1], V[:, ::-1]
+            r = min(int(np.count_nonzero(lam > tol * lam[0])), k)
+            s = np.sqrt(lam[:r])
+            U, V = _flip_signs(A @ V[:, :r] / s, V[:, :r])
+            return SvdResult(U, s, V)
     elif tol < 0:
         raise ValueError("tol must be nonnegative")
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    return _rank_cut(U, s, Vt, tol, s.size)
-
-
-def top_svd(A, k: int) -> SvdResult:
-    """The first ``k`` factors of :func:`thin_svd`; from the Gram matrix
-    A^T A when m x n ``A`` is tall and its tail is dropped (k < n <= m).
-
-    Its eigendecomposition is cheaper than the full SVD and spans the same
-    leading subspace. It squares the condition number, so only eigenvalues
-    above ``default_rank_tol(A.shape) * lambda_max`` are kept: singular
-    values above the square root of that times ``s_max``. Other shapes get
-    :func:`thin_svd` truncated to ``k`` factors.
-    """
-    A = check_matrix(A)
-    m, n = A.shape
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if not k < n <= m:
-        svd = thin_svd(A)
-        return SvdResult(svd.U[:, :k], svd.s[:k], svd.V[:, :k])
-    lam, V = np.linalg.eigh(A.T @ A)
-    lam, V = lam[::-1], V[:, ::-1]
-    r = min(int(np.count_nonzero(lam > default_rank_tol(A.shape) * lam[0])), k)
-    s = np.sqrt(lam[:r])
-    U, V = _flip_signs(A @ V[:, :r] / s, V[:, :r])
-    return SvdResult(U, s, V)
+    return _rank_cut(U, s, Vt, tol, s.size if k is None else k)
 
 
 def randomized_range_svd(A, k: int, seed: int = 0) -> SvdResult:
     """Approximate top-``k`` SVD via a seeded Gaussian range finder.
 
-    Needs 1 <= k <= min(rows, cols); the sketch has k + ``OVERSAMPLE``
+    Needs ints (:func:`is_int`) 1 <= k <= min(rows, cols) and seed >= 0,
+    else ``ValueError`` names the argument; the sketch has k + ``OVERSAMPLE``
     columns, at most min(rows, cols). ``POWER_ITERS`` rounds of subspace
     iteration with QR re-orthonormalization at every step; deterministic
     for a fixed seed. Numerical rank below ``k`` gives rank-many factors.
     """
     A = check_matrix(A)
     m, n = A.shape
-    if not 1 <= k <= min(m, n):
-        raise ValueError(f"k must be in [1, min(rows, cols) = {min(m, n)}], got {k}")
+    if not (is_int(k) and 1 <= k <= min(m, n)):
+        raise ValueError(f"k must be in [1, min(rows, cols) = {min(m, n)}], got {k!r}")
+    if not (is_int(seed) and seed >= 0):
+        raise ValueError(f"seed must be an int >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     Y = A @ rng.standard_normal((n, min(k + OVERSAMPLE, m, n)))
     Q, _ = np.linalg.qr(Y)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataset import TASKS
 from .linalg import check_matrix, is_finite, is_int, lift_input
 from .output import LOSS_KINDS, LOSS_TASK
 
@@ -217,7 +218,7 @@ def deserialize(data) -> PolyNetwork:
     d = doc["input_dim"]
     task = doc["task"]
     _require(is_int(d) and d >= 1, "input_dim must be a positive integer")
-    _require(task in ("regression", "binary", "multiclass"), f"unknown task {task!r}")
+    _require(task in TASKS, f"unknown task {task!r}")
     n_classes = doc.get("n_classes", 0)
     _require(is_int(n_classes) and n_classes >= 0, "n_classes must be a count")
     if task == "multiclass":

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import MAX_CLASSES
 from .linalg import check_matrix, is_finite, is_int
 
 LOSS_KINDS = ("squared", "hinge", "logistic", "mc-hinge")
@@ -70,6 +71,14 @@ def _scores_matrix(scores) -> np.ndarray:
     return scores
 
 
+def _real_labels(y) -> np.ndarray:
+    # labels are numbers (bool, int or float), not strings, objects or complex
+    y = np.asarray(y)
+    if y.dtype.kind not in "biuf":
+        raise ValueError(f"y must hold real numbers, got dtype {y.dtype}")
+    return y
+
+
 def _label_rule(kind: str, y: np.ndarray, k: int) -> np.ndarray:
     # hinge and logistic take labels in {-1, +1}; mc-hinge takes integer
     # class ids in [0, k), returned as int64 so they can index score columns
@@ -92,7 +101,7 @@ def _labelled(kind: str, scores, y) -> tuple[np.ndarray, np.ndarray]:
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
     S = _scores_matrix(scores)
-    y = np.asarray(y)
+    y = _real_labels(y)
     if y.ndim == 0 or y.shape[0] != S.shape[0]:
         raise ValueError("scores and labels disagree on m")
     if kind != "squared":
@@ -277,19 +286,21 @@ def fit_head(
     :class:`SquaredFactor` of F and the targets shared by the calls over a
     lambda grid, or by :func:`_shrink` on F's own SVD when none is given
     (minimum-norm at lambda = 0); the margin losses use the averaged
-    mini-batch subgradient method configured by ``opt`` and ignore ``factor``. ``n_classes`` fixes the
-    weight-column count for mc-hinge; by default it is one more than the
-    largest class id seen. Errors are scored separately, by
+    mini-batch subgradient method configured by ``opt`` and ignore
+    ``factor``. ``n_classes`` fixes the weight-column count for mc-hinge;
+    by default it is one more than the largest class id seen. Either way
+    it is at most ``MAX_CLASSES``. Errors are scored separately, by
     :func:`validation_error`. F is checked by :func:`check_matrix`, ``lam``
     by :func:`is_finite` and mc-hinge's ``n_classes`` by :func:`is_int`; a
-    label count other than F's rows, labels that break the loss's rule (as
-    in :func:`loss_value`), and non-finite labels, weights or objective raise
-    ``ValueError``, the labels before any solve, as does an F with no rows.
+    label count other than F's rows, labels that are not real numbers or
+    break the loss's rule (as in :func:`loss_value`), and non-finite
+    labels, weights or objective raise ``ValueError``, the labels before
+    any solve, as does an F with no rows.
     """
     F = check_matrix(F, "F")
     if F.shape[0] == 0:
         raise ValueError("F must have at least one row")
-    y = np.asarray(y)
+    y = _real_labels(y)
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
     if not (is_finite(lam) and lam >= 0):
@@ -311,6 +322,8 @@ def fit_head(
             if n_classes is not None and not is_int(n_classes):
                 raise ValueError(f"n_classes must be an int, got {n_classes!r}")
             k = n_classes if n_classes is not None else int(y.max()) + 1
+            if k > MAX_CLASSES:
+                raise ValueError(f"mc-hinge needs at most MAX_CLASSES={MAX_CLASSES} classes, got {k}")
         y = _label_rule(kind, y, k)
         W = _sgd(F, y, kind, lam, opt, k)
     loss = objective(kind, F, W, y, lam)

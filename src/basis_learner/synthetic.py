@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import LabeledDataset, make_dataset
+from .linalg import is_int
 
 # rectangle images are SIZE x SIZE pixels; each side spans at least MIN_SIDE
 SIZE = 28
@@ -21,11 +22,21 @@ _OFFSETS = range(1, SIZE - MIN_SIDE + 2)
 DISTINCT_IMAGES = sum(_OFFSETS) ** 2 - sum(k * k for k in _OFFSETS)
 
 
+def _check_count(name: str, value, least: int) -> None:
+    # a count from outside is an int (is_int) of at least ``least``
+    if not (is_int(value) and value >= least):
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+
+
 def random_regression(m: int, d: int, seed: int) -> LabeledDataset:
     """Gaussian inputs with independent Gaussian targets.
 
     Rows are distinct with probability 1; used for interpolation checks.
+    Needs ints m >= 1, d >= 1 and seed >= 0, else ``ValueError``.
     """
+    _check_count("m", m, 1)
+    _check_count("d", d, 1)
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((m, d))
     y = rng.standard_normal(m)
@@ -49,9 +60,11 @@ def rectangles(m: int, seed: int) -> LabeledDataset:
 
     Images are ``SIZE`` x ``SIZE`` with sides of at least ``MIN_SIDE``,
     never square. Parameter tuples are sampled without replacement, so
-    rows are pairwise distinct; an ``m`` above ``DISTINCT_IMAGES`` raises
-    ``ValueError``.
+    rows are pairwise distinct. Needs ints 1 <= m <= ``DISTINCT_IMAGES`` and
+    seed >= 0, else ``ValueError``.
     """
+    _check_count("m", m, 1)
+    _check_count("seed", seed, 0)
     if m > DISTINCT_IMAGES:
         raise ValueError(f"only {DISTINCT_IMAGES} distinct rectangle images exist, asked for {m}")
     rng = np.random.default_rng(seed)

@@ -24,8 +24,9 @@ from .basis import (
     build_basis1_width,
     build_basis_t_exact,
     build_basis_t_width,
-    default_tol,
+    check_width,
     initial_state,
+    resolve_tol,
 )
 from .dataset import LabeledDataset, target_matrix
 from .linalg import is_finite, is_int, lift_input
@@ -57,7 +58,8 @@ class TrainConfig:
     stops as soon as the depth-best training loss falls to it. The counts
     must pass :func:`~basis_learner.linalg.is_int` and the reals (lambdas,
     ``tol``, ``error_threshold``) :func:`~basis_learner.linalg.is_finite`,
-    else ``ValueError`` names the field.
+    else ``ValueError`` names the field; ``tol`` and the width budget pass
+    the layer builders' own rules.
     """
 
     mode: str = "exact"
@@ -71,7 +73,7 @@ class TrainConfig:
     patience: int = 2
     error_threshold: float | None = None
     seed: int = 0
-    sgd_epochs: int = 50
+    sgd_epochs: int = OptimizerConfig.epochs
 
     def __post_init__(self):
         for name in ("gamma", "batch", "max_depth", "patience", "seed", "sgd_epochs"):
@@ -85,10 +87,7 @@ class TrainConfig:
         if self.loss not in LOSS_KINDS:
             raise ValueError(f"unknown loss {self.loss!r}")
         if self.mode == "width":
-            if self.gamma < 1:
-                raise ValueError("width mode needs gamma >= 1")
-            if not (1 <= self.batch <= self.gamma):
-                raise ValueError("need 1 <= batch <= gamma")
+            check_width(self.gamma, self.batch)
         if self.max_depth is not None and self.max_depth < 2:
             raise ValueError("max_depth counts the output layer and must be >= 2")
         if self.patience < 1:
@@ -102,8 +101,7 @@ class TrainConfig:
             raise ValueError("seed must be nonnegative")
         if self.sgd_epochs < 1:
             raise ValueError(f"sgd_epochs must be >= 1, got {self.sgd_epochs!r}")
-        if self.tol is not None and not (is_finite(self.tol) and self.tol >= 0):
-            raise ValueError(f"tol must be finite and nonnegative, got {self.tol!r}")
+        resolve_tol(self.tol, 1)  # train resolves None against its rows
         if self.error_threshold is not None and not is_finite(self.error_threshold):
             raise ValueError(f"error_threshold must be finite, got {self.error_threshold!r}")
         if self.error_threshold is not None and self.error_threshold < 0:
@@ -229,14 +227,12 @@ def train(
         )
 
     fit_y = _fit_target(train_ds, config.loss)
-    m = train_ds.m
-    tol = config.tol if config.tol is not None else default_tol(m)
     lifted = lift_input(train_ds.X)
     if config.mode == "exact":
         layer1 = build_basis1_exact(lifted)
     else:
         layer1 = build_basis1_width(lifted, config.gamma, svd_mode=config.svd, seed=config.seed)
-    state = initial_state(layer1, tol)
+    state = initial_state(layer1, config.tol)
     select_target = target_matrix(train_ds)
 
     records: list[DepthRecord] = []
@@ -278,10 +274,10 @@ def train(
             termination = "depth_cap"
         else:
             if config.mode == "exact":
-                built = build_basis_t_exact(state, tol)
+                built = build_basis_t_exact(state, config.tol)
             else:
                 built = build_basis_t_width(
-                    state, select_target, config.gamma, config.batch, tol
+                    state, select_target, config.gamma, config.batch, config.tol
                 )
             termination = "empty_layer" if built.width == 0 else None
         records[-1] = replace(record, secs=time.perf_counter() - t0)

@@ -896,3 +896,68 @@ class TestDeterminism:
 
 def test_default_tol_scales_with_m():
     assert default_tol(4) == 2e-8
+
+
+BAD_TOLS = [float("nan"), float("inf"), -float("inf"), -1.0, True, "1e-8"]
+
+
+class TestLayerInputRules:
+    """tol and the width budget each have one rule, and every builder applies it."""
+
+    @pytest.fixture
+    def lifted(self):
+        # 60 x 8: layer 2 admits 36 of its 45 distinct candidates at the default
+        # tol, every one of them at a tol that compares false or below zero
+        return lift_input(np.random.default_rng(0).standard_normal((60, 8)))
+
+    def test_default_tol_admits_an_independent_layer(self, lifted):
+        state = initial_state(build_basis1_exact(lifted))
+        assert build_basis_t_exact(state).width == 36
+        assert np.linalg.cond(state.F) < 1e3
+        check_state_invariants(state)
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_initial_state_refuses(self, lifted, tol):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative, got"):
+            initial_state(build_basis1_exact(lifted), tol)
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_exact_layer_refuses(self, lifted, tol):
+        state = initial_state(build_basis1_exact(lifted))
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative, got"):
+            build_basis_t_exact(state, tol)
+        assert state.ncols == 9 and not state.layers
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_width_layer_refuses(self, lifted, tol):
+        state = initial_state(build_basis1_exact(lifted))
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative, got"):
+            build_basis_t_width(state, np.ones((60, 1)), gamma=4, b=2, tol=tol)
+        assert state.ncols == 9 and not state.layers
+
+    @pytest.mark.parametrize("gamma, b", [(2.5, 1), (True, 1), (4, 1.5), (4, 0), (4, 5)])
+    def test_width_budget_refused(self, lifted, gamma, b):
+        state = initial_state(build_basis1_exact(lifted))
+        with pytest.raises(ValueError, match="need ints gamma >= 1 and 1 <= batch <= gamma"):
+            build_basis_t_width(state, np.ones((60, 1)), gamma=gamma, b=b)
+        if b == 1:
+            with pytest.raises(ValueError, match="need ints gamma >= 1 and 1 <= batch <= gamma"):
+                build_basis1_width(lifted, gamma)
+
+    @pytest.mark.parametrize("gamma", [None, 3, 9, 12])
+    def test_layer1_reaches_basis_thin_svd(self, monkeypatch, lifted, gamma):
+        # exact mode (None), width mode on a tall lift with its tail dropped
+        # (3 < d+1 = 9 <= m), and gamma >= d+1: one call each, through the
+        # name the width layers' target deflation uses too
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("k"))
+            return thin_svd(*args, **kwargs)
+
+        monkeypatch.setattr(basis, "thin_svd", counted)
+        if gamma is None:
+            build_basis1_exact(lifted)
+        else:
+            build_basis1_width(lifted, gamma)
+        assert calls == [9 if gamma is None else gamma]

@@ -7,7 +7,6 @@ from basis_learner.linalg import (
     randomized_range_svd,
     residual,
     thin_svd,
-    top_svd,
 )
 
 
@@ -87,7 +86,7 @@ class TestTopSvd:
     def test_gram_route_matches_thin_svd(self):
         # tall with a dropped tail (k < n <= m): the Gram eigendecomposition
         A = decaying_matrix(30, 300, 120)
-        ref, res = thin_svd(A), top_svd(A, 20)
+        ref, res = thin_svd(A), thin_svd(A, k=20)
         assert res.U.shape == (300, 20) and res.V.shape == (120, 20)
         np.testing.assert_allclose(res.s, ref.s[:20], rtol=1e-12, atol=0)
         # sine of the largest principal angle between the two V subspaces
@@ -96,7 +95,7 @@ class TestTopSvd:
 
     def test_gram_route_follows_the_sign_rule(self):
         A = decaying_matrix(31, 300, 120)
-        res = top_svd(A, 20)
+        res = thin_svd(A, k=20)
         rows = np.argmax(np.abs(res.U), axis=0)
         assert (res.U[rows, np.arange(20)] > 0).all()
         # the same signs as thin_svd's factors, column by column
@@ -106,7 +105,7 @@ class TestTopSvd:
 
     def test_gram_route_drops_zero_modes(self):
         A = random_matrix(32, 50, 12, rank=4)
-        res = top_svd(A, 8)
+        res = thin_svd(A, k=8)
         assert res.rank == 4
         np.testing.assert_allclose(res.U * res.s @ res.V.T, A, atol=1e-10)
 
@@ -114,13 +113,29 @@ class TestTopSvd:
     def test_other_shapes_are_thin_svd_truncated(self, m, n, k):
         # k >= n keeps every column, m < n is wide: both stay on the SVD
         A = random_matrix(33, m, n)
-        ref, res = thin_svd(A), top_svd(A, k)
+        ref, res = thin_svd(A), thin_svd(A, k=k)
         for got, want in zip((res.U, res.s, res.V), (ref.U[:, :k], ref.s[:k], ref.V[:, :k])):
             assert np.array_equal(got, want)
 
     def test_rejects_nonpositive_k(self):
         with pytest.raises(ValueError, match="k must be at least 1"):
-            top_svd(np.eye(3), 0)
+            thin_svd(np.eye(3), k=0)
+
+    @pytest.mark.parametrize("k", [2.5, True, np.int64(2), "2"])
+    def test_rejects_k_that_is_not_an_int(self, k):
+        with pytest.raises(ValueError, match="k must be at least 1 and an int, got"):
+            thin_svd(np.eye(3), k=k)
+
+    def test_explicit_tol_keeps_the_cutoff_on_tall_input(self):
+        # singular values 0.9**i: tol = 0.9**9.5 keeps 10 of them, fewer than
+        # k, where the Gram route (no tol) would keep 20
+        A = decaying_matrix(34, 300, 120)
+        tol = 0.9**9.5
+        ref, res = thin_svd(A, tol), thin_svd(A, tol, k=20)
+        assert res.rank == ref.rank == 10
+        for got, want in zip((res.U, res.s, res.V), (ref.U[:, :20], ref.s[:20], ref.V[:, :20])):
+            assert np.array_equal(got, want)
+        assert thin_svd(A, k=20).rank == 20
 
 
 class TestRandomizedSvd:
@@ -165,6 +180,16 @@ class TestRandomizedSvd:
             for k in (min(shape) + 1, 0):
                 with pytest.raises(ValueError, match=rf"k must be in \[1, min\(rows, cols\) = {min(shape)}\], got {k}"):
                     randomized_range_svd(random_matrix(13, *shape), k=k)
+
+    @pytest.mark.parametrize("k", [1.5, True, np.int64(2)])
+    def test_k_must_be_an_int(self, k):
+        with pytest.raises(ValueError, match=r"k must be in \[1, min\(rows, cols\) = 4\], got"):
+            randomized_range_svd(random_matrix(13, 6, 4), k)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, np.int64(3)])
+    def test_seed_must_be_a_nonnegative_int(self, seed):
+        with pytest.raises(ValueError, match="seed must be an int >= 0, got"):
+            randomized_range_svd(random_matrix(13, 6, 4), 2, seed=seed)
 
     @pytest.mark.parametrize("shape", [(30, 6), (6, 30)])
     def test_k_at_min_dimension_needs_no_oversampling(self, shape):

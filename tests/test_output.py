@@ -20,6 +20,7 @@ from basis_learner.basis import (
     initial_state,
     lift_input,
 )
+from basis_learner.dataset import MAX_CLASSES
 from basis_learner.output import (
     LOSS_KINDS,
     OptimizerConfig,
@@ -195,6 +196,9 @@ MALFORMED = [
     ("hinge", np.zeros(2), [0.5, 1.0], "must be -1 or \\+1"),
     ("logistic", np.zeros(2), [0.0, 1.0], "must be -1 or \\+1"),
     ("hinge", np.zeros(2), [1.0, float("nan")], "must be -1 or \\+1"),
+    ("squared", np.ones(3), ["a", "b", "c"], "y must hold real numbers, got dtype <U1"),
+    ("hinge", np.zeros(2), np.array([1.0, -1.0], dtype=object), "y must hold real numbers, got dtype object"),
+    ("mc-hinge", np.zeros((2, 3)), np.array([0j, 1j]), "y must hold real numbers, got dtype complex128"),
 ]
 
 
@@ -602,6 +606,18 @@ class TestFitHeadValidation:
         F = np.random.default_rng(45).standard_normal((6, 2))
         with pytest.raises(ValueError, match=msg):
             fit_head(F, y, kind, 0.1, OptimizerConfig(epochs=2), **kw)
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    @pytest.mark.parametrize("y", [np.array(["a", "b", "c"]), np.array([1, -1, 1], dtype=object)])
+    def test_rejects_labels_that_are_not_numbers(self, kind, y):
+        with pytest.raises(ValueError, match="y must hold real numbers"):
+            fit_head(np.ones((3, 2)), y, kind, 0.1)
+
+    @pytest.mark.parametrize("y, kw", [([0, 1, 1], dict(n_classes=MAX_CLASSES + 1)),
+                                       ([0, 1, MAX_CLASSES], {})])
+    def test_class_count_capped_before_allocating(self, y, kw):
+        with pytest.raises(ValueError, match=f"at most MAX_CLASSES={MAX_CLASSES} classes, got {MAX_CLASSES + 1}"):
+            fit_head(np.ones((3, 2)), y, "mc-hinge", 0.1, OptimizerConfig(epochs=1), **kw)
 
     def test_float_class_ids_fit_like_ints(self):
         F = np.random.default_rng(46).standard_normal((9, 3))

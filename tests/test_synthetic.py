@@ -1,9 +1,9 @@
-"""Generator tests: the rectangles task's image count and its refusal."""
+"""Generator tests: the rectangles task's image count, and the refusals of both generators."""
 
 import numpy as np
 import pytest
 
-from basis_learner.synthetic import DISTINCT_IMAGES, MIN_SIDE, SIZE, rectangles
+from basis_learner.synthetic import DISTINCT_IMAGES, MIN_SIDE, SIZE, random_regression, rectangles
 
 
 def test_distinct_images_match_enumeration():
@@ -27,3 +27,24 @@ def test_images_distinct_never_square_and_labelled_by_aspect():
     w = imgs.any(axis=1).sum(axis=1)
     assert (h != w).all()
     np.testing.assert_array_equal(ds.labels, np.where(h > w, 1.0, -1.0))
+
+
+
+REFUSED = [
+    (rectangles, (-1, 0), "m must be an int >= 1, got -1"),
+    (rectangles, (0, 0), "m must be an int >= 1, got 0"),
+    (rectangles, (2.5, 0), r"m must be an int >= 1, got 2\.5"),
+    (rectangles, (2, -1), "seed must be an int >= 0, got -1"),
+    (random_regression, (2.5, 2, 0), r"m must be an int >= 1, got 2\.5"),
+    (random_regression, (5, True, 0), "d must be an int >= 1, got True"),
+    (random_regression, (5, 0, 0), "d must be an int >= 1, got 0"),
+    (random_regression, (5, 2, -1), "seed must be an int >= 0, got -1"),
+    (random_regression, (5, 2, np.int64(1)), r"seed must be an int >= 0, got np\.int64\(1\)"),
+]
+
+
+@pytest.mark.parametrize("make, args, msg", REFUSED,
+                         ids=[f"{make.__name__}{args}" for make, args, _ in REFUSED])
+def test_counts_and_seeds_are_ints(make, args, msg):
+    with pytest.raises(ValueError, match=msg):
+        make(*args)
