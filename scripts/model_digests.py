@@ -1,11 +1,15 @@
 """SHA-256 of the model file and the trace each bench workload trains, per seed.
 
 Builds each workload's inputs with ``bench/workloads.py`` (imported, never
-changed), trains once per seed and prints one line per run. The bench
-workloads all take layer 1 from the exact SVD, so one more case,
-``randomized``, trains the acceptance suite's SVD comparison configuration
-with the randomized first layer: ``random_regression(500, 20, seed)`` with
-its last 100 rows for validation. Each line reads
+changed), trains once per seed and prints one line per run. Two more cases
+cover paths no bench workload takes. The bench workloads all take layer 1
+from an exact SVD (``svd="exact"``), so ``randomized`` trains the acceptance
+suite's SVD comparison configuration with the randomized first layer:
+``random_regression(500, 20, seed)`` with its last 100 rows for validation.
+The exact-mode workload fits λ = 0 alone on every row, so ``exact-valid``
+trains the default configuration, ``TrainConfig()`` (exact mode, the
+default λ grid), on ``random_regression(1200, 8, seed)`` with its last 200
+rows for validation. Each line reads
 
     <workload> <seed> <sha256 of network.serialize(model)> <sha256 of the trace>
         <termination> <best_depth> <best_lambda> <total_nodes> <best_valid_err>
@@ -50,16 +54,19 @@ _SECS = re.compile(r" secs=\S+")
 # SVD_CFG of tests/test_acceptance.py
 _SVD_CFG = dict(mode="width", gamma=30, batch=15, max_depth=4,
                 lambda_grid=(1e-6, 1e-4, 1e-2))
-CASES = [*BUILDERS, "randomized"]
+CASES = [*BUILDERS, "randomized", "exact-valid"]
 
 
 def _inputs(name, seed):
-    """(fit, valid, config) of a bench workload or of the randomized case."""
-    if name != "randomized":
-        inputs = make_inputs(name, seed)
-        return inputs.fit, inputs.valid, inputs.config
-    fit, valid = split(random_regression(500, 20, seed), SplitSpec(validation_count=100))
-    return fit, valid, TrainConfig(svd="randomized", seed=seed, **_SVD_CFG)
+    """(fit, valid, config) of a bench workload or of one of the two extra cases."""
+    if name == "randomized":
+        fit, valid = split(random_regression(500, 20, seed), SplitSpec(validation_count=100))
+        return fit, valid, TrainConfig(svd="randomized", seed=seed, **_SVD_CFG)
+    if name == "exact-valid":
+        fit, valid = split(random_regression(1200, 8, seed), SplitSpec(validation_count=200))
+        return fit, valid, TrainConfig()
+    inputs = make_inputs(name, seed)
+    return inputs.fit, inputs.valid, inputs.config
 
 
 def main(argv=None):

@@ -3,16 +3,21 @@
 The training rows induce a value matrix F (one column per network node,
 columns kept linearly independent and normalized to second moment 1)
 together with an orthonormal companion Q spanning the same space. Layer 1
-comes from an SVD of the constant-lifted input. Every later layer draws
+spans {1, X}: in exact mode it is the constant node followed by the SVD
+directions of the centred input, in width mode the top singular
+directions of the constant-lifted input [1 X]. Every later layer draws
 its candidate columns from Hadamard products of a previous-layer column
 with a first-layer column. Every node is thus a weighted product of
 first-layer nodes, named by the multiset of their indices, and products
-with equal multisets are the same function up to a scalar; both modes
-offer only the first candidate of each multiset
-(:func:`_distinct_candidates`). Exact mode offers them unranked, in
-index order; width mode scores them against Q and a deflated target
-(:class:`CandidateScores`) and offers the ``b`` best per round, at most
-``gamma`` in all. Candidates are generated one block at a time.
+with equal multisets are the same function up to a scalar; the constant
+node's multiset is empty, so a product with it copies a lower-degree
+node. Both modes offer only the first candidate of each multiset that no
+node built so far has (:func:`_distinct_candidates`), so exact mode offers
+no candidate it knows to be dependent, as multivariate Vandermonde with
+Arnoldi does. Exact mode offers them unranked, in index order; width mode
+scores them against Q and a deflated target (:class:`CandidateScores`)
+and offers the ``b`` best per round, at most ``gamma`` in all.
+Candidates are generated one block at a time.
 
 Every admission goes through :meth:`BasisState.admit`, the one place that
 decides independence and order: it tests a block of candidates by block
@@ -31,7 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import check_matrix, is_finite, is_int, randomized_range_svd, residual, thin_svd
+from .linalg import (check_matrix, default_rank_tol, is_finite, is_int, randomized_range_svd,
+                     residual, thin_svd)
 from .linalg import lift_input  # noqa: F401  layer 1 is built from lift_input(X)
 from .network import ProductLayer, product_layer
 
@@ -198,16 +204,26 @@ def _scaled_projection(F1_tilde: np.ndarray, V: np.ndarray) -> tuple[np.ndarray,
 
 
 def build_basis1_exact(F1_tilde) -> tuple[np.ndarray, np.ndarray]:
-    """First layer: an independent spanning set for the lifted input.
+    """First layer: the constant node, then the SVD directions of the centred input.
 
-    The right singular vectors of [1 X] give linear combinations whose
-    values on the training rows are orthogonal; each is rescaled to norm
-    √m. Rank deficiency (dependent input features) just drops columns.
-    This is :func:`build_basis1_width` on the exact SVD, keeping every
-    column.
+    On the lifted input [1 X], the constant node has weights e_0 and values
+    the ones column, bit for bit. Each right singular vector v of the
+    centred X - 1 x̄^T gives a node with weights [-x̄^T v; v], whose values
+    are orthogonal to 1 and to each other, rescaled to norm √m; together
+    they span {1, X}. A direction whose singular value is at most
+    ``default_rank_tol`` times ||[1 X]||_F is rounding (centring a constant
+    column leaves a few ulps), so rank deficiency just drops columns. With
+    the constant node in layer 1, :func:`_distinct_candidates` never offers
+    a product that re-expresses a lower-degree node.
     """
     F1_tilde = check_matrix(F1_tilde, "F1_tilde")
-    return build_basis1_width(F1_tilde, max(F1_tilde.shape[1], 1))
+    mean = F1_tilde[:, 1:].mean(axis=0)
+    svd = thin_svd(F1_tilde[:, 1:] - mean, tol=0.0)
+    V = svd.V[:, svd.s > default_rank_tol(F1_tilde.shape) * np.linalg.norm(F1_tilde)]
+    W1 = np.eye(F1_tilde.shape[1], V.shape[1] + 1)
+    W1[0, 1:] = -mean @ V
+    W1[1:, 1:] = V
+    return _scaled_projection(F1_tilde, W1)
 
 
 def build_basis1_width(
@@ -344,18 +360,24 @@ def _distinct_candidates(state: BasisState) -> np.ndarray:
 
     Every node is a weighted product of layer-1 nodes, labelled by the
     multiset of their indices: layer-1 node j is {j}, and product node r
-    is its ``prev[r]`` node's multiset plus ``first[r]``. Candidates with
+    is its ``prev[r]`` node's multiset plus ``first[r]``. A layer-1 node
+    with zero weight on every input (exact mode's first node) is the
+    constant function, so its multiset is empty: a candidate that holds it
+    copies a node already built and is never offered. Candidates with
     equal multisets are the same function up to a scalar, so only the
     first of each, in ascending flat order, is kept.
     """
     n1 = state.layer1_cols
-    sets = np.arange(n1)[:, None]
+    # layer-1 labels, -1 for the constant node
+    label = np.where(state.W1[1:].any(axis=0), np.arange(n1), -1)
+    sets = label[:, None]
     for layer in state.layers:
-        sets = np.column_stack([sets[layer.prev], layer.first])
+        sets = np.column_stack([sets[layer.prev], label[layer.first]])
     # candidate p * n1 + j is the multiset of node p plus j, as a sorted row
-    rows = np.column_stack([np.repeat(sets, n1, axis=0), np.tile(np.arange(n1), len(sets))])
+    rows = np.column_stack([np.repeat(sets, n1, axis=0), np.tile(label, len(sets))])
     rows.sort(axis=1)
-    return np.sort(np.unique(rows, axis=0, return_index=True)[1])
+    first = np.unique(rows, axis=0, return_index=True)[1]
+    return np.sort(first[rows[first, 0] >= 0])
 
 
 def _admit_products(state: BasisState, flat: np.ndarray, tol: float, nodes: list) -> int:
@@ -379,19 +401,23 @@ def build_basis_t_exact(state: BasisState, tol: float | None = None) -> ProductL
     """Next layer, exact mode: admit every candidate that enlarges the span.
 
     The first candidate of each multiset (:func:`_distinct_candidates`;
-    a later copy is the same function up to a scalar) goes to
+    a later copy is the same function up to a scalar, and a product with
+    the constant node copies a lower-degree node) goes to
     :meth:`BasisState.admit` unranked, in index order (previous-layer
     column outer), in blocks of at most ``_ADMIT_BLOCK``, after room for
     all of them is reserved; its column pivoting lets near-dependent ones
-    wait behind more independent ones. Mutates ``state`` and returns the
-    layer it appended to ``state.layers``; a zero-width layer, not
-    appended, means the span is saturated. ``tol`` passes :func:`resolve_tol`.
+    wait behind more independent ones. Once F spans R^m no further block is
+    offered. Mutates ``state`` and returns the layer it appended to
+    ``state.layers``; a zero-width layer, not appended, means the span is
+    saturated. ``tol`` passes :func:`resolve_tol`.
     """
     tol = resolve_tol(tol, state.m)
     flat = _distinct_candidates(state)
     state.reserve(state.ncols + flat.size)
     nodes: list[tuple[int, int, float]] = []
     for start in range(0, flat.size, _ADMIT_BLOCK):
+        if state.ncols == state.m:  # F spans R^m: nothing more can be admitted
+            break
         _admit_products(state, flat[start : start + _ADMIT_BLOCK], tol, nodes)
     return _append_layer(state, nodes)
 

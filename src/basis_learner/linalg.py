@@ -102,7 +102,8 @@ def thin_svd(A, tol: float | None = None, k: int | None = None) -> SvdResult:
     """Thin SVD of ``A`` keeping only singular values above ``tol * s_max``,
     at most ``k`` of them.
 
-    ``tol=None`` uses :func:`default_rank_tol`. An empty matrix yields an
+    ``tol=None`` uses :func:`default_rank_tol`; an explicit ``tol`` must be
+    a finite real >= 0 (:func:`is_finite`), else ``ValueError``. An empty matrix yields an
     empty result (rank 0). ``k``, an int >= 1 (:func:`is_int`), keeps the
     first k factors. With no ``tol`` on a tall m x n ``A`` whose tail is
     dropped (k < n <= m) they come from the eigendecomposition of the Gram
@@ -115,6 +116,8 @@ def thin_svd(A, tol: float | None = None, k: int | None = None) -> SvdResult:
     m, n = A.shape
     if k is not None and not (is_int(k) and k >= 1):
         raise ValueError(f"k must be at least 1 and an int, got {k!r}")
+    if tol is not None and not (is_finite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     if m == 0 or n == 0:
         return SvdResult(np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0)))
     if tol is None:
@@ -126,8 +129,6 @@ def thin_svd(A, tol: float | None = None, k: int | None = None) -> SvdResult:
             s = np.sqrt(lam[:r])
             U, V = _flip_signs(A @ V[:, :r] / s, V[:, :r])
             return SvdResult(U, s, V)
-    elif tol < 0:
-        raise ValueError("tol must be nonnegative")
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     return _rank_cut(U, s, Vt, tol, s.size if k is None else k)
 

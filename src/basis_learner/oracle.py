@@ -72,7 +72,9 @@ def span_rank(A, tol: float | None = None) -> int:
     """Numerical rank of ``A`` under the package-wide singular value cutoff.
 
     ``tol`` is relative to the largest singular value; None uses the same
-    default as the construction, so the two never disagree on a rank.
+    default as the construction, so the two never disagree on a rank. Any
+    other ``tol`` must be a finite real >= 0, as in
+    :func:`~basis_learner.linalg.thin_svd`, else ``ValueError``.
     """
     return thin_svd(A, tol).rank
 

@@ -83,6 +83,32 @@ class TestFirstLayerExact:
         assert B.shape[1] == 1
         np.testing.assert_allclose(np.abs(B), [[1.0]])
 
+    def test_constant_node_then_centred_directions(self):
+        X = np.random.default_rng(6).standard_normal((30, 4))
+        A = lift_input(X)
+        B, W1 = build_basis1_exact(A)
+        assert B.shape == (30, 5) and W1.shape == (5, 5)
+        # the constant node: weights e_0, values the ones column, bit for bit
+        assert np.array_equal(W1[:, 0], np.eye(5)[:, 0])
+        assert np.array_equal(B[:, 0], np.ones(30))
+        # the centred directions are orthogonal to 1 and to each other
+        assert np.abs(B[:, 1:].sum(axis=0)).max() <= 1e-12 * 30
+        np.testing.assert_allclose(B.T @ B / 30, np.eye(5), rtol=0, atol=1e-12)
+        assert np.array_equal(A @ W1, B)
+        assert span_equal(B, A)
+        # rank deficiency drops columns and keeps the span
+        Xd = np.column_stack([X, X[:, 0] - 2.0 * X[:, 1]])
+        Bd, W1d = build_basis1_exact(lift_input(Xd))
+        assert Bd.shape == (30, 5) and W1d.shape == (6, 5)
+        assert span_equal(Bd, lift_input(Xd))
+
+    def test_constant_columns_give_the_constant_node_alone(self):
+        # centring 0.1 or 1e5 + 0.7 leaves ulps behind, not a direction
+        for X in (np.zeros((7, 3)), np.full((1000, 3), [0.1, 1e5 + 0.7, 3.0])):
+            B, W1 = build_basis1_exact(lift_input(X))
+            assert np.array_equal(B, np.ones((X.shape[0], 1)))
+            assert np.array_equal(W1, np.eye(4, 1))
+
 
 class TestFirstLayerWidth:
     def test_truncates_to_gamma(self):
@@ -135,14 +161,20 @@ class TestFirstLayerWidth:
 
     @pytest.mark.parametrize("m, d, gamma", [(30, 4, None), (30, 4, 5), (30, 4, 9), (6, 12, 4)])
     def test_svd_route_unchanged(self, m, d, gamma):
-        # exact mode (gamma None), width mode with gamma >= d+1, and a wide
-        # lift (rows < d+1) take the plain SVD, bit for bit
-        A = lift_input(np.random.default_rng(5).standard_normal((m, d)))
+        # width mode with gamma >= d+1 and a wide lift (rows < d+1) take the
+        # plain SVD of [1 X], bit for bit; exact mode (gamma None) takes the
+        # constant node e_0, then [-x̄^T v; v] for each right singular
+        # vector v of the centred X
+        X = np.random.default_rng(5).standard_normal((m, d))
+        A = lift_input(X)
         if gamma is None:
-            got, gamma = build_basis1_exact(A), d + 1
+            got, mean = build_basis1_exact(A), X.mean(axis=0)
+            V = thin_svd(X - mean).V
+            V = np.vstack([np.concatenate([[1.0], -mean @ V]),
+                           np.column_stack([np.zeros(d), V])])
         else:
-            got = build_basis1_width(A, gamma)
-        want = _scaled_projection(A, thin_svd(A).V[:, :gamma])
+            got, V = build_basis1_width(A, gamma), thin_svd(A).V[:, :gamma]
+        want = _scaled_projection(A, V)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
@@ -555,8 +587,9 @@ class TestExactLayerSpan:
 
 def node_multisets(state):
     """Each layer's node multisets of layer-1 indices, as sorted tuples,
-    built one node at a time; layer-1 node j is (j,)."""
-    sets = [[(j,) for j in range(state.layer1_cols)]]
+    built one node at a time; layer-1 node j is (j,), or () when it has
+    zero weight on every input (the constant function)."""
+    sets = [[(j,) if state.W1[1:, j].any() else () for j in range(state.layer1_cols)]]
     for layer in state.layers:
         sets.append([tuple(sorted(sets[-1][p] + (f,))) for p, f, _ in layer.triples()])
     return sets
@@ -564,13 +597,19 @@ def node_multisets(state):
 
 def candidate_multisets(state):
     """Each next-layer candidate's multiset, in flat order p * n1 + j."""
-    n1 = state.layer1_cols
-    return [tuple(sorted(s + (j,))) for s in node_multisets(state)[-1] for j in range(n1)]
+    sets = node_multisets(state)
+    return [tuple(sorted(s + f)) for s in sets[-1] for f in sets[0]]
+
+
+def built_multisets(state):
+    """The multisets of every node built so far."""
+    return {key for layer in node_multisets(state) for key in layer}
 
 
 def first_copies(state):
-    """Flat indices of the first candidate of each multiset, ascending."""
-    seen, first = set(), []
+    """Flat indices of the first candidate of each multiset that no node
+    built so far has, ascending."""
+    seen, first = built_multisets(state), []
     for flat, key in enumerate(candidate_multisets(state)):
         if key not in seen:
             seen.add(key)
@@ -709,20 +748,58 @@ class TestDistinctCandidates:
             got = _distinct_candidates(state)
             assert got.tolist() == first_copies(state)
             keys = candidate_multisets(state)
-            assert len({keys[i] for i in got}) == got.size == len(set(keys))
+            assert len({keys[i] for i in got}) == got.size == len(set(keys) - built_multisets(state))
             grow(state, mode, 1)
 
     def test_exact_interp_shape_halves_layer_two(self):
-        # d = 8 gives n1 = 9 layer-1 nodes: 81 products, 9 * 10 / 2 multisets
+        # d = 8 gives n1 = 9 layer-1 nodes, the constant one first: 81 products,
+        # 9 * 10 / 2 multisets, of which the 9 holding the constant node copy
+        # a layer-1 node, leaving the 8 * 9 / 2 degree-2 monomials
         state = exact_state(np.random.default_rng(20).standard_normal((100, 8)))
         assert state.layer1_cols == 9
-        assert _distinct_candidates(state).size == 45
+        assert _distinct_candidates(state).size == 36 == math.comb(8 + 1, 2)
+
+    def test_exact_layer_two_rejects_nothing(self, monkeypatch):
+        state = exact_state(np.random.default_rng(20).standard_normal((100, 8)))
+        offered, admitted = [], []
+        admit = BasisState.admit
+
+        def spy(self, C, tol, scale=True):
+            idx, w = admit(self, C, tol, scale)
+            offered.append(C.shape[1])
+            admitted.append(idx.size)
+            return idx, w
+
+        monkeypatch.setattr(BasisState, "admit", spy)
+        assert build_basis_t_exact(state).width == 36
+        assert offered == admitted == [36]
+
+    def test_exact_builder_stops_once_f_is_full(self, monkeypatch):
+        # m = 60, d = 8: 9 + 36 columns after layer 2, so layer 3 fills F from
+        # its first block of 64 of the 120 degree-3 monomials
+        state = exact_state(np.random.default_rng(20).standard_normal((60, 8)))
+        build_basis_t_exact(state)
+        assert _distinct_candidates(state).size == 120
+        full_at_call = []
+        admit = BasisState.admit
+
+        def spy(self, C, tol, scale=True):
+            full_at_call.append(self.ncols == self.m)
+            return admit(self, C, tol, scale)
+
+        monkeypatch.setattr(BasisState, "admit", spy)
+        assert build_basis_t_exact(state).width == 15
+        assert state.ncols == state.m
+        assert full_at_call == [False]
+        assert build_basis_t_exact(state).width == 0
+        assert full_at_call == [False]
 
     def test_exact_builder_offers_each_multiset_once(self, monkeypatch):
         state = mode_state("exact", m=200, d=5)
         grow(state, "exact", 1)
         want = len(first_copies(state))
-        assert want < state.layers[-1].width * state.layer1_cols
+        # the degree-3 monomials in 5 variables, of 15 * 6 products
+        assert want == math.comb(5 + 2, 3) < state.layers[-1].width * state.layer1_cols
         offered = []
         admit = BasisState.admit
 
@@ -906,8 +983,8 @@ class TestLayerInputRules:
 
     @pytest.fixture
     def lifted(self):
-        # 60 x 8: layer 2 admits 36 of its 45 distinct candidates at the default
-        # tol, every one of them at a tol that compares false or below zero
+        # 60 x 8: layer 2 offers and admits its 36 distinct candidates at the
+        # default tol
         return lift_input(np.random.default_rng(0).standard_normal((60, 8)))
 
     def test_default_tol_admits_an_independent_layer(self, lifted):
@@ -946,18 +1023,19 @@ class TestLayerInputRules:
 
     @pytest.mark.parametrize("gamma", [None, 3, 9, 12])
     def test_layer1_reaches_basis_thin_svd(self, monkeypatch, lifted, gamma):
-        # exact mode (None), width mode on a tall lift with its tail dropped
-        # (3 < d+1 = 9 <= m), and gamma >= d+1: one call each, through the
+        # exact mode (None) on the centred 8 input columns with no cut of its
+        # own, width mode on the 9 lifted columns, tall with its tail dropped
+        # (3 < d+1 = 9 <= m) and gamma >= d+1: one call each, through the
         # name the width layers' target deflation uses too
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs.get("k"))
-            return thin_svd(*args, **kwargs)
+        def counted(A, **kwargs):
+            calls.append((A.shape[1], kwargs.get("tol"), kwargs.get("k")))
+            return thin_svd(A, **kwargs)
 
         monkeypatch.setattr(basis, "thin_svd", counted)
         if gamma is None:
             build_basis1_exact(lifted)
         else:
             build_basis1_width(lifted, gamma)
-        assert calls == [9 if gamma is None else gamma]
+        assert calls == [(8, 0.0, None) if gamma is None else (9, None, gamma)]

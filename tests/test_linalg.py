@@ -17,6 +17,9 @@ def random_matrix(seed, m, n, rank=None):
     return rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
 
 
+BAD_TOLS = [float("nan"), float("inf"), -float("inf"), -1.0, True, "1e-8"]
+
+
 class TestThinSvd:
     def test_identity(self):
         res = thin_svd(np.eye(2))
@@ -51,6 +54,12 @@ class TestThinSvd:
     def test_rejects_negative_tol(self):
         with pytest.raises(ValueError):
             thin_svd(np.eye(2), tol=-1.0)
+
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    def test_rejects_tol_that_is_not_a_finite_nonnegative_real(self, tol):
+        # nan and True once read rank 0 on the identity instead of raising
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative, got"):
+            thin_svd(np.eye(3), tol=tol)
 
     def test_sign_convention_fixed(self):
         # largest-magnitude entry of each left vector is positive

@@ -90,6 +90,13 @@ class TestMonomials:
 
 
 class TestSpans:
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1.0, True, "1e-8"])
+    def test_rank_refuses_tol_that_is_not_a_finite_nonnegative_real(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative, got"):
+            span_rank(np.eye(3), tol)
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative, got"):
+            span_equal(np.eye(3), np.eye(3), tol)
+
     def test_invertible_column_ops_preserve_span(self):
         rng = np.random.default_rng(8)
         A = rng.standard_normal((10, 4))
