@@ -1,7 +1,7 @@
 """SHA-256 of the model file and the trace each bench workload trains, per seed.
 
 Builds each workload's inputs with ``bench/workloads.py`` (imported, never
-changed), trains once per seed and prints one line per run. Two more cases
+changed), trains once per seed and prints one line per run. Four more cases
 cover paths no bench workload takes. The bench workloads all take layer 1
 from an exact SVD (``svd="exact"``), so ``randomized`` trains the acceptance
 suite's SVD comparison configuration with the randomized first layer:
@@ -9,7 +9,12 @@ suite's SVD comparison configuration with the randomized first layer:
 The exact-mode workload fits λ = 0 alone on every row, so ``exact-valid``
 trains the default configuration, ``TrainConfig()`` (exact mode, the
 default λ grid), on ``random_regression(1200, 8, seed)`` with its last 200
-rows for validation. Each line reads
+rows for validation. rect-hinge is the only workload with margin heads, so
+``logistic`` and ``mc-hinge`` train those two losses in width mode (γ = 20,
+b = 10, depth 4, 10 epochs) on the inputs of ``random_regression(600, 6,
+seed)``, labelled through four fixed projections Z = X P: the sign of
+Z₁Z₂ for logistic, the argmax over Z's four columns for mc-hinge. Their
+last 100 rows are for validation. Each line reads
 
     <workload> <seed> <sha256 of network.serialize(model)> <sha256 of the trace>
         <termination> <best_depth> <best_lambda> <total_nodes> <best_valid_err>
@@ -43,7 +48,8 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from basis_learner.dataset import SplitSpec, split  # noqa: E402
+import numpy as np  # noqa: E402
+from basis_learner.dataset import SplitSpec, make_dataset, split  # noqa: E402
 from basis_learner.network import serialize  # noqa: E402
 from basis_learner.synthetic import random_regression  # noqa: E402
 from basis_learner.trainer import TrainConfig, train  # noqa: E402
@@ -54,11 +60,24 @@ _SECS = re.compile(r" secs=\S+")
 # SVD_CFG of tests/test_acceptance.py
 _SVD_CFG = dict(mode="width", gamma=30, batch=15, max_depth=4,
                 lambda_grid=(1e-6, 1e-4, 1e-2))
-CASES = [*BUILDERS, "randomized", "exact-valid"]
+CASES = [*BUILDERS, "randomized", "exact-valid", "logistic", "mc-hinge"]
+
+
+def _margin_inputs(kind, seed):
+    # binary labels for logistic, four classes for mc-hinge, from fixed projections
+    X = random_regression(600, 6, seed).X
+    Z = X @ np.random.default_rng(0).standard_normal((6, 4))
+    ds = (make_dataset(X, np.where(Z[:, 0] * Z[:, 1] > 0, 1.0, -1.0), task="binary")
+          if kind == "logistic" else make_dataset(X, Z.argmax(axis=1), task="multiclass"))
+    fit, valid = split(ds, SplitSpec(validation_count=100))
+    return fit, valid, TrainConfig(mode="width", gamma=20, batch=10, max_depth=4,
+                                   loss=kind, sgd_epochs=10)
 
 
 def _inputs(name, seed):
-    """(fit, valid, config) of a bench workload or of one of the two extra cases."""
+    """(fit, valid, config) of a bench workload or of one of the extra cases."""
+    if name in ("logistic", "mc-hinge"):
+        return _margin_inputs(name, seed)
     if name == "randomized":
         fit, valid = split(random_regression(500, 20, seed), SplitSpec(validation_count=100))
         return fit, valid, TrainConfig(svd="randomized", seed=seed, **_SVD_CFG)

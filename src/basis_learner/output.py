@@ -8,7 +8,9 @@ logistic, and multiclass hinge. The regularized objective is always
 Each margin loss is a function of one margin per row: y s for hinge and
 logistic; for the multiclass hinge, the true score minus the best rival's
 (Crammer-Singer), so its loss is the hinge's. Value, gradient and the
-Pegasos solver share that definition. Squared loss is minimized exactly,
+Pegasos solver share that definition, which takes leading head axes, so a
+lambda grid's margin heads (:class:`MarginGrid`) are stepped together,
+each bit for bit as it would be alone. Squared loss is minimized exactly,
 through one shrink formula on an SVD (:func:`_shrink`, minimum norm at
 lambda = 0): over the basis admission's F = QR (:class:`SquaredFactor`),
 lambda = 0 is a back-substitution on its upper-triangular R and every
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,7 +45,8 @@ class OptimizerConfig:
     counting steps from 1; for lambda > 0 each step ends with the
     projection onto the ball ||W|| <= 1/sqrt(lambda). The returned
     weights are the average of the iterates from the second half of the
-    steps.
+    steps. The seed alone orders the rows, so a head's weights do not
+    depend on the other heads of a :class:`MarginGrid` it is stepped with.
     """
 
     epochs: int = 50
@@ -113,15 +116,16 @@ def _labelled(kind: str, scores, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _margins(kind: str, S: np.ndarray, y: np.ndarray):
-    # per-row margin: y s, or for mc-hinge the true score minus the best
-    # rival's, returned with the rival's column
+    # per-row margin over the scores' last axis (any leading axes index
+    # heads): y s, or for mc-hinge the true score minus the best rival's,
+    # returned with the rival's column
     if kind != "mc-hinge":
-        return y * S[:, 0], None
-    rows = np.arange(S.shape[0])
+        return y * S[..., 0], None
+    rows = np.ix_(*map(range, y.shape))
     masked = S.copy()
-    masked[rows, y] = -np.inf
-    rival = masked.argmax(axis=1)
-    return S[rows, y] - masked[rows, rival], rival
+    masked[(*rows, y)] = -np.inf
+    rival = masked.argmax(axis=-1)
+    return S[(*rows, y)] - masked[(*rows, rival)], rival
 
 
 def loss_value(kind: str, scores, y) -> float:
@@ -154,8 +158,9 @@ def decide(task: str, scores) -> np.ndarray:
 
 
 def _gradient(kind: str, S: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # unchecked gradient: each margin loss's slope d loss / dz, onto the scores
-    m = S.shape[0]
+    # unchecked gradient: each margin loss's slope d loss / dz, onto the
+    # scores; leading axes of S and y index heads, as in _margins
+    m = S.shape[-2]
     if kind == "squared":
         return 2.0 * (S - y) / m
     z, rival = _margins(kind, S, y)
@@ -164,12 +169,12 @@ def _gradient(kind: str, S: np.ndarray, y: np.ndarray) -> np.ndarray:
         slope = -np.where(z > 0.0, e, 1.0) / (1.0 + e) / m
     else:
         slope = np.where(z < 1.0, -1.0 / m, 0.0)
-    G = np.zeros_like(S)
     if rival is None:
-        G[:, 0] = y * slope
-    else:
-        G[np.arange(m), y] = slope
-        G[np.arange(m), rival] -= slope
+        return (y * slope)[..., None]
+    rows = np.ix_(*map(range, y.shape))
+    G = np.zeros_like(S)
+    G[(*rows, y)] = slope
+    G[(*rows, rival)] -= slope
     return G
 
 
@@ -242,33 +247,82 @@ def _back_substitute(R: np.ndarray, B: np.ndarray) -> np.ndarray:
 _SOLVE_BLOCK = 64
 
 
-def _sgd(F, y, kind, lam, opt, k):
+def _sgd(F, y, kind, k, lams, seeds, epochs):
     # Pegasos steps on the unchecked gradient (fit_head checked F and y) over
-    # mini-batches of about m/32 rows; the ball ||W|| <= 1/sqrt(lam) holds the optimum
+    # mini-batches of about m/32 rows, for L heads at once: head l steps with
+    # lams[l] over rows in the order default_rng(seeds[l]) draws, and takes
+    # the products, steps and norm it would take alone, so its weights are
+    # bit for bit a grid of one's. The ball ||W|| <= 1/sqrt(lam) holds the
+    # optimum. Returns the L x n x k averaged weights.
     m, n = F.shape
     F = np.ascontiguousarray(F)  # the steps take rows, so take them from a C-ordered copy
     batches = range(0, m, max(1, m // 32))
-    half = opt.epochs * len(batches) // 2
-    radius = 1.0 / math.sqrt(lam) if lam > 0.0 else math.inf
-    W = np.zeros((n, k))
+    per_pass = m // batches.step  # at least 32; a step then gathers at most m rows
+    if len(seeds) > per_pass:
+        return np.concatenate([
+            _sgd(F, y, kind, k, lams[lo:lo + per_pass], seeds[lo:lo + per_pass], epochs)
+            for lo in range(0, len(seeds), per_pass)])
+    half = epochs * len(batches) // 2
+    lam = np.asarray(lams, dtype=np.float64)[:, None, None]
+    pos = lam > 0.0
+    lam_pos = np.where(pos, lam, 1.0)
+    radius = np.where(pos, 1.0 / np.sqrt(lam_pos), np.inf)
+    W = np.zeros((len(seeds), n, k))
     acc = np.zeros_like(W)
-    rng = np.random.default_rng(opt.seed)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     s = 0
-    for _ in range(opt.epochs):
-        order = rng.permutation(m)
+    for _ in range(epochs):
+        orders = np.stack([rng.permutation(m) for rng in rngs])
         for start in batches:
-            idx = order[start:start + batches.step]
+            idx = orders[:, start:start + batches.step]
             s += 1
-            eta = 1.0 / (lam * s) if lam > 0.0 else 1.0 / math.sqrt(s)
+            eta = np.where(pos, 1.0 / (lam_pos * s), 1.0 / math.sqrt(s))
             Fb = F[idx]
-            G = Fb.T @ _gradient(kind, Fb @ W, y[idx])
+            G = Fb.transpose(0, 2, 1) @ _gradient(kind, Fb @ W, y[idx])
             W = (1.0 - eta * lam) * W - eta * G
-            norm = np.linalg.norm(W)
-            if norm > radius:
-                W *= radius / norm
+            # each head's ||W|| is one ddot, as in np.linalg.norm
+            flat = W.reshape(len(W), 1, -1)
+            norm = np.sqrt(flat @ flat.transpose(0, 2, 1))
+            W *= np.divide(radius, norm, out=np.ones_like(norm), where=norm > radius)
             if s > half:
                 acc += W
     return acc / max(s - half, 1)
+
+
+@dataclass
+class MarginGrid:
+    """The margin heads of one depth: its lambda grid as ``(lam, opt)``
+    pairs, which share one ``opt.epochs``, stepped together.
+
+    The first :func:`fit_head` call given the grid as its ``factor`` runs
+    :func:`_sgd` over every pair on that call's F and labels, in passes of
+    at most m // b pairs for mini-batches of b rows, so that no step
+    gathers more rows than F holds. Each call then takes the head of its
+    own pair, which is bit for bit the head the pair fits alone. Later
+    calls must pass the first call's F and labels; another loss kind, F
+    shape or class count, or a pair not in the grid, raises ``ValueError``.
+    """
+
+    heads: tuple[tuple[float, OptimizerConfig], ...]
+    _solved: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.heads = tuple(self.heads)
+        if len({opt.epochs for _, opt in self.heads}) > 1:
+            raise ValueError("a grid's heads step together, so they share one epoch count")
+
+    def weights(self, F, y, kind: str, k: int, lam: float, opt: OptimizerConfig) -> np.ndarray:
+        """The n x k head of ``(lam, opt)`` over F, checked as :func:`fit_head`
+        checks it, and labels ``y`` that pass the loss's rule."""
+        if (lam, opt) not in self.heads:
+            raise ValueError(f"lambda={lam!r} with {opt} is not in the grid")
+        problem = (kind, F.shape, k)
+        if self._solved is None:
+            lams, opts = zip(*self.heads)
+            self._solved = problem, _sgd(F, y, kind, k, lams, [o.seed for o in opts], opts[0].epochs)
+        elif self._solved[0] != problem:
+            raise ValueError(f"the grid was solved for {self._solved[0]}, not {problem}")
+        return self._solved[1][self.heads.index((lam, opt))].copy()
 
 
 def fit_head(
@@ -278,7 +332,7 @@ def fit_head(
     lam: float,
     opt: OptimizerConfig | None = None,
     n_classes: int | None = None,
-    factor: SquaredFactor | None = None,
+    factor: SquaredFactor | MarginGrid | None = None,
 ) -> FitResult:
     """Fit output weights over the feature matrix ``F``.
 
@@ -286,10 +340,13 @@ def fit_head(
     :class:`SquaredFactor` of F and the targets shared by the calls over a
     lambda grid, or by :func:`_shrink` on F's own SVD when none is given
     (minimum-norm at lambda = 0); the margin losses use the averaged
-    mini-batch subgradient method configured by ``opt`` and ignore
-    ``factor``. ``n_classes`` fixes the weight-column count for mc-hinge;
-    by default it is one more than the largest class id seen. Either way
-    it is at most ``MAX_CLASSES``. Errors are scored separately, by
+    mini-batch subgradient method configured by ``opt``, run for the whole
+    :class:`MarginGrid` given as ``factor`` on its first fit, or for this
+    ``(lam, opt)`` alone when none is given, with the same weights either
+    way. A ``factor`` of the other kind raises ``ValueError``.
+    ``n_classes`` fixes the weight-column count for mc-hinge; by default it
+    is one more than the largest class id seen. Either way it is at most
+    ``MAX_CLASSES``. Errors are scored separately, by
     :func:`validation_error`. F is checked by :func:`check_matrix`, ``lam``
     by :func:`is_finite` and mc-hinge's ``n_classes`` by :func:`is_int`; a
     label count other than F's rows, labels that are not real numbers or
@@ -303,6 +360,9 @@ def fit_head(
     y = _real_labels(y)
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
+    want = SquaredFactor if kind == "squared" else MarginGrid
+    if factor is not None and not isinstance(factor, want):
+        raise ValueError(f"a {kind} head takes a {want.__name__}, got {type(factor).__name__}")
     if not (is_finite(lam) and lam >= 0):
         raise ValueError(f"lambda must be finite and nonnegative, got {lam!r}")
     if y.ndim == 0 or y.shape[0] != F.shape[0]:
@@ -325,7 +385,8 @@ def fit_head(
             if k > MAX_CLASSES:
                 raise ValueError(f"mc-hinge needs at most MAX_CLASSES={MAX_CLASSES} classes, got {k}")
         y = _label_rule(kind, y, k)
-        W = _sgd(F, y, kind, lam, opt, k)
+        grid = MarginGrid(((lam, opt),)) if factor is None else factor
+        W = grid.weights(F, y, kind, k, lam, opt)
     loss = objective(kind, F, W, y, lam)
     if not (math.isfinite(loss) and np.isfinite(W).all()):
         raise ValueError(f"{kind} head at lambda={lam!r} is not finite")

@@ -45,13 +45,19 @@ def random_regression(m: int, d: int, seed: int) -> LabeledDataset:
     return ds
 
 
-def _render_outline(top: int, left: int, h: int, w: int) -> np.ndarray:
-    img = np.zeros((SIZE, SIZE))
-    img[top, left:left + w] = 1.0
-    img[top + h - 1, left:left + w] = 1.0
-    img[top:top + h, left] = 1.0
-    img[top:top + h, left + w - 1] = 1.0
-    return img
+def _render_outlines(boxes: np.ndarray) -> np.ndarray:
+    # one flattened outline image per (top, left, h, w) row, all at once: a
+    # pixel is on when it lies on a boundary row within the box's columns,
+    # or on a boundary column within its rows
+    top, left, h, w = boxes.T[:, :, None]
+    r = np.arange(SIZE)
+    bottom, right = top + h - 1, left + w - 1
+    edge_rows = ((r == top) | (r == bottom))[:, :, None]
+    edge_cols = ((r == left) | (r == right))[:, None, :]
+    in_rows = ((r >= top) & (r <= bottom))[:, :, None]
+    in_cols = ((r >= left) & (r <= right))[:, None, :]
+    img = (edge_rows & in_cols) | (in_rows & edge_cols)
+    return img.reshape(len(boxes), SIZE * SIZE).astype(np.float64)
 
 
 def rectangles(m: int, seed: int) -> LabeledDataset:
@@ -68,25 +74,19 @@ def rectangles(m: int, seed: int) -> LabeledDataset:
     if m > DISTINCT_IMAGES:
         raise ValueError(f"only {DISTINCT_IMAGES} distinct rectangle images exist, asked for {m}")
     rng = np.random.default_rng(seed)
-    X = np.empty((m, SIZE * SIZE))
-    y = np.empty(m)
-    seen = set()
-    i = 0
-    while i < m:
+    # one scalar draw at a time: batched draws would change the stream
+    drawn = {}  # insertion-ordered, so row i is the i-th new tuple drawn
+    while len(drawn) < m:
         h = int(rng.integers(MIN_SIDE, SIZE + 1))
         w = int(rng.integers(MIN_SIDE, SIZE + 1))
         if h == w:
             continue
         top = int(rng.integers(0, SIZE - h + 1))
         left = int(rng.integers(0, SIZE - w + 1))
-        key = (top, left, h, w)
-        if key in seen:
-            continue
-        seen.add(key)
-        X[i] = _render_outline(top, left, h, w).ravel()
-        y[i] = 1.0 if h > w else -1.0
-        i += 1
-    return make_dataset(X, y, task="binary")
+        drawn[(top, left, h, w)] = None
+    boxes = np.array(list(drawn), dtype=np.int64)
+    y = np.where(boxes[:, 2] > boxes[:, 3], 1.0, -1.0)
+    return make_dataset(_render_outlines(boxes), y, task="binary")
 
 
 def write_csv(ds: LabeledDataset, path) -> None:

@@ -34,6 +34,7 @@ from .network import OutputHead, PolyNetwork, feature_matrix, node_values
 from .output import (
     LOSS_KINDS,
     LOSS_TASK,
+    MarginGrid,
     OptimizerConfig,
     SquaredFactor,
     decide,
@@ -243,13 +244,15 @@ def train(
         lo, hi = state.layer_ranges[-1]
         # the validation rows' node values, from the deployed network's evaluator
         valid_F = node_values(valid_ds.X, state.W1, state.layers) if has_valid else None
-        factor = SquaredFactor(state.R, state.Q.T @ fit_y) if config.loss == "squared" else None
+        opts = [OptimizerConfig(epochs=config.sgd_epochs, seed=_head_seed(config.seed, t, li))
+                for li in range(len(config.lambda_grid))]
+        # the depth's heads share one factor: squared heads admission's F = QR,
+        # margin heads one batched Pegasos solve of the whole grid
+        factor = (SquaredFactor(state.R, state.Q.T @ fit_y) if config.loss == "squared"
+                  else MarginGrid(tuple(zip(config.lambda_grid, opts))))
 
         heads = []
-        for li, lam in enumerate(config.lambda_grid):
-            opt = OptimizerConfig(
-                epochs=config.sgd_epochs, seed=_head_seed(config.seed, t, li)
-            )
+        for lam, opt in zip(config.lambda_grid, opts):
             fit = fit_head(F, fit_y, config.loss, lam, opt,
                            n_classes=train_ds.n_classes, factor=factor)
             v_err = (validation_error(valid_F, fit.weights, valid_ds.labels, valid_ds.task)

@@ -23,6 +23,7 @@ from basis_learner.basis import (
 from basis_learner.dataset import MAX_CLASSES
 from basis_learner.output import (
     LOSS_KINDS,
+    MarginGrid,
     OptimizerConfig,
     SquaredFactor,
     decide,
@@ -538,6 +539,97 @@ class TestPegasos:
             y = rng.integers(0, 3, m)
         W = fit_head(F, y, kind, lam, OptimizerConfig(epochs=5)).weights
         assert np.linalg.norm(W) <= (1.0 + 1e-12) / math.sqrt(lam)
+
+
+def pegasos_one_head(F, y, kind, lam, opt, k):
+    # the solver's loop as it ran one head at a time: its own rng, scalar
+    # step sizes and np.linalg.norm, on the checked loss_gradient
+    m, n = F.shape
+    F = np.ascontiguousarray(F)
+    b = max(1, m // 32)
+    batches = range(0, m, b)
+    half = opt.epochs * len(batches) // 2
+    radius = 1.0 / math.sqrt(lam) if lam > 0.0 else math.inf
+    W = np.zeros((n, k))
+    acc = np.zeros_like(W)
+    rng = np.random.default_rng(opt.seed)
+    s = 0
+    for _ in range(opt.epochs):
+        order = rng.permutation(m)
+        for start in batches:
+            idx = order[start:start + b]
+            s += 1
+            eta = 1.0 / (lam * s) if lam > 0.0 else 1.0 / math.sqrt(s)
+            Fb = F[idx]
+            W = (1.0 - eta * lam) * W - eta * (Fb.T @ loss_gradient(kind, Fb @ W, y[idx]))
+            norm = np.linalg.norm(W)
+            if norm > radius:
+                W *= radius / norm
+            if s > half:
+                acc += W
+    return acc / (s - half)
+
+
+# lambda = 0, and 1e-3 at two indices with two seeds; 35 values outrun the
+# m // b heads of one pass at every m below
+GRID = (0.0, 1e-7, 1e-3, 1e-3, *(10.0 ** (-6 + 0.25 * i) for i in range(31)))
+
+
+class TestMarginGrid:
+    """The grid steps its heads together, each bit for bit as it would alone."""
+
+    @pytest.mark.parametrize("n_lams", [5, len(GRID)])
+    @pytest.mark.parametrize("m", [20, 64, 100])  # b = 1, 2, 3
+    @pytest.mark.parametrize("kind", ["hinge", "logistic", "mc-hinge"])
+    def test_heads_equal_one_lambda_fits(self, kind, m, n_lams):
+        F, y = classification_features(m, 6, 41)
+        k = 1
+        if kind == "mc-hinge":
+            k = 4
+            y = np.random.default_rng(41).integers(0, k, m)
+        F = np.asfortranarray(F)  # the basis's layout
+        pairs = [(lam, OptimizerConfig(epochs=3, seed=100 + i)) for i, lam in enumerate(GRID[:n_lams])]
+        grid = MarginGrid(pairs)
+        heads = []
+        for lam, opt in pairs:
+            W = fit_head(F, y, kind, lam, opt, n_classes=k, factor=grid).weights
+            alone = fit_head(F, y, kind, lam, opt, n_classes=k).weights
+            assert W.tobytes() == alone.tobytes()
+            assert W.tobytes() == pegasos_one_head(F, y, kind, lam, opt, k).tobytes()
+            heads.append(W)
+        assert not np.array_equal(heads[2], heads[3])  # one lambda, two seeds
+
+    def test_pair_not_in_grid_refused(self):
+        F, y = classification_features(40, 3, 42)
+        grid = MarginGrid([(0.1, OptimizerConfig(seed=1))])
+        with pytest.raises(ValueError, match="not in the grid"):
+            fit_head(F, y, "hinge", 0.1, OptimizerConfig(seed=2), factor=grid)
+        with pytest.raises(ValueError, match="not in the grid"):
+            fit_head(F, y, "hinge", 0.2, OptimizerConfig(seed=1), factor=grid)
+
+    def test_solved_grid_refuses_another_problem(self):
+        F, y = classification_features(40, 3, 43)
+        opt = OptimizerConfig(epochs=2)
+        grid = MarginGrid([(0.1, opt)])
+        fit_head(F, y, "hinge", 0.1, opt, factor=grid)
+        with pytest.raises(ValueError, match="solved for"):
+            fit_head(F, y, "logistic", 0.1, opt, factor=grid)
+        with pytest.raises(ValueError, match="solved for"):
+            fit_head(F[:30], y[:30], "hinge", 0.1, opt, factor=grid)
+
+    def test_heads_share_one_epoch_count(self):
+        with pytest.raises(ValueError, match="one epoch count"):
+            MarginGrid([(0.1, OptimizerConfig(epochs=2)), (0.2, OptimizerConfig(epochs=3))])
+
+    def test_factor_of_the_wrong_kind_refused(self):
+        F, y = classification_features(40, 3, 44)
+        state = initial_state(build_basis1_exact(lift_input(F[:, 1:])))
+        squared = SquaredFactor(state.R, state.Q.T @ y[:, None])
+        with pytest.raises(ValueError, match="a hinge head takes a MarginGrid, got SquaredFactor"):
+            fit_head(state.F, y, "hinge", 0.1, factor=squared)
+        grid = MarginGrid([(0.1, OptimizerConfig())])
+        with pytest.raises(ValueError, match="a squared head takes a SquaredFactor, got MarginGrid"):
+            fit_head(state.F, y, "squared", 0.1, factor=grid)
 
 
 class TestFitHeadValidation:

@@ -29,6 +29,19 @@ def test_images_distinct_never_square_and_labelled_by_aspect():
     np.testing.assert_array_equal(ds.labels, np.where(h > w, 1.0, -1.0))
 
 
+def test_images_are_outlines_drawn_one_at_a_time():
+    # each image equals its outline drawn alone from the box it spans
+    ds = rectangles(200, 6)
+    for img in ds.X.reshape(-1, SIZE, SIZE):
+        rows = np.flatnonzero(img.any(axis=1))
+        cols = np.flatnonzero(img.any(axis=0))
+        top, bottom, left, right = rows[0], rows[-1], cols[0], cols[-1]
+        drawn = np.zeros((SIZE, SIZE))
+        drawn[[top, bottom], left:right + 1] = 1.0
+        drawn[top:bottom + 1, [left, right]] = 1.0
+        assert np.array_equal(img, drawn)
+
+
 
 REFUSED = [
     (rectangles, (-1, 0), "m must be an int >= 1, got -1"),

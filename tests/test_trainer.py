@@ -20,7 +20,7 @@ from basis_learner import (
     train,
 )
 from basis_learner.dataset import LabeledDataset, SplitSpec
-from basis_learner import trainer
+from basis_learner import output, trainer
 from basis_learner.network import feature_matrix, predict
 from basis_learner.synthetic import random_regression
 from basis_learner.trainer import _head_seed
@@ -369,6 +369,30 @@ class TestLossTaskPairing:
         net, trace = train(ds, None, cfg)
         assert trace.best_train_err <= 0.1
         assert net.head.loss == "hinge"
+
+    def test_hinge_grid_stepped_once_per_depth(self, monkeypatch):
+        # one batched Pegasos pass per depth takes the whole grid, while the
+        # trainer still calls fit_head once per lambda
+        passes, fitted = [], []
+        sgd, fit = output._sgd, trainer.fit_head
+
+        def sgd_spy(*args):
+            passes.append(args)
+            return sgd(*args)
+
+        def fit_spy(*args, **kwargs):
+            fitted.append(args[3])
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(output, "_sgd", sgd_spy)
+        monkeypatch.setattr(trainer, "fit_head", fit_spy)
+        grid = (1e-3, 1e-2, 1e-2, 0.1)
+        _, trace = train(binary_ds(60, 33), None,
+                         TrainConfig(loss="hinge", lambda_grid=grid, max_depth=4))
+        depths = len(trace.records)
+        assert depths == 3
+        assert [list(args[4]) for args in passes] == [list(grid)] * depths
+        assert fitted == list(grid) * depths
 
     def test_mc_hinge_end_to_end(self):
         rng = np.random.default_rng(34)
