@@ -27,11 +27,15 @@ change moves the digests by rounding alone, a diff of two outputs shows
 that the answers did not move. BLAS is pinned to one thread before
 numpy loads, so the printed digests depend only on the code and the seed.
 Two checkouts that print the same lines write byte-identical models and
-trace the same depths; diff their outputs to check that a refactor left
-every answer unchanged.
+trace the same depths. To check that a change left every answer unchanged,
+save one checkout's output to a file and run the other with ``--compare
+FILE``: it prints, for each run whose line differs from the saved line of
+the same workload and seed (or has none), the saved line prefixed ``-``
+and its own prefixed ``+``, then a count, and exits 1 when any line differs.
 
 Usage:
     python3 scripts/model_digests.py [--workloads rect-hinge randomized ...] [--seeds 1 2 3]
+        [--compare FILE]
 """
 
 import os
@@ -92,7 +96,13 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workloads", nargs="+", choices=CASES, default=CASES)
     ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
+    ap.add_argument("--compare", metavar="FILE", help="saved output to compare against")
     args = ap.parse_args(argv)
+    saved = None  # the saved line of each (workload, seed), when comparing
+    if args.compare:
+        saved = {tuple(line.split()[:2]): line
+                 for line in Path(args.compare).read_text().splitlines() if line.strip()}
+    differ = 0
     for name in args.workloads:
         for seed in args.seeds:
             net, trace = train(*_inputs(name, seed))
@@ -101,10 +111,19 @@ def main(argv=None):
             trace_digest = hashlib.sha256(lines.encode()).hexdigest()
             head = trace.header()
             err = head["best_valid_err"]
-            print(name, seed, model_digest, trace_digest, head["termination"],
-                  head["best_depth"], repr(float(head["best_lambda"])), net.total_nodes,
-                  "-" if err is None else f"{err:.10g}", flush=True)
-    return 0
+            line = " ".join(map(str, (
+                name, seed, model_digest, trace_digest, head["termination"], head["best_depth"],
+                repr(float(head["best_lambda"])), net.total_nodes,
+                "-" if err is None else f"{err:.10g}")))
+            if saved is None:
+                print(line, flush=True)
+            elif (old := saved.get((name, str(seed)))) != line:
+                differ += 1
+                print(f"- {old or f'{name} {seed} (not saved)'}")
+                print(f"+ {line}", flush=True)
+    if saved is not None:
+        print(f"{differ} of {len(args.workloads) * len(args.seeds)} lines differ from {args.compare}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

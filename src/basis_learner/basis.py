@@ -16,8 +16,10 @@ node built so far has (:func:`_distinct_candidates`), so exact mode offers
 no candidate it knows to be dependent, as multivariate Vandermonde with
 Arnoldi does. Exact mode offers them unranked, in index order; width mode
 scores them against Q and a deflated target (:class:`CandidateScores`)
-and offers the ``b`` best per round, at most ``gamma`` in all.
-Candidates are generated one block at a time.
+and offers the ``b`` best per round, at most ``gamma`` in all. Width mode
+forms and scores candidates in chunks of whole previous-layer columns,
+each chunk one scratch block wide enough for an efficient product with Q;
+both modes hand candidates to admission in blocks of at most ``_ADMIT_BLOCK``.
 
 Every admission goes through :meth:`BasisState.admit`, the one place that
 decides independence and order: it tests a block of candidates by block
@@ -280,6 +282,13 @@ _EXPLICIT_RATIO = 1e-4
 # columns, which bounds the m x block copies one admission makes.
 _ADMIT_BLOCK = 64
 
+# Width scoring forms and projects the candidates of several previous-layer
+# columns at once, in chunks of at most this many columns (one column's range
+# if that is wider). A one-thread Q^T block product with 152 rows of Q runs at
+# about 40 GFlop/s on 51 columns and 60 on 204-306; the m x chunk scratch
+# block is what the width costs (5 MB at m = 2,500).
+_SCORE_CHUNK = 256
+
 # BasisState.reserve refuses F, Q and R buffers above this many bytes together.
 # Exact mode grows all three to m x m, so it trains on at most 6,688 rows.
 _BUFFER_BUDGET = 2**30
@@ -296,16 +305,24 @@ class CandidateScores:
     column j. For each candidate c this keeps ||c||^2 and ||Q^T c||^2 over
     the Q columns seen so far. Q only grows within a layer, so a round
     projects c onto the columns admitted since the previous round and onto
-    the deflated target's basis O_V, both in one product. The CGS2
+    the deflated target's basis O_V. The CGS2
     residual r of c has ||r||^2 = ||c||^2 - ||Q^T c||^2 and O_V^T r =
     O_V^T c (O_V is orthogonal to Q), so the score ||O_V^T r|| / ||r||
     needs no residual, except when ||r|| / ||c|| is below
     ``_EXPLICIT_RATIO``: then ||r|| and O_V^T r both come from an explicit
     CGS2 residual, so a near-dependent column is judged against ``tol``
     and scored with numerator and denominator from one residual. Only
-    the first candidate of each multiset starts out ``live``, and each
-    block holds only live columns. A candidate found dependent stays out
-    (``live`` is cleared): its residual can only shrink as Q grows.
+    the first candidate of each multiset starts out ``live``. A candidate
+    found dependent stays out (``live`` is cleared): its residual can only
+    shrink as Q grows.
+
+    A round forms the candidates in chunks of whole previous-layer columns,
+    at most ``_SCORE_CHUNK`` columns a chunk unless one column's range is
+    wider. Previous-layer column p contributes the products with layer-1
+    columns j0(p) <= j < j1(p), the contiguous range that covers its live
+    candidates, written side by side into one scratch block with no
+    gather; each chunk takes one product with the new Q columns and one
+    with O_V, and the dead candidates inside a range are masked out.
     """
 
     def __init__(self, state: BasisState):
@@ -324,35 +341,59 @@ class CandidateScores:
         A candidate's score is ||O_V^T r|| / ||r||; -1 marks one whose
         residual norm is at most ``tol``.
         """
-        Q = state.Q
-        nq = state.ncols - self.seen
-        P = np.concatenate([Q[:, self.seen:], O_V], axis=1)
+        Q, F = state.Q, state.F
+        Q_new = Q[:, self.seen:]
         lo, _ = state.layer_ranges[-1]
         n1 = state.layer1_cols
         scores = np.full(self.norm2.size, -1.0)
-        for prev in range(self.norm2.size // n1):
-            cols = np.flatnonzero(self.live[prev * n1 : (prev + 1) * n1])
-            if not cols.size:
-                continue
-            # products of one previous-layer column with its live layer-1 columns
-            block = state.F[:, cols]
-            block *= state.F[:, lo + prev, None]
-            T = P.T @ block
-            at = prev * n1 + cols
-            self.proj2[at] += np.einsum("ij,ij->j", T[:nq], T[:nq])
+        # each previous-layer column with a live candidate, and the range
+        # [j0, j1) of layer-1 columns that covers its live candidates
+        live = self.live.reshape(-1, n1)
+        prevs = np.flatnonzero(live.any(axis=1))
+        j0 = live[prevs].argmax(axis=1)
+        j1 = n1 - live[prevs, ::-1].argmax(axis=1)
+        w = j1 - j0
+        chunks = _chunks(w.tolist(), _SCORE_CHUNK)
+        scratch = np.empty((state.m, max((int(w[c].sum()) for c in chunks), default=0)), order="F")
+        for c in chunks:
+            # products of whole previous-layer columns with their ranges, side by side
+            at, width = [], 0
+            for p, s, e in zip(prevs[c], j0[c], j1[c]):
+                np.multiply(F[:, s:e], F[:, lo + p, None], out=scratch[:, width : width + e - s])
+                at.append(p * n1 + np.arange(s, e))
+                width += e - s
+            block = scratch[:, :width]
+            at = np.concatenate(at)
+            keep = np.flatnonzero(self.live[at])  # a range can hold dead candidates
+            at = at[keep]
+            T = (Q_new.T @ block)[:, keep]
+            self.proj2[at] += np.einsum("ij,ij->j", T, T)
+            T = (O_V.T @ block)[:, keep]
             norm2 = self.norm2[at]
             r2 = norm2 - self.proj2[at]
             nr = np.sqrt(np.maximum(r2, 0.0))
             explicit = r2 < _EXPLICIT_RATIO**2 * norm2
             if explicit.any():
-                _, R = _cgs2(block[:, explicit], Q)
+                _, R = _cgs2(block[:, keep[explicit]], Q)
                 nr[explicit] = np.linalg.norm(R, axis=0)
-                T[nq:, explicit] = O_V.T @ R
-            live = nr > tol
-            self.live[at] = live
-            scores[at[live]] = np.linalg.norm(T[nq:, live], axis=0) / nr[live]
+                T[:, explicit] = O_V.T @ R
+            ok = nr > tol
+            self.live[at] = ok
+            scores[at[ok]] = np.linalg.norm(T[:, ok], axis=0) / nr[ok]
         self.seen = state.ncols
         return scores
+
+
+def _chunks(widths: list[int], cap: int) -> list[slice]:
+    """Consecutive runs of ``widths``, greedily as long as their sum stays
+    at most ``cap``; a run holds at least one item."""
+    runs, start, used = [], 0, 0
+    for i, w in enumerate(widths):
+        if used + w > cap and i > start:
+            runs.append(slice(start, i))
+            start, used = i, 0
+        used += w
+    return runs + [slice(start, len(widths))] if widths else runs
 
 
 def _distinct_candidates(state: BasisState) -> np.ndarray:

@@ -240,7 +240,6 @@ def train(
     t = 2
     while True:
         t0 = time.perf_counter()
-        F = state.F
         lo, hi = state.layer_ranges[-1]
         # the validation rows' node values, from the deployed network's evaluator
         valid_F = node_values(valid_ds.X, state.W1, state.layers) if has_valid else None
@@ -253,7 +252,7 @@ def train(
 
         heads = []
         for lam, opt in zip(config.lambda_grid, opts):
-            fit = fit_head(F, fit_y, config.loss, lam, opt,
+            fit = fit_head(state.F, fit_y, config.loss, lam, opt,
                            n_classes=train_ds.n_classes, factor=factor)
             v_err = (validation_error(valid_F, fit.weights, valid_ds.labels, valid_ds.task)
                      if has_valid else math.nan)
@@ -264,7 +263,7 @@ def train(
             ))
         record = _best(heads)
         record = replace(record, train_err=validation_error(
-            F, record.weights, train_ds.labels, train_ds.task))
+            state.F, record.weights, train_ds.labels, train_ds.task))
         records.append(record)
         best = _best(records)
 

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -651,6 +652,45 @@ def sign_state(m, noise):
     return initial_state((lifted @ W1, W1))
 
 
+def chunk_case(name):
+    """A state and a target for the scoring-chunk tests."""
+    rng = np.random.default_rng(21)
+    if name in ("dependent", "near-dependent"):
+        return sign_state(40, 0.0 if name == "dependent" else 1e-7), rng.standard_normal((40, 1))
+    X = rng.standard_normal((60, 4))
+    V = np.column_stack([X[:, 0] * X[:, 1] * X[:, 2], X[:, 3] ** 2])
+    state = initial_state(build_basis1_width(lift_input(X), gamma=5))
+    if name == "layer3":
+        build_basis_t_width(state, V, gamma=6, b=2)
+    return state, V
+
+
+def score_rounds(state, V, cap, monkeypatch, b=2):
+    """Every round ``CandidateScores.round`` takes on a copy of ``state``,
+    chunked at most ``cap`` columns wide, admitting the ``b`` best after each:
+    a list of (scores, live, proj2, picks), one per round."""
+    monkeypatch.setattr(basis, "_SCORE_CHUNK", cap)
+    state = copy.deepcopy(state)
+    tol = default_tol(state.m)
+    scorer = CandidateScores(state)
+    rounds = []
+    while True:
+        V = residual(V, state.Q)
+        scores = scorer.round(state, thin_svd(V).U, tol)
+        take = np.argsort(-scores, kind="stable")[: min(b, np.count_nonzero(scores >= 0))]
+        rounds.append((scores, scorer.live.copy(), scorer.proj2.copy(), take))
+        if not take.size:
+            return rounds
+        scorer.live[take] = False
+        basis._admit_products(state, take, tol, [])
+
+
+def live_ranges(live, n1):
+    """Each previous-layer column's [j0, j1) covering its live candidates, or None."""
+    return [(row.argmax(), n1 - row[::-1].argmax()) if row.any() else None
+            for row in live.reshape(-1, n1)]
+
+
 class TestCandidateScores:
     def test_rounds_match_explicit_cgs2(self):
         rng = np.random.default_rng(14)
@@ -699,6 +739,45 @@ class TestCandidateScores:
         assert res.width == 2
         assert (2, 2) in refs and len(refs & {(1, 2), (2, 1)}) == 1
         check_state_invariants(state)
+
+    @pytest.mark.parametrize("name", ["layer2", "layer3", "dependent", "near-dependent"])
+    def test_chunk_cap_changes_no_decision(self, name, monkeypatch):
+        # one previous-layer column per chunk, a few per chunk, and every
+        # candidate in one chunk: the same live candidates and picks round
+        # after round, and the same scores and proj2 up to rounding (BLAS picks
+        # its kernel by shape, so a column's product can move by an ulp with
+        # the width of the block it is in)
+        state, V = chunk_case(name)
+        n1 = state.layer1_cols
+        runs = [score_rounds(state, V, cap, monkeypatch) for cap in (1, n1 + 1, 10**6)]
+        for run in runs[1:]:
+            assert len(run) == len(runs[0])
+            for (scores, live, proj2, picks), want in zip(run, runs[0]):
+                np.testing.assert_array_equal(live, want[1])
+                np.testing.assert_array_equal(picks, want[3])
+                np.testing.assert_array_equal(scores < 0, want[0] < 0)
+                np.testing.assert_allclose(scores, want[0], rtol=1e-12, atol=1e-15)
+                np.testing.assert_allclose(proj2, want[2], rtol=1e-12, atol=1e-12)
+        rounds = runs[0]
+        norm2 = CandidateScores(state).norm2
+        ranges = [live_ranges(live, n1) for _, live, _, _ in rounds]
+        if name == "layer2":
+            # no multiset repeats and no constant node: column p's range is j >= p
+            assert ranges[0] == [(p, n1) for p in range(n1)]
+        elif name == "layer3":
+            # some range holds a dead candidate, and some column runs out of live ones
+            assert any((~live[p * n1 + lo : p * n1 + hi]).any()
+                       for (_, live, _, _), rs in zip(rounds, ranges)
+                       for p, (lo, hi) in enumerate(filter(None, rs)))
+            assert any(None in rs for rs in ranges[1:])
+        else:
+            ss = 1 * n1 + 1  # candidate s * s
+            scores, live, proj2, _ = rounds[0]
+            if name == "dependent":
+                assert scores[ss] == -1 and not live[ss]
+            else:
+                assert scores[ss] >= 0
+                assert norm2[ss] - proj2[ss] < basis._EXPLICIT_RATIO**2 * norm2[ss]
 
     @pytest.mark.parametrize("mode", ["exact", "width"])
     def test_q_orthonormal_within_buffer(self, mode):
