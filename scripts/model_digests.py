@@ -32,6 +32,10 @@ save one checkout's output to a file and run the other with ``--compare
 FILE``: it prints, for each run whose line differs from the saved line of
 the same workload and seed (or has none), the saved line prefixed ``-``
 and its own prefixed ``+``, then a count, and exits 1 when any line differs.
+Every run also checks that the trained model and its copy reloaded with
+``network.deserialize`` predict the same bits on the first 1, 10 and 256
+training rows and on all of them; a mismatch is reported on standard error
+and the script exits 1. It leaves the printed lines as they are.
 
 Usage:
     python3 scripts/model_digests.py [--workloads rect-hinge randomized ...] [--seeds 1 2 3]
@@ -54,7 +58,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import numpy as np  # noqa: E402
 from basis_learner.dataset import SplitSpec, make_dataset, split  # noqa: E402
-from basis_learner.network import serialize  # noqa: E402
+from basis_learner.network import deserialize, predict, serialize  # noqa: E402
 from basis_learner.synthetic import random_regression  # noqa: E402
 from basis_learner.trainer import TrainConfig, train  # noqa: E402
 from workloads import BUILDERS, make_inputs  # noqa: E402
@@ -92,6 +96,14 @@ def _inputs(name, seed):
     return inputs.fit, inputs.valid, inputs.config
 
 
+def _reload_mismatches(net, blob, X):
+    """Row counts n (1, 10, 256, all) on which ``net`` and the model loaded
+    from its bytes ``blob`` predict other bits for the first n rows of X."""
+    back = deserialize(blob)
+    return [n for n in (1, 10, 256, X.shape[0])
+            if predict(net, X[:n]).tobytes() != predict(back, X[:n]).tobytes()]
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workloads", nargs="+", choices=CASES, default=CASES)
@@ -102,11 +114,17 @@ def main(argv=None):
     if args.compare:
         saved = {tuple(line.split()[:2]): line
                  for line in Path(args.compare).read_text().splitlines() if line.strip()}
-    differ = 0
+    differ = mismatched = 0
     for name in args.workloads:
         for seed in args.seeds:
-            net, trace = train(*_inputs(name, seed))
-            model_digest = hashlib.sha256(serialize(net)).hexdigest()
+            fit, valid, config = _inputs(name, seed)
+            net, trace = train(fit, valid, config)
+            blob = serialize(net)
+            if bad := _reload_mismatches(net, blob, fit.X):
+                mismatched += 1
+                print(f"{name} {seed}: the reloaded model predicts other bits on "
+                      f"{', '.join(map(str, bad))} rows", file=sys.stderr, flush=True)
+            model_digest = hashlib.sha256(blob).hexdigest()
             lines = "\n".join(_SECS.sub(" secs=*", line) for line in trace.lines())
             trace_digest = hashlib.sha256(lines.encode()).hexdigest()
             head = trace.header()
@@ -123,7 +141,7 @@ def main(argv=None):
                 print(f"+ {line}", flush=True)
     if saved is not None:
         print(f"{differ} of {len(args.workloads) * len(args.seeds)} lines differ from {args.compare}")
-    return 1 if differ else 0
+    return 1 if differ or mismatched else 0
 
 
 if __name__ == "__main__":

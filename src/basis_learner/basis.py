@@ -72,13 +72,14 @@ class BasisState:
 
     F and Q are the first ``ncols`` columns of ``F_buf`` and ``Q_buf``, R
     the leading ``ncols`` x ``ncols`` block of ``R_buf``; only :meth:`reserve`
-    allocates them, for a whole layer before it is admitted. All three are
-    column-major: the builders read, score and write them a column at a
-    time and project off runs of Q's columns, so each column and each run
-    is contiguous. Every column enters through :meth:`admit`, which writes
-    the node's values to F, their BCGS2 orthonormalisation to Q and its
-    coefficients to R: R is upper triangular and F = QR to rounding, with
-    no Q^T F formed; R is every squared head's factor. F's columns are
+    allocates them: once for the whole run where its width is known
+    (:func:`final_width`), else for a whole layer before it is admitted.
+    All three are column-major: the builders read, score and write them a
+    column at a time and project off runs of Q's columns, so each column
+    and each run is contiguous. Every column enters through :meth:`admit`,
+    which writes the node's values to F, their BCGS2 orthonormalisation to
+    Q and its coefficients to R: R is upper triangular and F = QR to
+    rounding, with no Q^T F formed; R is every squared head's factor. F's columns are
     linearly independent with second moment 1: the values of layer 1
     (weights ``W1``, (d+1) x ``layer1_cols``), then of each product layer
     in ``layers``, the network :func:`~basis_learner.network.node_values` evaluates.
@@ -122,7 +123,11 @@ class BasisState:
 
     def reserve(self, cols: int) -> None:
         """Make room for ``cols`` columns in all; F and Q never need more than m.
-        Buffers over ``_BUFFER_BUDGET`` bytes together raise ``ValueError``, changing nothing."""
+
+        Buffers over ``_BUFFER_BUDGET`` bytes together raise ``ValueError``,
+        changing nothing. Growing replaces F, then Q, then R, one buffer at a
+        time, so the old and new copies of only one of them are alive at once.
+        """
         cols = min(cols, self.m)
         if cols > self.F_buf.shape[1]:
             need = (2 * self.m + cols) * cols * self.F_buf.itemsize
@@ -132,13 +137,16 @@ class BasisState:
                     f"over the budget of {_BUFFER_BUDGET} bytes; train on fewer "
                     f"rows or in width mode"
                 )
+            n = self.ncols
             F = np.empty((self.m, cols), order="F")
+            F[:, :n] = self.F
+            self.F_buf = F
             Q = np.empty_like(F)
+            Q[:, :n] = self.Q
+            self.Q_buf = Q
             R = np.zeros((cols, cols), order="F")
-            F[:, : self.ncols] = self.F
-            Q[:, : self.ncols] = self.Q
-            R[: self.ncols, : self.ncols] = self.R
-            self.F_buf, self.Q_buf, self.R_buf = F, Q, R
+            R[:n, :n] = self.R
+            self.R_buf = R
 
     def admit(self, C: np.ndarray, tol: float, scale: bool = True) -> tuple[np.ndarray, np.ndarray]:
         """Admit each column of the m x n block C that enlarges the span.
@@ -271,6 +279,26 @@ def initial_state(layer1: tuple[np.ndarray, np.ndarray], tol: float | None = Non
         raise ValueError("first-layer columns must be linearly independent")
     state.W1 = W1[:, order]
     return state
+
+
+def final_width(state: BasisState, depth: int | None, gamma: int | None = None) -> int | None:
+    """The most columns F can reach in a network of ``depth`` layers (counting
+    the output layer, as ``TrainConfig.max_depth`` does), at most m.
+
+    A width-mode layer (``gamma`` given) adds at most ``gamma`` columns, so
+    with no ``depth`` the width is unbounded (None). An exact-mode layer adds
+    one node per distinct multiset of layer-1 nodes
+    (:func:`_distinct_candidates`), so F holds at most one node per multiset
+    of at most ``depth - 1`` non-constant layer-1 nodes, and m with no ``depth``.
+    """
+    if depth is None:
+        return None if gamma is not None else state.m
+    if gamma is not None:
+        cols = state.layer1_cols + gamma * (depth - 2)
+    else:
+        k = int(state.W1[1:].any(axis=0).sum())  # the non-constant layer-1 nodes
+        cols = math.comb(k + depth - 1, depth - 1)
+    return min(cols, state.m)
 
 
 # Below this residual ratio ||r|| / ||c||, ||c||^2 - ||Q^T c||^2 has lost

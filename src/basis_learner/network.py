@@ -4,7 +4,9 @@ A network is a linear layer over the constant-lifted input, a stack of
 product layers whose nodes each multiply one previous-layer node with one
 first-layer node (times a fixed weight), and a linear output head over
 the concatenation of every node value. One evaluator, :func:`node_values`,
-serves deployed networks and the validation rows during training alike.
+serves deployed networks and the validation rows during training alike; it
+writes every layer into one rows x nodes result, the product layers a
+block of rows at a time, so it never holds a second copy of the values.
 
 Models serialize to a versioned JSON document. Floats go through Python
 repr, which round-trips exactly, so save/load is lossless and the bytes
@@ -105,13 +107,30 @@ def layer_values(N1: np.ndarray, prev: np.ndarray, L: ProductLayer) -> np.ndarra
     return prev[:, L.prev] * N1[:, L.first] * L.weight
 
 
+# node_values writes each product layer in blocks of this many rows, so the
+# temporaries of layer_values hold this many rows x the layer's width
+# (1 MB each at 500 nodes), whatever the number of rows.
+_ROW_BLOCK = 256
+
+
 def node_values(X: np.ndarray, W1: np.ndarray, layers) -> np.ndarray:
     """All node values for each row of X (unchecked), in layer order, of the
-    network with first-layer weights ``W1`` and the product ``layers``."""
-    blocks = [lift_input(X) @ W1]
+    network with first-layer weights ``W1`` and the product ``layers``.
+
+    The rows x nodes result is allocated once: layer 1, lift_input(X) @ W1 in
+    one product, goes into its first columns, and each product layer's
+    :func:`layer_values` into the next ones, ``_ROW_BLOCK`` rows at a time.
+    """
+    n1 = W1.shape[1]
+    out = np.empty((X.shape[0], n1 + sum(L.width for L in layers)))
+    out[:, :n1] = lift_input(X) @ W1
+    lo, hi = 0, n1  # the previous layer's columns
     for L in layers:
-        blocks.append(layer_values(blocks[0], blocks[-1], L))
-    return np.hstack(blocks)
+        for r in range(0, X.shape[0], _ROW_BLOCK):
+            rows = out[r : r + _ROW_BLOCK]
+            rows[:, hi : hi + L.width] = layer_values(rows[:, :n1], rows[:, lo:hi], L)
+        lo, hi = hi, hi + L.width
+    return out
 
 
 def feature_matrix(net: PolyNetwork, X) -> np.ndarray:

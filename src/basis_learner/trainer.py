@@ -25,6 +25,7 @@ from .basis import (
     build_basis_t_exact,
     build_basis_t_width,
     check_width,
+    final_width,
     initial_state,
     resolve_tol,
 )
@@ -234,6 +235,14 @@ def train(
     else:
         layer1 = build_basis1_width(lifted, config.gamma, svd_mode=config.svd, seed=config.seed)
     state = initial_state(layer1, config.tol)
+    del lifted, layer1  # layer 1 is in F now
+    widest = final_width(state, config.max_depth,
+                         config.gamma if config.mode == "width" else None)
+    if widest is not None:
+        try:  # F, Q and R once for the run, so no layer copies them
+            state.reserve(widest)
+        except ValueError:  # over the budget: each layer reserves its own room
+            pass
     select_target = target_matrix(train_ds)
 
     records: list[DepthRecord] = []
@@ -296,7 +305,9 @@ def train(
         best_train_err=best.train_err,
         best_valid_err=best.valid_err,
         warnings=warnings,
-        feature_columns=state.F[:, : best.total_cols].copy(),
+        # the buffer itself when it holds just these columns, so no copy of F
+        feature_columns=(state.F_buf if state.F_buf.shape[1] == best.total_cols
+                         else state.F[:, : best.total_cols].copy()),
     )
     # provenance lives inside the JSON model file, so keep it JSON-native
     # (tuples would come back as lists and break round-trip equality)
@@ -305,9 +316,11 @@ def train(
     net = PolyNetwork(
         input_dim=train_ds.dim,
         task=train_ds.task,
-        W1=state.W1,
+        # C order, as deserialize builds them, so a reloaded copy predicts the
+        # same bits (BLAS picks its kernel by layout)
+        W1=np.ascontiguousarray(state.W1),
         product_layers=tuple(state.layers[: best.depth - 2]),
-        head=OutputHead(weights=np.asarray(best.weights, dtype=np.float64),
+        head=OutputHead(weights=np.ascontiguousarray(best.weights, dtype=np.float64),
                         loss=config.loss, lam=float(best.lam)),
         n_classes=train_ds.n_classes,
         provenance={"config": cfg_doc, "trace": trace.header()},

@@ -7,12 +7,14 @@ against an actual operation count rather than the same formula twice.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from basis_learner import TrainConfig, make_dataset, train
+from basis_learner import TrainConfig, make_dataset, network, train
+from basis_learner.linalg import lift_input
 from basis_learner.network import (
     ModelFormatError,
     OutputHead,
@@ -21,6 +23,7 @@ from basis_learner.network import (
     deserialize,
     feature_matrix,
     load_model,
+    node_values,
     predict,
     product_layer,
     save_model,
@@ -121,6 +124,65 @@ class TestForwardFeatures:
                                                 gamma=6, batch=3)
         F = feature_matrix(net, ds.X)
         assert np.max(np.abs(F - trace.feature_columns)) <= 1e-8
+
+
+def random_layers(rng, n1, widths):
+    """Product layers of the given ``widths`` with random indices and weights."""
+    layers, prev = [], n1
+    for w in widths:
+        layers.append(product_layer(list(zip(rng.integers(0, prev, w).tolist(),
+                                             rng.integers(0, n1, w).tolist(),
+                                             rng.uniform(0.5, 2.0, w).tolist()))))
+        prev = w
+    return layers
+
+
+def hstack_node_values(X, W1, layers):
+    # the evaluator as it was before it wrote into one output: every layer's
+    # block kept, then all of them copied side by side
+    blocks = [lift_input(X) @ W1]
+    for L in layers:
+        blocks.append(blocks[-1][:, L.prev] * blocks[0][:, L.first] * L.weight)
+    return np.hstack(blocks)
+
+
+class TestNodeValues:
+    """node_values writes every layer into one output, product layers in row blocks."""
+
+    B = network._ROW_BLOCK
+
+    @pytest.mark.parametrize("widths", [(), (7,), (7, 12, 5)])
+    @pytest.mark.parametrize("rows", [0, 1, B - 1, B, 2 * B + 3])
+    def test_matches_hstack_bit_for_bit(self, widths, rows):
+        rng = np.random.default_rng(len(widths) * 1000 + rows)
+        W1 = rng.standard_normal((4, 5))
+        layers = random_layers(rng, 5, widths)
+        X = rng.standard_normal((rows, 3))
+        got = node_values(X, W1, layers)
+        want = hstack_node_values(X, W1, layers)
+        assert got.shape == want.shape == (rows, 5 + sum(widths))
+        assert got.tobytes() == want.tobytes()
+
+    def test_predict_peak_memory(self):
+        # an exact-interp-sized predict: 2,000 rows, d = 8, 1,000 nodes
+        rng = np.random.default_rng(60)
+        m, widths = 2000, (36, 120, 330, 505)
+        net = PolyNetwork(input_dim=8, task="regression", W1=rng.standard_normal((9, 9)),
+                          product_layers=tuple(random_layers(rng, 9, widths)),
+                          head=OutputHead(rng.standard_normal((1000, 1)), "squared", 0.0))
+        X = rng.standard_normal((m, 8))
+        tracemalloc.start()
+        try:
+            predict(net, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = m * 1000 * 8
+        # layer_values' two gathers and product for one row block of the
+        # widest layer, and the m x 9 lift and layer-1 product
+        temporaries = 3 * self.B * max(widths) * 8 + 2 * m * 9 * 8
+        assert peak <= out + temporaries + 64 * 1024, (peak, out, temporaries)
+        assert out + temporaries < 2 * out  # the old evaluator held two copies
 
 
 class TestPredict:
@@ -264,10 +326,15 @@ class TestSerialization:
         assert back.provenance == net.provenance
 
     def test_round_trip_predict_exact(self):
-        ds, net, trace = trained_regression_net()
-        back = deserialize(serialize(net))
-        X = np.random.default_rng(3).standard_normal((100, ds.X.shape[1]))
-        assert np.array_equal(predict(back, X), predict(net, X))
+        # bit for bit, also on the small products whose BLAS kernel depends on
+        # the layout of W1 (width mode at d = 20)
+        for ds, net, _ in (trained_regression_net(),
+                           trained_regression_net(m=200, d=20, seed=5, mode="width",
+                                                  gamma=10, batch=5)):
+            back = deserialize(serialize(net))
+            for rows in (1, 10, 100, 256, 2000):
+                X = np.random.default_rng(3).standard_normal((rows, ds.X.shape[1]))
+                assert predict(back, X).tobytes() == predict(net, X).tobytes(), rows
 
     def test_serialize_deterministic_and_stable(self):
         ds, net, trace = trained_regression_net()

@@ -20,8 +20,8 @@ from basis_learner import (
     train,
 )
 from basis_learner.dataset import LabeledDataset, SplitSpec
-from basis_learner import output, trainer
-from basis_learner.network import feature_matrix, predict
+from basis_learner import basis, output, trainer
+from basis_learner.network import feature_matrix, predict, serialize
 from basis_learner.synthetic import random_regression
 from basis_learner.trainer import _head_seed
 
@@ -494,8 +494,6 @@ class TestTraceOutput:
 
 class TestDeterminism:
     def test_identical_runs_identical_artifacts(self):
-        from basis_learner.network import serialize
-
         ds = regression_ds(20, 2, 41)
         cfg = TrainConfig(lambda_grid=(0.0, 1e-4), max_depth=5)
         net_a, trace_a = train(ds, None, cfg)
@@ -575,3 +573,61 @@ class TestEvaluate:
         assert np.array_equal(conf.sum(axis=1), counts)
         off_diag = conf.sum() - np.trace(conf)
         assert evaluate(net, ds)["error"] == pytest.approx(off_diag / m)
+
+
+class TestBufferReservation:
+    """train reserves F, Q and R once for the run where its width is known,
+    and falls back to per-layer growth when that reservation is over budget."""
+
+    @staticmethod
+    def spy_buffers(monkeypatch):
+        # (F_buf, Q_buf, R_buf) as each product layer's build starts and ends
+        seen = []
+
+        def wrap(build):
+            def spy(state, *args):
+                seen.append((state.F_buf, state.Q_buf, state.R_buf))
+                layer = build(state, *args)
+                seen.append((state.F_buf, state.Q_buf, state.R_buf))
+                return layer
+            return spy
+
+        for name in ("build_basis_t_exact", "build_basis_t_width"):
+            monkeypatch.setattr(trainer, name, wrap(getattr(trainer, name)))
+        return seen
+
+    @pytest.mark.parametrize("cfg, cols", [
+        # exact mode: m columns
+        (TrainConfig(lambda_grid=(0.0,), error_threshold=1e-12), 60),
+        # exact mode to depth 4: multisets of at most 3 of the 3 inputs
+        (TrainConfig(lambda_grid=(0.0,), max_depth=4), 20),
+        # width mode to depth 5: n1 + gamma * 3
+        (TrainConfig(mode="width", gamma=6, batch=3, max_depth=5, lambda_grid=(1e-3,)),
+         4 + 6 * 3),
+    ], ids=["exact", "exact-max-depth", "width-max-depth"])
+    def test_buffers_keep_identity(self, monkeypatch, cfg, cols):
+        seen = self.spy_buffers(monkeypatch)
+        net, trace = train(regression_ds(60, 3, 50), None, cfg)
+        assert len(seen) >= 4  # at least two product layers built
+        first = seen[0]
+        assert first[0].shape == (60, cols) and first[2].shape == (cols, cols)
+        for bufs in seen:
+            assert all(b is f for b, f in zip(bufs, first))
+        assert trace.feature_columns.shape[1] == net.total_nodes
+
+    def test_over_budget_run_that_stops_early_trains(self, monkeypatch):
+        ds = regression_ds(40, 2, 51)
+        cfg = TrainConfig(lambda_grid=(0.0,), error_threshold=1e-12)
+        _, full = train(ds, None, cfg)
+        # stop at depth 3, with layer 1's 3 columns and layer 2's 3 products
+        early = replace(cfg, error_threshold=full.records[1].train_loss)
+        net, trace = train(ds, None, early)
+        # room for 6 columns of 40 rows fits; room for all 40 does not
+        monkeypatch.setattr(basis, "_BUFFER_BUDGET", (2 * 40 + 6) * 6 * 8)
+        net_b, trace_b = train(ds, None, early)
+        assert trace_b.termination == "error_threshold" and trace_b.best_depth == 3
+        assert serialize(net_b) == serialize(net)
+        assert stripped_lines(trace_b) == stripped_lines(trace)
+        with pytest.raises(ValueError, match=r"F, Q and R need \d+ bytes for 40 rows x \d+ "
+                           r"columns, over the budget of 4128 bytes"):
+            train(ds, None, cfg)
