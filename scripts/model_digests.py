@@ -71,13 +71,18 @@ _SVD_CFG = dict(mode="width", gamma=30, batch=15, max_depth=4,
 CASES = [*BUILDERS, "randomized", "exact-valid", "logistic", "mc-hinge"]
 
 
-def _margin_inputs(kind, seed):
-    # binary labels for logistic, four classes for mc-hinge, from fixed projections
-    X = random_regression(600, 6, seed).X
+def margin_labels(kind, X):
+    """Rows X (6 inputs) labelled for the ``logistic`` or ``mc-hinge`` case:
+    binary labels or four classes, from fixed projections."""
     Z = X @ np.random.default_rng(0).standard_normal((6, 4))
-    ds = (make_dataset(X, np.where(Z[:, 0] * Z[:, 1] > 0, 1.0, -1.0), task="binary")
-          if kind == "logistic" else make_dataset(X, Z.argmax(axis=1), task="multiclass"))
-    fit, valid = split(ds, SplitSpec(validation_count=100))
+    return (make_dataset(X, np.where(Z[:, 0] * Z[:, 1] > 0, 1.0, -1.0), task="binary")
+            if kind == "logistic" else make_dataset(X, Z.argmax(axis=1), task="multiclass"))
+
+
+def margin_case(kind, X):
+    """(fit, valid, config) of the ``logistic`` or ``mc-hinge`` case on rows
+    X, the last 100 of them for validation."""
+    fit, valid = split(margin_labels(kind, X), SplitSpec(validation_count=100))
     return fit, valid, TrainConfig(mode="width", gamma=20, batch=10, max_depth=4,
                                    loss=kind, sgd_epochs=10)
 
@@ -85,7 +90,7 @@ def _margin_inputs(kind, seed):
 def _inputs(name, seed):
     """(fit, valid, config) of a bench workload or of one of the extra cases."""
     if name in ("logistic", "mc-hinge"):
-        return _margin_inputs(name, seed)
+        return margin_case(name, random_regression(600, 6, seed).X)
     if name == "randomized":
         fit, valid = split(random_regression(500, 20, seed), SplitSpec(validation_count=100))
         return fit, valid, TrainConfig(svd="randomized", seed=seed, **_SVD_CFG)

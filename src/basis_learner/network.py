@@ -64,6 +64,12 @@ def product_layer(triples) -> ProductLayer:
     return ProductLayer(prev=prev, first=first, weight=weight)
 
 
+def _c_order(W) -> np.ndarray:
+    # C-ordered float64, as deserialize builds it: BLAS picks its kernel by
+    # layout, so a network predicts the same bits as its reloaded copy
+    return np.ascontiguousarray(W, dtype=np.float64)
+
+
 @dataclass(frozen=True)
 class OutputHead:
     """Linear predictor over all node values: total_nodes x outputs."""
@@ -71,6 +77,9 @@ class OutputHead:
     weights: np.ndarray
     loss: str
     lam: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "weights", _c_order(self.weights))
 
 
 @dataclass(frozen=True)
@@ -82,6 +91,9 @@ class PolyNetwork:
     head: OutputHead
     n_classes: int = 0
     provenance: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "W1", _c_order(self.W1))
 
     @property
     def layer_widths(self) -> list[int]:

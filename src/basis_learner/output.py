@@ -9,12 +9,13 @@ Each margin loss is a function of one margin per row: y s for hinge and
 logistic; for the multiclass hinge, the true score minus the best rival's
 (Crammer-Singer), so its loss is the hinge's. Value, gradient and the
 Pegasos solver share that definition, which takes leading head axes, so a
-lambda grid's margin heads (:class:`MarginGrid`) are stepped together,
-each bit for bit as it would be alone. Squared loss is minimized exactly,
-through one shrink formula on an SVD (:func:`_shrink`, minimum norm at
-lambda = 0): over the basis admission's F = QR (:class:`SquaredFactor`),
-lambda = 0 is a back-substitution on its upper-triangular R and every
-lambda > 0 shares one SVD of R; a bare F is solved from its own SVD.
+lambda grid's margin heads (:class:`MarginGrid`) are stepped together over
+one row order, each bit for bit as it would be alone. Squared loss is
+minimized exactly, through one shrink formula on an SVD (:func:`_shrink`,
+minimum norm at lambda = 0): over the basis admission's F = QR
+(:class:`SquaredFactor`), lambda = 0 is a back-substitution on its
+upper-triangular R and every lambda > 0 shares one SVD of R; a bare F is
+solved from its own SVD.
 Fits are deterministic given their config. Scores become decisions by
 one rule, :func:`decide`, keyed by task.
 """
@@ -45,8 +46,9 @@ class OptimizerConfig:
     counting steps from 1; for lambda > 0 each step ends with the
     projection onto the ball ||W|| <= 1/sqrt(lambda). The returned
     weights are the average of the iterates from the second half of the
-    steps. The seed alone orders the rows, so a head's weights do not
-    depend on the other heads of a :class:`MarginGrid` it is stepped with.
+    steps. The seed alone orders the rows: every head of a
+    :class:`MarginGrid` steps over the one order its config's seed draws,
+    so a head's weights do not depend on the grid's other lambdas.
     """
 
     epochs: int = 50
@@ -247,38 +249,35 @@ def _back_substitute(R: np.ndarray, B: np.ndarray) -> np.ndarray:
 _SOLVE_BLOCK = 64
 
 
-def _sgd(F, y, kind, k, lams, seeds, epochs):
+def _sgd(F, y, kind, k, lams, seed, epochs):
     # Pegasos steps on the unchecked gradient (fit_head checked F and y) over
-    # mini-batches of about m/32 rows, for L heads at once: head l steps with
-    # lams[l] over rows in the order default_rng(seeds[l]) draws, and takes
-    # the products, steps and norm it would take alone, so its weights are
-    # bit for bit a grid of one's. The ball ||W|| <= 1/sqrt(lam) holds the
-    # optimum. Returns the L x n x k averaged weights.
+    # mini-batches of about m/32 rows, for L heads at once: every head steps
+    # over the rows in the one order default_rng(seed) draws, head l with
+    # lams[l], and takes the products, steps and norm it would take alone, so
+    # its weights are bit for bit a grid of one's. Only W is stacked: a step
+    # gathers one b x n batch for all heads. The ball ||W|| <= 1/sqrt(lam)
+    # holds the optimum. Returns the L x n x k averaged weights.
     m, n = F.shape
     F = np.ascontiguousarray(F)  # the steps take rows, so take them from a C-ordered copy
     batches = range(0, m, max(1, m // 32))
-    per_pass = m // batches.step  # at least 32; a step then gathers at most m rows
-    if len(seeds) > per_pass:
-        return np.concatenate([
-            _sgd(F, y, kind, k, lams[lo:lo + per_pass], seeds[lo:lo + per_pass], epochs)
-            for lo in range(0, len(seeds), per_pass)])
     half = epochs * len(batches) // 2
     lam = np.asarray(lams, dtype=np.float64)[:, None, None]
     pos = lam > 0.0
     lam_pos = np.where(pos, lam, 1.0)
     radius = np.where(pos, 1.0 / np.sqrt(lam_pos), np.inf)
-    W = np.zeros((len(seeds), n, k))
+    W = np.zeros((len(lam), n, k))
     acc = np.zeros_like(W)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rng = np.random.default_rng(seed)
     s = 0
     for _ in range(epochs):
-        orders = np.stack([rng.permutation(m) for rng in rngs])
+        order = rng.permutation(m)
         for start in batches:
-            idx = orders[:, start:start + batches.step]
+            idx = order[start:start + batches.step]
             s += 1
             eta = np.where(pos, 1.0 / (lam_pos * s), 1.0 / math.sqrt(s))
             Fb = F[idx]
-            G = Fb.transpose(0, 2, 1) @ _gradient(kind, Fb @ W, y[idx])
+            yb = np.broadcast_to(y[idx], (len(lam), len(idx)))
+            G = Fb.T @ _gradient(kind, Fb @ W, yb)
             W = (1.0 - eta * lam) * W - eta * G
             # each head's ||W|| is one ddot, as in np.linalg.norm
             flat = W.reshape(len(W), 1, -1)
@@ -291,38 +290,32 @@ def _sgd(F, y, kind, k, lams, seeds, epochs):
 
 @dataclass
 class MarginGrid:
-    """The margin heads of one depth: its lambda grid as ``(lam, opt)``
-    pairs, which share one ``opt.epochs``, stepped together.
+    """The margin heads of one depth: its lambda grid ``lams``, stepped
+    together under one ``opt``, so over one row order.
 
     The first :func:`fit_head` call given the grid as its ``factor`` runs
-    :func:`_sgd` over every pair on that call's F and labels, in passes of
-    at most m // b pairs for mini-batches of b rows, so that no step
-    gathers more rows than F holds. Each call then takes the head of its
-    own pair, which is bit for bit the head the pair fits alone. Later
-    calls must pass the first call's F and labels; another loss kind, F
-    shape or class count, or a pair not in the grid, raises ``ValueError``.
+    :func:`_sgd` over every lambda on that call's F and labels. Each call
+    then takes the head of its own lambda, which is bit for bit the head
+    that lambda fits alone under ``opt``. Later calls must pass the first
+    call's F and labels; another loss kind, F shape or class count, or a
+    lambda or ``opt`` not the grid's, raises ``ValueError``.
     """
 
-    heads: tuple[tuple[float, OptimizerConfig], ...]
+    lams: tuple[float, ...]
+    opt: OptimizerConfig
     _solved: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        self.heads = tuple(self.heads)
-        if len({opt.epochs for _, opt in self.heads}) > 1:
-            raise ValueError("a grid's heads step together, so they share one epoch count")
-
     def weights(self, F, y, kind: str, k: int, lam: float, opt: OptimizerConfig) -> np.ndarray:
-        """The n x k head of ``(lam, opt)`` over F, checked as :func:`fit_head`
+        """The n x k head of ``lam`` over F, checked as :func:`fit_head`
         checks it, and labels ``y`` that pass the loss's rule."""
-        if (lam, opt) not in self.heads:
+        if lam not in self.lams or opt != self.opt:
             raise ValueError(f"lambda={lam!r} with {opt} is not in the grid")
         problem = (kind, F.shape, k)
         if self._solved is None:
-            lams, opts = zip(*self.heads)
-            self._solved = problem, _sgd(F, y, kind, k, lams, [o.seed for o in opts], opts[0].epochs)
+            self._solved = problem, _sgd(F, y, kind, k, self.lams, opt.seed, opt.epochs)
         elif self._solved[0] != problem:
             raise ValueError(f"the grid was solved for {self._solved[0]}, not {problem}")
-        return self._solved[1][self.heads.index((lam, opt))].copy()
+        return self._solved[1][self.lams.index(lam)].copy()
 
 
 def fit_head(
@@ -342,10 +335,10 @@ def fit_head(
     (minimum-norm at lambda = 0); the margin losses use the averaged
     mini-batch subgradient method configured by ``opt``, run for the whole
     :class:`MarginGrid` given as ``factor`` on its first fit, or for this
-    ``(lam, opt)`` alone when none is given, with the same weights either
-    way. A ``factor`` of the other kind raises ``ValueError``.
-    ``n_classes`` fixes the weight-column count for mc-hinge; by default it
-    is one more than the largest class id seen. Either way it is at most
+    ``lam`` alone when none is given, with the same weights either way.
+    A ``factor`` of the other kind raises ``ValueError``. ``n_classes``
+    fixes the weight-column count for mc-hinge; by default it is one more
+    than the largest class id seen. Either way it is at most
     ``MAX_CLASSES``. Errors are scored separately, by
     :func:`validation_error`. F is checked by :func:`check_matrix`, ``lam``
     by :func:`is_finite` and mc-hinge's ``n_classes`` by :func:`is_int`; a
@@ -385,7 +378,7 @@ def fit_head(
             if k > MAX_CLASSES:
                 raise ValueError(f"mc-hinge needs at most MAX_CLASSES={MAX_CLASSES} classes, got {k}")
         y = _label_rule(kind, y, k)
-        grid = MarginGrid(((lam, opt),)) if factor is None else factor
+        grid = MarginGrid((lam,), opt) if factor is None else factor
         W = grid.weights(F, y, kind, k, lam, opt)
     loss = objective(kind, F, W, y, lam)
     if not (math.isfinite(loss) and np.isfinite(W).all()):

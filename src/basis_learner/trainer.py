@@ -198,10 +198,6 @@ def _check_fits(ds: LabeledDataset, owner: str, dim: int, task: str, n_classes: 
             )
 
 
-def _head_seed(seed: int, depth: int, lam_index: int) -> int:
-    return int(np.random.SeedSequence((seed, depth, lam_index)).generate_state(1)[0])
-
-
 def train(
     train_ds: LabeledDataset,
     valid_ds: LabeledDataset | None,
@@ -244,6 +240,7 @@ def train(
         except ValueError:  # over the budget: each layer reserves its own room
             pass
     select_target = target_matrix(train_ds)
+    opt = OptimizerConfig(epochs=config.sgd_epochs, seed=config.seed)
 
     records: list[DepthRecord] = []
     t = 2
@@ -252,15 +249,13 @@ def train(
         lo, hi = state.layer_ranges[-1]
         # the validation rows' node values, from the deployed network's evaluator
         valid_F = node_values(valid_ds.X, state.W1, state.layers) if has_valid else None
-        opts = [OptimizerConfig(epochs=config.sgd_epochs, seed=_head_seed(config.seed, t, li))
-                for li in range(len(config.lambda_grid))]
         # the depth's heads share one factor: squared heads admission's F = QR,
         # margin heads one batched Pegasos solve of the whole grid
         factor = (SquaredFactor(state.R, state.Q.T @ fit_y) if config.loss == "squared"
-                  else MarginGrid(tuple(zip(config.lambda_grid, opts))))
+                  else MarginGrid(config.lambda_grid, opt))
 
         heads = []
-        for lam, opt in zip(config.lambda_grid, opts):
+        for lam in config.lambda_grid:
             fit = fit_head(state.F, fit_y, config.loss, lam, opt,
                            n_classes=train_ds.n_classes, factor=factor)
             v_err = (validation_error(valid_F, fit.weights, valid_ds.labels, valid_ds.task)
@@ -316,12 +311,9 @@ def train(
     net = PolyNetwork(
         input_dim=train_ds.dim,
         task=train_ds.task,
-        # C order, as deserialize builds them, so a reloaded copy predicts the
-        # same bits (BLAS picks its kernel by layout)
-        W1=np.ascontiguousarray(state.W1),
+        W1=state.W1,
         product_layers=tuple(state.layers[: best.depth - 2]),
-        head=OutputHead(weights=np.ascontiguousarray(best.weights, dtype=np.float64),
-                        loss=config.loss, lam=float(best.lam)),
+        head=OutputHead(weights=best.weights, loss=config.loss, lam=float(best.lam)),
         n_classes=train_ds.n_classes,
         provenance={"config": cfg_doc, "trace": trace.header()},
     )

@@ -5,6 +5,7 @@ loops, counting every multiply and add, so the reported cost is checked
 against an actual operation count rather than the same formula twice.
 """
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -335,6 +336,19 @@ class TestSerialization:
             for rows in (1, 10, 100, 256, 2000):
                 X = np.random.default_rng(3).standard_normal((rows, ds.X.shape[1]))
                 assert predict(back, X).tobytes() == predict(net, X).tobytes(), rows
+
+    def test_hand_built_layout_predicts_like_reloaded(self):
+        # a network keeps C-ordered weights whatever layout its caller built
+        ds, net, _ = trained_regression_net(m=200, d=20, seed=5, mode="width",
+                                            gamma=10, batch=5)
+        hand = dataclasses.replace(
+            net, W1=np.asfortranarray(net.W1),
+            head=dataclasses.replace(net.head, weights=np.asfortranarray(net.head.weights)))
+        assert hand.W1.flags.c_contiguous and hand.head.weights.flags.c_contiguous
+        back = deserialize(serialize(net))
+        for rows in (1, 10, 100, 256, 2000):
+            X = np.random.default_rng(3).standard_normal((rows, ds.X.shape[1]))
+            assert predict(hand, X).tobytes() == predict(back, X).tobytes(), rows
 
     def test_serialize_deterministic_and_stable(self):
         ds, net, trace = trained_regression_net()

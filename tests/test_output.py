@@ -6,6 +6,7 @@ fit against a Newton solver, both implemented here independently.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,6 +27,7 @@ from basis_learner.output import (
     MarginGrid,
     OptimizerConfig,
     SquaredFactor,
+    _sgd,
     decide,
     fit_head,
     loss_gradient,
@@ -570,13 +572,14 @@ def pegasos_one_head(F, y, kind, lam, opt, k):
     return acc / (s - half)
 
 
-# lambda = 0, and 1e-3 at two indices with two seeds; 35 values outrun the
-# m // b heads of one pass at every m below
+# lambda = 0, a repeated 1e-3, and 35 values in all: more heads than a
+# step's m // b batches at every m below
 GRID = (0.0, 1e-7, 1e-3, 1e-3, *(10.0 ** (-6 + 0.25 * i) for i in range(31)))
 
 
 class TestMarginGrid:
-    """The grid steps its heads together, each bit for bit as it would alone."""
+    """The grid steps its heads together over one row order, each bit for
+    bit as it would be alone."""
 
     @pytest.mark.parametrize("n_lams", [5, len(GRID)])
     @pytest.mark.parametrize("m", [20, 64, 100])  # b = 1, 2, 3
@@ -588,38 +591,51 @@ class TestMarginGrid:
             k = 4
             y = np.random.default_rng(41).integers(0, k, m)
         F = np.asfortranarray(F)  # the basis's layout
-        pairs = [(lam, OptimizerConfig(epochs=3, seed=100 + i)) for i, lam in enumerate(GRID[:n_lams])]
-        grid = MarginGrid(pairs)
+        opt = OptimizerConfig(epochs=3, seed=100)
+        grid = MarginGrid(GRID[:n_lams], opt)
         heads = []
-        for lam, opt in pairs:
+        for lam in GRID[:n_lams]:
             W = fit_head(F, y, kind, lam, opt, n_classes=k, factor=grid).weights
             alone = fit_head(F, y, kind, lam, opt, n_classes=k).weights
             assert W.tobytes() == alone.tobytes()
             assert W.tobytes() == pegasos_one_head(F, y, kind, lam, opt, k).tobytes()
             heads.append(W)
-        assert not np.array_equal(heads[2], heads[3])  # one lambda, two seeds
+        assert heads[2].tobytes() == heads[3].tobytes()  # one lambda, one order
+        assert not np.array_equal(heads[1], heads[2])
+
+    @pytest.mark.parametrize("kind", ["hinge", "logistic", "mc-hinge"])
+    def test_seed_orders_every_head(self, kind):
+        F, y = classification_features(64, 6, 45)
+        k = 1
+        if kind == "mc-hinge":
+            k = 4
+            y = np.random.default_rng(45).integers(0, k, 64)
+        lams = GRID[:5]
+        a, b = (MarginGrid(lams, OptimizerConfig(epochs=3, seed=seed)) for seed in (1, 2))
+        for lam in lams:
+            Wa = fit_head(F, y, kind, lam, a.opt, n_classes=k, factor=a).weights
+            Wb = fit_head(F, y, kind, lam, b.opt, n_classes=k, factor=b).weights
+            assert not np.array_equal(Wa, Wb)
 
     def test_pair_not_in_grid_refused(self):
         F, y = classification_features(40, 3, 42)
-        grid = MarginGrid([(0.1, OptimizerConfig(seed=1))])
+        grid = MarginGrid((0.1,), OptimizerConfig(seed=1))
         with pytest.raises(ValueError, match="not in the grid"):
             fit_head(F, y, "hinge", 0.1, OptimizerConfig(seed=2), factor=grid)
+        with pytest.raises(ValueError, match="not in the grid"):
+            fit_head(F, y, "hinge", 0.1, OptimizerConfig(epochs=3, seed=1), factor=grid)
         with pytest.raises(ValueError, match="not in the grid"):
             fit_head(F, y, "hinge", 0.2, OptimizerConfig(seed=1), factor=grid)
 
     def test_solved_grid_refuses_another_problem(self):
         F, y = classification_features(40, 3, 43)
         opt = OptimizerConfig(epochs=2)
-        grid = MarginGrid([(0.1, opt)])
+        grid = MarginGrid((0.1,), opt)
         fit_head(F, y, "hinge", 0.1, opt, factor=grid)
         with pytest.raises(ValueError, match="solved for"):
             fit_head(F, y, "logistic", 0.1, opt, factor=grid)
         with pytest.raises(ValueError, match="solved for"):
             fit_head(F[:30], y[:30], "hinge", 0.1, opt, factor=grid)
-
-    def test_heads_share_one_epoch_count(self):
-        with pytest.raises(ValueError, match="one epoch count"):
-            MarginGrid([(0.1, OptimizerConfig(epochs=2)), (0.2, OptimizerConfig(epochs=3))])
 
     def test_factor_of_the_wrong_kind_refused(self):
         F, y = classification_features(40, 3, 44)
@@ -627,9 +643,24 @@ class TestMarginGrid:
         squared = SquaredFactor(state.R, state.Q.T @ y[:, None])
         with pytest.raises(ValueError, match="a hinge head takes a MarginGrid, got SquaredFactor"):
             fit_head(state.F, y, "hinge", 0.1, factor=squared)
-        grid = MarginGrid([(0.1, OptimizerConfig())])
+        grid = MarginGrid((0.1,), OptimizerConfig())
         with pytest.raises(ValueError, match="a squared head takes a SquaredFactor, got MarginGrid"):
             fit_head(state.F, y, "squared", 0.1, factor=grid)
+
+    def test_long_grid_memory_is_linear_in_heads(self):
+        # a step gathers one batch for all heads, so over a C-ordered F (no
+        # copy) the peak is a few stacked L x n x k arrays however long the
+        # grid is: no passes
+        F, y = classification_features(800, 150, 46)
+        lams = tuple(10.0 ** (-7 + 8 * i / 199) for i in range(200))
+        tracemalloc.start()
+        try:
+            W = _sgd(F, y, "hinge", 1, lams, 3, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert W.shape == (200, 150, 1)
+        assert peak <= 8 * W.nbytes
 
 
 class TestFitHeadValidation:

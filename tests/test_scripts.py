@@ -13,6 +13,7 @@ SCRIPTS = {
     "run_rectangles.py": "--train 120 --valid 40 --test 60 --width 6 --depth 3 --batch 3",
     "run_svd_comparison.py": "--runs 1 --m 80 --d 4 --width 5 --batch 5 --depth 3 --valid 20",
     "model_digests.py": "--workloads randomized --seeds 1",
+    "heldout_errors.py": "--cases logistic --seeds 1",
 }
 
 

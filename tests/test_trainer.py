@@ -23,7 +23,6 @@ from basis_learner.dataset import LabeledDataset, SplitSpec
 from basis_learner import basis, output, trainer
 from basis_learner.network import feature_matrix, predict, serialize
 from basis_learner.synthetic import random_regression
-from basis_learner.trainer import _head_seed
 
 
 def regression_ds(m, d, seed, noise=0.0):
@@ -510,10 +509,17 @@ class TestDeterminism:
         net_b, _ = train(ds, None, cfg_b)
         assert not np.array_equal(net_a.head.weights, net_b.head.weights)
 
-    def test_head_seed_spreads(self):
-        seeds = {_head_seed(0, t, li) for t in range(2, 6) for li in range(3)}
-        assert len(seeds) == 12
-        assert _head_seed(7, 3, 1) == _head_seed(7, 3, 1)
+    def test_hinge_head_is_its_one_lambda_fit(self):
+        # every depth's grid steps over the order of the run's seed, so the
+        # returned head is its lambda's fit alone under that seed
+        fit, valid = split(binary_ds(120, 49), SplitSpec(validation_count=30))
+        cfg = TrainConfig(mode="width", gamma=8, batch=4, max_depth=4, loss="hinge",
+                          seed=5, sgd_epochs=7)
+        net, trace = train(fit, valid, cfg)
+        assert net.depth == trace.best_depth
+        alone = output.fit_head(trace.feature_columns, fit.labels, "hinge", net.head.lam,
+                                output.OptimizerConfig(epochs=cfg.sgd_epochs, seed=cfg.seed))
+        assert net.head.weights.tobytes() == alone.weights.tobytes()
 
 
 class TestEvaluate:
