@@ -8,21 +8,20 @@ logistic, and multiclass hinge. The regularized objective is always
 Each margin loss is a function of one margin per row: y s for hinge and
 logistic; for the multiclass hinge, the true score minus the best rival's
 (Crammer-Singer), so its loss is the hinge's. Value, gradient and the
-Pegasos solver share that definition, which takes leading head axes, so a
-lambda grid's margin heads (:class:`MarginGrid`) are stepped together over
-one row order, each bit for bit as it would be alone. Squared loss is
-minimized exactly, through one shrink formula on an SVD (:func:`_shrink`,
-minimum norm at lambda = 0): over the basis admission's F = QR
-(:class:`SquaredFactor`), lambda = 0 is a back-substitution on its
-upper-triangular R and every lambda > 0 shares one SVD of R; a bare F is
-solved from its own SVD.
+Pegasos solver share that definition, which takes leading head axes.
+A lambda grid's heads, of any loss, are one :class:`HeadGrid`, solved
+whole on its first fit, each bit for bit as in a grid of its lambda
+alone: margin heads stepped together over one row order, squared heads
+exactly through one shrink formula on an SVD (:func:`_shrink`, minimum
+norm at lambda = 0). Over the basis admission's F = QR, lambda = 0 is a
+back-substitution on its upper-triangular R and every lambda > 0 shares
+one SVD of R; a bare F shares its own SVD.
 Fits are deterministic given their config. Scores become decisions by
 one rule, :func:`decide`, keyed by task.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -46,8 +45,8 @@ class OptimizerConfig:
     counting steps from 1; for lambda > 0 each step ends with the
     projection onto the ball ||W|| <= 1/sqrt(lambda). The returned
     weights are the average of the iterates from the second half of the
-    steps. The seed alone orders the rows: every head of a
-    :class:`MarginGrid` steps over the one order its config's seed draws,
+    steps. The seed alone orders the rows: every margin head of a
+    :class:`HeadGrid` steps over the one order its config's seed draws,
     so a head's weights do not depend on the grid's other lambdas.
     """
 
@@ -192,31 +191,6 @@ def objective(kind: str, F, w, y, lam: float) -> float:
     return loss_value(kind, F @ w, y) + 0.5 * lam * float(np.sum(np.asarray(w) ** 2))
 
 
-@dataclass
-class SquaredFactor:
-    """The basis admission's factor of F = QR: R, upper triangular with a
-    nonzero diagonal (F has full column rank), and Q^T Y.
-
-    Every squared head over F at one depth is solved from these alone:
-    lambda = 0 by a back-substitution on R (:func:`_back_substitute`) that
-    never reads its strict lower triangle, every lambda > 0 by
-    :func:`_shrink` on one SVD of R, taken on first use.
-    """
-
-    R: np.ndarray
-    QtY: np.ndarray
-
-    @functools.cached_property
-    def _svd(self):
-        return np.linalg.svd(self.R, full_matrices=False)
-
-    def solve(self, lam: float, m: int) -> np.ndarray:
-        """Minimizer of (1/m)||Fw - Y||^2 + (lam/2)||w||^2."""
-        if lam == 0.0:
-            return _back_substitute(self.R, self.QtY)
-        return _shrink(*self._svd, self.QtY, lam, m)
-
-
 def _shrink(U, s, Vt, B, lam: float, m: int) -> np.ndarray:
     """Minimizer of (1/m)||Aw - B||^2 + (lam/2)||w||^2 for A = U diag(s) Vt,
     the minimum-norm least-squares answer at lam = 0: the one ridge formula
@@ -289,33 +263,53 @@ def _sgd(F, y, kind, k, lams, seed, epochs):
 
 
 @dataclass
-class MarginGrid:
-    """The margin heads of one depth: its lambda grid ``lams``, stepped
-    together under one ``opt``, so over one row order.
-
-    The first :func:`fit_head` call given the grid as its ``factor`` runs
-    :func:`_sgd` over every lambda on that call's F and labels. Each call
-    then takes the head of its own lambda, which is bit for bit the head
-    that lambda fits alone under ``opt``. Later calls must pass the first
-    call's F and labels; another loss kind, F shape or class count, or a
-    lambda or ``opt`` not the grid's, raises ``ValueError``.
+class HeadGrid:
+    """The heads of one depth's lambda grid ``lams``, for any loss, solved
+    together on the first :func:`fit_head` call given the grid as its
+    ``factor``, on that call's F and targets (:meth:`_solve`). Each call
+    then takes the head of its own lambda, bit for bit the head that a grid
+    of that lambda alone gives. Squared heads over the basis admission's
+    F = QR take ``Q`` and ``R`` (upper triangular with a nonzero diagonal:
+    F has full column rank) and are solved from R and Q^T Y; without them,
+    from F. Later calls must pass the first call's F and targets; another
+    loss kind, F shape or output count, or a lambda or ``opt`` not the
+    grid's, raises ``ValueError``.
     """
 
     lams: tuple[float, ...]
-    opt: OptimizerConfig
+    opt: OptimizerConfig = OptimizerConfig()
+    Q: np.ndarray | None = field(default=None, repr=False, compare=False)
+    R: np.ndarray | None = field(default=None, repr=False, compare=False)
     _solved: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def weights(self, F, y, kind: str, k: int, lam: float, opt: OptimizerConfig) -> np.ndarray:
         """The n x k head of ``lam`` over F, checked as :func:`fit_head`
-        checks it, and labels ``y`` that pass the loss's rule."""
+        checks it, and targets ``y`` that pass the loss's rule (an m x k
+        matrix for squared loss)."""
         if lam not in self.lams or opt != self.opt:
             raise ValueError(f"lambda={lam!r} with {opt} is not in the grid")
         problem = (kind, F.shape, k)
         if self._solved is None:
-            self._solved = problem, _sgd(F, y, kind, k, self.lams, opt.seed, opt.epochs)
+            self._solved = problem, self._solve(F, y, kind, k)
         elif self._solved[0] != problem:
             raise ValueError(f"the grid was solved for {self._solved[0]}, not {problem}")
         return self._solved[1][self.lams.index(lam)].copy()
+
+    def _solve(self, F, y, kind, k):
+        # every lambda's head, in grid order: margin heads from one Pegasos
+        # pass; squared heads over F = QR from B = Q^T Y, by back-substitution
+        # at lambda = 0 and from one SVD of R (taken only if needed) above it;
+        # over a bare F, from one SVD of F
+        if kind != "squared":
+            return _sgd(F, y, kind, k, self.lams, self.opt.seed, self.opt.epochs)
+        m = F.shape[0]
+        if self.R is None:
+            svd = np.linalg.svd(F, full_matrices=False)
+            return [_shrink(*svd, y, lam, m) for lam in self.lams]
+        B = self.Q.T @ y
+        svd = np.linalg.svd(self.R, full_matrices=False) if max(self.lams) > 0.0 else None
+        return [_shrink(*svd, B, lam, m) if lam > 0.0 else _back_substitute(self.R, B)
+                for lam in self.lams]
 
 
 def fit_head(
@@ -325,27 +319,25 @@ def fit_head(
     lam: float,
     opt: OptimizerConfig | None = None,
     n_classes: int | None = None,
-    factor: SquaredFactor | MarginGrid | None = None,
+    factor: HeadGrid | None = None,
 ) -> FitResult:
     """Fit output weights over the feature matrix ``F``.
 
-    Squared loss is solved exactly from ``factor``, the basis admission's
-    :class:`SquaredFactor` of F and the targets shared by the calls over a
-    lambda grid, or by :func:`_shrink` on F's own SVD when none is given
-    (minimum-norm at lambda = 0); the margin losses use the averaged
-    mini-batch subgradient method configured by ``opt``, run for the whole
-    :class:`MarginGrid` given as ``factor`` on its first fit, or for this
-    ``lam`` alone when none is given, with the same weights either way.
-    A ``factor`` of the other kind raises ``ValueError``. ``n_classes``
-    fixes the weight-column count for mc-hinge; by default it is one more
-    than the largest class id seen. Either way it is at most
-    ``MAX_CLASSES``. Errors are scored separately, by
-    :func:`validation_error`. F is checked by :func:`check_matrix`, ``lam``
-    by :func:`is_finite` and mc-hinge's ``n_classes`` by :func:`is_int`; a
-    label count other than F's rows, labels that are not real numbers or
-    break the loss's rule (as in :func:`loss_value`), and non-finite
-    labels, weights or objective raise ``ValueError``, the labels before
-    any solve, as does an F with no rows.
+    The head is ``lam``'s of ``factor``, a :class:`HeadGrid` whose calls
+    over a lambda grid share one solve, or of a grid of this ``lam`` alone
+    when none is given, with the same weights either way. Squared loss is
+    solved exactly: from the basis admission's F = QR when the grid holds
+    it, else by :func:`_shrink` on F's own SVD (minimum-norm at
+    lambda = 0); the margin losses use the averaged mini-batch subgradient
+    method configured by ``opt``. ``n_classes`` fixes the weight-column
+    count for mc-hinge; by default it is one more than the largest class
+    id seen. Either way it is at most ``MAX_CLASSES``. Errors are scored
+    separately, by :func:`validation_error`. F is checked by
+    :func:`check_matrix`, ``lam`` by :func:`is_finite` and mc-hinge's
+    ``n_classes`` by :func:`is_int`; a label count other than F's rows,
+    labels that are not real numbers or break the loss's rule (as in
+    :func:`loss_value`), and non-finite labels, weights or objective raise
+    ``ValueError``, the labels before any solve, as does an F with no rows.
     """
     F = check_matrix(F, "F")
     if F.shape[0] == 0:
@@ -353,9 +345,6 @@ def fit_head(
     y = _real_labels(y)
     if kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {kind!r}")
-    want = SquaredFactor if kind == "squared" else MarginGrid
-    if factor is not None and not isinstance(factor, want):
-        raise ValueError(f"a {kind} head takes a {want.__name__}, got {type(factor).__name__}")
     if not (is_finite(lam) and lam >= 0):
         raise ValueError(f"lambda must be finite and nonnegative, got {lam!r}")
     if y.ndim == 0 or y.shape[0] != F.shape[0]:
@@ -366,9 +355,8 @@ def fit_head(
         opt = OptimizerConfig()
 
     if kind == "squared":
-        Y = y[:, None] if y.ndim == 1 else np.asarray(y, dtype=np.float64)
-        W = (_shrink(*np.linalg.svd(F, full_matrices=False), Y, lam, F.shape[0])
-             if factor is None else factor.solve(lam, F.shape[0]))
+        y = y[:, None] if y.ndim == 1 else np.asarray(y, dtype=np.float64)
+        k = y.shape[1]
     else:
         k = 1
         if kind == "mc-hinge":
@@ -378,8 +366,8 @@ def fit_head(
             if k > MAX_CLASSES:
                 raise ValueError(f"mc-hinge needs at most MAX_CLASSES={MAX_CLASSES} classes, got {k}")
         y = _label_rule(kind, y, k)
-        grid = MarginGrid((lam,), opt) if factor is None else factor
-        W = grid.weights(F, y, kind, k, lam, opt)
+    grid = HeadGrid((lam,), opt) if factor is None else factor
+    W = grid.weights(F, y, kind, k, lam, opt)
     loss = objective(kind, F, W, y, lam)
     if not (math.isfinite(loss) and np.isfinite(W).all()):
         raise ValueError(f"{kind} head at lambda={lam!r} is not finite")

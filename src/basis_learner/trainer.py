@@ -35,9 +35,8 @@ from .network import OutputHead, PolyNetwork, feature_matrix, node_values
 from .output import (
     LOSS_KINDS,
     LOSS_TASK,
-    MarginGrid,
+    HeadGrid,
     OptimizerConfig,
-    SquaredFactor,
     decide,
     fit_head,
     loss_value,
@@ -99,6 +98,8 @@ class TrainConfig:
             raise ValueError(f"lambda_grid must be a tuple or list, got {type(grid).__name__}")
         if not grid or not all(is_finite(lam) and lam >= 0 for lam in grid):
             raise ValueError(f"lambda grid must be nonempty, finite and nonnegative, got {grid!r}")
+        # plain floats, so the trace prints them as such and the config hashes
+        object.__setattr__(self, "lambda_grid", tuple(map(float, grid)))
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.sgd_epochs < 1:
@@ -249,15 +250,13 @@ def train(
         lo, hi = state.layer_ranges[-1]
         # the validation rows' node values, from the deployed network's evaluator
         valid_F = node_values(valid_ds.X, state.W1, state.layers) if has_valid else None
-        # the depth's heads share one factor: squared heads admission's F = QR,
-        # margin heads one batched Pegasos solve of the whole grid
-        factor = (SquaredFactor(state.R, state.Q.T @ fit_y) if config.loss == "squared"
-                  else MarginGrid(config.lambda_grid, opt))
+        # the depth's heads share one solve of the grid (squared heads over F = QR)
+        grid = HeadGrid(config.lambda_grid, opt, state.Q, state.R)
 
         heads = []
         for lam in config.lambda_grid:
             fit = fit_head(state.F, fit_y, config.loss, lam, opt,
-                           n_classes=train_ds.n_classes, factor=factor)
+                           n_classes=train_ds.n_classes, factor=grid)
             v_err = (validation_error(valid_F, fit.weights, valid_ds.labels, valid_ds.task)
                      if has_valid else math.nan)
             heads.append(DepthRecord(

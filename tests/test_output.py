@@ -8,10 +8,12 @@ fit against a Newton solver, both implemented here independently.
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from basis_learner import output
 from basis_learner.basis import (
     build_basis1_exact,
     build_basis1_width,
@@ -24,9 +26,9 @@ from basis_learner.basis import (
 from basis_learner.dataset import MAX_CLASSES
 from basis_learner.output import (
     LOSS_KINDS,
-    MarginGrid,
+    HeadGrid,
     OptimizerConfig,
-    SquaredFactor,
+    _back_substitute,
     _sgd,
     decide,
     fit_head,
@@ -35,8 +37,8 @@ from basis_learner.output import (
     objective,
     validation_error,
 )
-from basis_learner.synthetic import random_regression
-from basis_learner.trainer import DEFAULT_LAMBDA_GRID
+from basis_learner.synthetic import random_regression, rectangles
+from basis_learner.trainer import DEFAULT_LAMBDA_GRID, TrainConfig, train
 
 
 class TestLossValues:
@@ -313,21 +315,36 @@ def relative_gap(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
+def squared_basis(outputs, seed=11):
+    """Width-mode F = QR over 200 rows, two product layers deep, and Y: a
+    product of two inputs plus noise, or indicator columns of ``outputs``
+    classes."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((200, 5))
+    if outputs == 1:
+        Y = (X[:, :1] * X[:, 1:2] + 0.1 * rng.standard_normal((200, 1)))
+    else:  # squared heads on multiclass targets fit indicator columns
+        Y = np.eye(outputs)[rng.integers(0, outputs, 200)]
+    state = initial_state(build_basis1_width(lift_input(X), gamma=6))
+    for _ in range(2):
+        assert build_basis_t_width(state, Y, gamma=10, b=5).width > 0
+    return state, Y
+
+
+def squared_grid(state, lams=DEFAULT_LAMBDA_GRID):
+    # the trainer's per-depth grid of squared heads over admission's F = QR
+    return HeadGrid(lams, OptimizerConfig(), state.Q, state.R)
+
+
 class TestSquaredFactor:
+    """Squared heads of a :class:`HeadGrid` over admission's factor F = QR."""
+
     @pytest.mark.parametrize("outputs", [1, 3])
     def test_basis_factor_matches_closed_form(self, outputs):
-        rng = np.random.default_rng(11)
-        X = rng.standard_normal((200, 5))
-        if outputs == 1:
-            Y = (X[:, :1] * X[:, 1:2] + 0.1 * rng.standard_normal((200, 1)))
-        else:  # squared heads on multiclass targets fit indicator columns
-            Y = np.eye(outputs)[rng.integers(0, outputs, 200)]
-        state = initial_state(build_basis1_width(lift_input(X), gamma=6))
-        for _ in range(2):
-            assert build_basis_t_width(state, Y, gamma=10, b=5).width > 0
-        factor = SquaredFactor(state.R, state.Q.T @ Y)  # the trainer's per-depth factor
+        state, Y = squared_basis(outputs)
+        grid = squared_grid(state, DEFAULT_LAMBDA_GRID + (0.0,))
         for lam in DEFAULT_LAMBDA_GRID + (0.0,):
-            w = fit_head(state.F, Y, "squared", lam, factor=factor).weights
+            w = fit_head(state.F, Y, "squared", lam, factor=grid).weights
             assert w.shape == (state.ncols, outputs)
             assert relative_gap(w, svd_ridge(state.F, Y, lam)) <= 1e-9
             assert relative_gap(w, fit_head(state.F, Y, "squared", lam).weights) <= 1e-9
@@ -338,8 +355,62 @@ class TestSquaredFactor:
         state = initial_state(build_basis1_exact(lift_input(ds.X)))
         while state.ncols < ds.m:
             assert build_basis_t_exact(state, default_tol(ds.m)).width > 0
-        fit = fit_head(state.F, Y, "squared", 0.0, factor=SquaredFactor(state.R, state.Q.T @ Y))
+        fit = fit_head(state.F, Y, "squared", 0.0, factor=squared_grid(state, (0.0,)))
         assert validation_error(state.F, fit.weights, ds.labels, "regression") <= 1e-20
+
+    @pytest.mark.parametrize("outputs", [1, 3])
+    def test_heads_equal_one_lambda_fits(self, outputs):
+        state, Y = squared_basis(outputs)
+        grid = squared_grid(state, GRID)
+        heads = []
+        for lam in GRID:
+            W = fit_head(state.F, Y, "squared", lam, factor=grid).weights
+            alone = fit_head(state.F, Y, "squared", lam, factor=squared_grid(state, (lam,)))
+            assert W.tobytes() == alone.weights.tobytes()
+            heads.append(W)
+        assert heads[2].tobytes() == heads[3].tobytes()
+        assert not np.array_equal(heads[0], heads[1])
+
+    def test_heads_follow_the_call_targets(self):
+        # the grid takes Q^T Y from its first call's targets, not when built
+        state, Y = squared_basis(1)
+        Y2 = np.random.default_rng(12).standard_normal(Y.shape)
+        for lam in (0.0, 1e-3):
+            for targets in (Y, Y2):
+                w = fit_head(state.F, targets, "squared", lam,
+                             factor=squared_grid(state, (0.0, 1e-3))).weights
+                assert relative_gap(w, svd_ridge(state.F, targets, lam)) <= 1e-9
+
+    def test_solved_grid_refuses_another_problem(self):
+        state, Y = squared_basis(1)
+        grid = squared_grid(state)
+        fit_head(state.F, Y, "squared", DEFAULT_LAMBDA_GRID[0], factor=grid)
+        with pytest.raises(ValueError, match="solved for"):
+            fit_head(state.F[:, :-1], Y, "squared", DEFAULT_LAMBDA_GRID[0], factor=grid)
+        with pytest.raises(ValueError, match="solved for"):
+            fit_head(state.F, np.hstack([Y, Y]), "squared", DEFAULT_LAMBDA_GRID[0], factor=grid)
+        with pytest.raises(ValueError, match="not in the grid"):
+            fit_head(state.F, Y, "squared", 0.0, factor=grid)
+
+    @pytest.mark.parametrize("lams,svds", [(DEFAULT_LAMBDA_GRID, 1), ((0.0,), 0)])
+    def test_first_call_solves_the_grid(self, monkeypatch, lams, svds):
+        # one SVD of R for every lambda > 0, none for lambda = 0 alone, all
+        # taken in the first call: the per-call fit time books it there
+        state, Y = squared_basis(1)
+        shapes = []
+        svd = np.linalg.svd
+
+        def spy(A, *args, **kwargs):
+            shapes.append(A.shape)
+            return svd(A, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        grid = squared_grid(state, lams)
+        fit_head(state.F, Y, "squared", lams[0], factor=grid)
+        assert shapes == [state.R.shape] * svds
+        for lam in lams:
+            fit_head(state.F, Y, "squared", lam, factor=grid)
+        assert shapes == [state.R.shape] * svds
 
 
 def upper_triangular(n, seed):
@@ -360,7 +431,7 @@ class TestTriangularSolve:
     def test_matches_dense_solve(self, n, outputs):
         R = upper_triangular(n, n)
         QtY = np.random.default_rng(n + outputs).standard_normal((n, outputs))
-        w = SquaredFactor(R, QtY).solve(0.0, 2 * n)
+        w = _back_substitute(R, QtY)
         assert w.shape == (n, outputs)
         assert relative_gap(w, np.linalg.solve(R, QtY)) <= 1e-12
 
@@ -368,9 +439,9 @@ class TestTriangularSolve:
     def test_never_reads_below_diagonal(self, n):
         R = upper_triangular(n, n)
         QtY = np.random.default_rng(n).standard_normal((n, 3))
-        w = SquaredFactor(R, QtY).solve(0.0, 2 * n)
+        w = _back_substitute(R, QtY)
         R[np.tril_indices(n, -1)] = 1e300
-        np.testing.assert_array_equal(SquaredFactor(R, QtY).solve(0.0, 2 * n), w)
+        np.testing.assert_array_equal(_back_substitute(R, QtY), w)
 
     def test_dense_solves_only_on_small_diagonal_blocks(self, monkeypatch):
         sizes = []
@@ -382,7 +453,7 @@ class TestTriangularSolve:
 
         monkeypatch.setattr(np.linalg, "solve", spy)
         R = upper_triangular(200, 3)
-        SquaredFactor(R, np.ones((200, 1))).solve(0.0, 400)
+        _back_substitute(R, np.ones((200, 1)))
         assert sizes == [8, 64, 64, 64]
 
 
@@ -578,8 +649,8 @@ GRID = (0.0, 1e-7, 1e-3, 1e-3, *(10.0 ** (-6 + 0.25 * i) for i in range(31)))
 
 
 class TestMarginGrid:
-    """The grid steps its heads together over one row order, each bit for
-    bit as it would be alone."""
+    """A :class:`HeadGrid` steps its margin heads together over one row
+    order, each bit for bit as it would be alone."""
 
     @pytest.mark.parametrize("n_lams", [5, len(GRID)])
     @pytest.mark.parametrize("m", [20, 64, 100])  # b = 1, 2, 3
@@ -592,7 +663,7 @@ class TestMarginGrid:
             y = np.random.default_rng(41).integers(0, k, m)
         F = np.asfortranarray(F)  # the basis's layout
         opt = OptimizerConfig(epochs=3, seed=100)
-        grid = MarginGrid(GRID[:n_lams], opt)
+        grid = HeadGrid(GRID[:n_lams], opt)
         heads = []
         for lam in GRID[:n_lams]:
             W = fit_head(F, y, kind, lam, opt, n_classes=k, factor=grid).weights
@@ -611,7 +682,7 @@ class TestMarginGrid:
             k = 4
             y = np.random.default_rng(45).integers(0, k, 64)
         lams = GRID[:5]
-        a, b = (MarginGrid(lams, OptimizerConfig(epochs=3, seed=seed)) for seed in (1, 2))
+        a, b = (HeadGrid(lams, OptimizerConfig(epochs=3, seed=seed)) for seed in (1, 2))
         for lam in lams:
             Wa = fit_head(F, y, kind, lam, a.opt, n_classes=k, factor=a).weights
             Wb = fit_head(F, y, kind, lam, b.opt, n_classes=k, factor=b).weights
@@ -619,7 +690,7 @@ class TestMarginGrid:
 
     def test_pair_not_in_grid_refused(self):
         F, y = classification_features(40, 3, 42)
-        grid = MarginGrid((0.1,), OptimizerConfig(seed=1))
+        grid = HeadGrid((0.1,), OptimizerConfig(seed=1))
         with pytest.raises(ValueError, match="not in the grid"):
             fit_head(F, y, "hinge", 0.1, OptimizerConfig(seed=2), factor=grid)
         with pytest.raises(ValueError, match="not in the grid"):
@@ -630,22 +701,52 @@ class TestMarginGrid:
     def test_solved_grid_refuses_another_problem(self):
         F, y = classification_features(40, 3, 43)
         opt = OptimizerConfig(epochs=2)
-        grid = MarginGrid((0.1,), opt)
+        grid = HeadGrid((0.1,), opt)
         fit_head(F, y, "hinge", 0.1, opt, factor=grid)
         with pytest.raises(ValueError, match="solved for"):
             fit_head(F, y, "logistic", 0.1, opt, factor=grid)
         with pytest.raises(ValueError, match="solved for"):
             fit_head(F[:30], y[:30], "hinge", 0.1, opt, factor=grid)
 
-    def test_factor_of_the_wrong_kind_refused(self):
+    def test_first_call_runs_sgd_once(self, monkeypatch):
         F, y = classification_features(40, 3, 44)
-        state = initial_state(build_basis1_exact(lift_input(F[:, 1:])))
-        squared = SquaredFactor(state.R, state.Q.T @ y[:, None])
-        with pytest.raises(ValueError, match="a hinge head takes a MarginGrid, got SquaredFactor"):
-            fit_head(state.F, y, "hinge", 0.1, factor=squared)
-        grid = MarginGrid((0.1,), OptimizerConfig())
-        with pytest.raises(ValueError, match="a squared head takes a SquaredFactor, got MarginGrid"):
-            fit_head(state.F, y, "squared", 0.1, factor=grid)
+        opt = OptimizerConfig(epochs=2)
+        passes = []
+        sgd = output._sgd
+
+        def spy(*args):
+            passes.append(args[4])
+            return sgd(*args)
+
+        monkeypatch.setattr(output, "_sgd", spy)
+        grid = HeadGrid(GRID[:5], opt)
+        fit_head(F, y, "hinge", GRID[0], opt, factor=grid)
+        assert passes == [GRID[:5]]
+        for lam in GRID[:5]:
+            fit_head(F, y, "hinge", lam, opt, factor=grid)
+        assert passes == [GRID[:5]]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="Pegasos at 10 epochs leaves 21 of these 51 hinge heads above "
+        "the objective of w = 0, the worst at 95.4 (n = 50, lambda = 1e-7)",
+    )
+    def test_no_head_worse_than_zero_on_rectangles(self):
+        full = rectangles(1000, seed=1)
+        ds = replace(full, X=full.X[:800], labels=full.labels[:800])
+        cfg = TrainConfig(mode="width", gamma=50, batch=50, max_depth=4, loss="hinge",
+                          sgd_epochs=10, seed=1)
+        _, trace = train(ds, None, cfg)
+        opt = OptimizerConfig(epochs=cfg.sgd_epochs, seed=cfg.seed)
+        worse = []
+        for n in (50, 100, 150):
+            F = trace.feature_columns[:, :n]
+            grid = HeadGrid(DEFAULT_LAMBDA_GRID, opt)
+            for lam in DEFAULT_LAMBDA_GRID:
+                fit = fit_head(F, ds.labels, "hinge", lam, opt, factor=grid)
+                if fit.train_loss > 1.0:  # the hinge objective of w = 0
+                    worse.append((n, lam, fit.train_loss))
+        assert worse == []
 
     def test_long_grid_memory_is_linear_in_heads(self):
         # a step gathers one batch for all heads, so over a C-ordered F (no

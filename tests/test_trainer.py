@@ -52,6 +52,21 @@ class TestLambdaGrid:
         ratios = np.diff(np.log10(DEFAULT_LAMBDA_GRID))
         assert np.allclose(ratios, 0.5)
 
+    def test_numpy_grid_traces_plain_floats(self):
+        cfg = TrainConfig(loss="hinge", lambda_grid=tuple(np.logspace(-3, 0, 2)), max_depth=3)
+        _, trace = train(binary_ds(60, 33), None, cfg)
+        line = trace.lines()[0]
+        assert "lambda=0.001 " in line
+        assert "np." not in line
+        assert type(trace.records[0].train_loss) is float
+        assert type(trace.header()["best_lambda"]) is float
+
+    def test_list_and_tuple_grids_are_one_config(self):
+        listed, tupled = TrainConfig(lambda_grid=[0.1]), TrainConfig(lambda_grid=(0.1,))
+        assert listed == tupled
+        assert hash(listed) == hash(tupled)
+        assert listed.lambda_grid == (0.1,)
+
 
 class TestConfigValidation:
     def test_defaults_valid(self):
