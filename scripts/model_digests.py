@@ -2,10 +2,13 @@
 
 Builds each workload's inputs with ``bench/workloads.py`` (imported, never
 changed), trains once per seed and prints one line per run. Four more cases
-cover paths no bench workload takes. The bench workloads all take layer 1
-from an exact SVD (``svd="exact"``), so ``randomized`` trains the acceptance
-suite's SVD comparison configuration with the randomized first layer:
-``random_regression(500, 20, seed)`` with its last 100 rows for validation.
+cover paths no bench workload takes. Every case runs the default
+``svd="randomized"``: rect-hinge's 800 x 785 lift takes layer 1 from the
+seeded range finder, every other case's lift from the exact factor
+(``basis.build_basis1_width``). ``randomized`` trains the acceptance
+suite's SVD comparison configuration with ``svd="randomized"``, whose
+400 x 21 lift takes the exact route: ``random_regression(500, 20, seed)``
+with its last 100 rows for validation.
 The exact-mode workload fits λ = 0 alone on every row, so ``exact-valid``
 trains the default configuration, ``TrainConfig()`` (exact mode, the
 default λ grid), on ``random_regression(1200, 8, seed)`` with its last 200

@@ -38,8 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (check_matrix, default_rank_tol, is_finite, is_int, randomized_range_svd,
-                     residual, thin_svd)
+from .linalg import (OVERSAMPLE, check_matrix, default_rank_tol, is_finite, is_int,
+                     randomized_range_svd, residual, thin_svd)
 from .linalg import lift_input  # noqa: F401  layer 1 is built from lift_input(X)
 from .network import ProductLayer, product_layer
 
@@ -244,24 +244,26 @@ def build_basis1_width(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Width-limited first layer: top-``gamma`` singular directions only.
 
-    ``svd_mode`` selects the exact factorization or the seeded randomized
-    range finder (useful when d is large); either way at most
-    min(gamma, rank) columns come back, normalized to norm √m. ``gamma``
-    passes :func:`check_width`. The exact directions are
+    At most min(gamma, rank) columns come back, normalized to norm √m;
+    ``gamma`` passes :func:`check_width`. ``svd_mode="exact"`` takes
     ``thin_svd(F1_tilde, k=gamma)``: on a tall lift whose tail is dropped
     (gamma < d+1 <= m) from the eigendecomposition of the Gram matrix
-    F1_tilde^T F1_tilde, else from the SVD; the randomized range finder
-    oversamples by its own rule. Returns the pair (B, W1) of m x k values
-    and (d+1) x k weights, B = F1_tilde @ W1.
+    F1_tilde^T F1_tilde, else from the SVD. ``"randomized"`` takes the
+    seeded range finder ``randomized_range_svd(F1_tilde, gamma, seed)``
+    where it is the cheaper factor of the m x n lift, min(m, n)^2 >
+    ``_SKETCH_RATIO`` * m * (gamma + ``OVERSAMPLE``), and the exact factor
+    on every other shape. Returns the pair (B, W1) of m x k values and
+    (d+1) x k weights, B = F1_tilde @ W1.
     """
     F1_tilde = check_matrix(F1_tilde, "F1_tilde")
     check_width(gamma)
-    if svd_mode == "exact":
-        svd = thin_svd(F1_tilde, k=gamma)
-    elif svd_mode == "randomized":
-        svd = randomized_range_svd(F1_tilde, min(gamma, *F1_tilde.shape), seed=seed)
-    else:
+    if svd_mode not in ("exact", "randomized"):
         raise ValueError(f"unknown svd_mode {svd_mode!r}")
+    m, n = F1_tilde.shape
+    if svd_mode == "randomized" and min(m, n) ** 2 > _SKETCH_RATIO * m * (gamma + OVERSAMPLE):
+        svd = randomized_range_svd(F1_tilde, gamma, seed=seed)
+    else:
+        svd = thin_svd(F1_tilde, k=gamma)
     return _scaled_projection(F1_tilde, svd.V)
 
 
@@ -316,6 +318,17 @@ _ADMIT_BLOCK = 64
 # about 40 GFlop/s on 51 columns and 60 on 204-306; the m x chunk scratch
 # block is what the width costs (5 MB at m = 2,500).
 _SCORE_CHUNK = 256
+
+# Width mode's "randomized" layer 1 sketches an m x n lift only where
+# min(m, n)^2 > _SKETCH_RATIO * m * (gamma + OVERSAMPLE), a rule fitted to
+# measured times of both factors, not derived from flop counts. One BLAS
+# thread, min of 5 calls, exact vs
+# sketch at gamma 50: 800 x 785 0.120 vs 0.025 s, 1,000 x 401 0.024 vs
+# 0.018 s; 2,500 x 401 0.031 vs 0.044 s, 1,000 x 301 0.013 vs 0.015 s. The
+# two cross between 1,300 x 401 (ratio 2.06, sketch 6% faster) and
+# 1,400 x 401 (1.91, exact 3% faster). The rule never sketches A's whole
+# range: it implies min(m, n) > 2 (gamma + OVERSAMPLE).
+_SKETCH_RATIO = 2
 
 # BasisState.reserve refuses F, Q and R buffers above this many bytes together.
 # Exact mode grows all three to m x m, so it trains on at most 6,688 rows.

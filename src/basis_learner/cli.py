@@ -81,8 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--tol", type=float, default=None,
                     help="column-independence tolerance (default 1e-8*sqrt(m))")
     tr.add_argument("--svd", choices=("exact", "randomized"), default=TrainConfig.svd,
-                    help="first-layer factorization in width mode; exact takes the "
-                    "Gram eigendecomposition when gamma < d+1 <= rows (default %(default)s)")
+                    help="first-layer factorization in width mode: randomized takes the "
+                    "seeded range finder on lifts where it is the cheaper factor, else the "
+                    "exact one; exact takes the Gram eigendecomposition when "
+                    "gamma < d+1 <= rows (default %(default)s)")
     tr.add_argument("--seed", type=int, default=TrainConfig.seed,
                     help="seed of the randomized SVD and the SGD heads (default %(default)s)")
     tr.add_argument("--trace-out", default=None, help="also write trace lines here")

@@ -3,10 +3,11 @@
 Matrices are plain 2-d float64 numpy arrays throughout the package. This
 module wraps the few factorizations the construction needs: a thin SVD with
 a numerical-rank cutoff and an optional cap of k factors (taken from the
-Gram matrix on tall input), a seeded randomized range-finder SVD for wide
-data, and residual projection against an orthonormal basis. It also holds
-the one rule for each input from outside: a matrix (:func:`check_matrix`),
-a count (:func:`is_int`) and a real (:func:`is_finite`).
+Gram matrix on tall input), a seeded randomized range-finder SVD for lifts
+where it is the cheaper factor, and residual projection against an
+orthonormal basis. It also holds the one rule for each input from outside:
+a matrix (:func:`check_matrix`), a count (:func:`is_int`) and a real
+(:func:`is_finite`).
 """
 
 from __future__ import annotations

@@ -60,7 +60,8 @@ class TrainConfig:
     must pass :func:`~basis_learner.linalg.is_int` and the reals (lambdas,
     ``tol``, ``error_threshold``) :func:`~basis_learner.linalg.is_finite`,
     else ``ValueError`` names the field; ``tol`` and the width budget pass
-    the layer builders' own rules.
+    the layer builders' own rules. ``svd`` is width mode's layer-1 factor,
+    the ``svd_mode`` of :func:`~basis_learner.basis.build_basis1_width`.
     """
 
     mode: str = "exact"
@@ -70,7 +71,7 @@ class TrainConfig:
     tol: float | None = None
     loss: str = "squared"
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
-    svd: str = "exact"
+    svd: str = "randomized"
     patience: int = 2
     error_threshold: float | None = None
     seed: int = 0

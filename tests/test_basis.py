@@ -18,9 +18,11 @@ from basis_learner.basis import (
 )
 from basis_learner import basis
 from basis_learner.basis import _distinct_candidates, _scaled_projection
-from basis_learner.linalg import residual, thin_svd
+from basis_learner.cli import build_parser
+from basis_learner.linalg import randomized_range_svd, residual, thin_svd
 from basis_learner.network import layer_values
 from basis_learner.oracle import monomial_matrix, span_equal
+from basis_learner.trainer import TrainConfig
 
 
 def exact_state(X):
@@ -138,8 +140,9 @@ class TestFirstLayerWidth:
         np.testing.assert_allclose(np.linalg.norm(got), math.sqrt(3))
 
     def test_randomized_mode_matches_exact_span(self):
+        # a wide lift of rank 7, which the randomized route sketches
         rng = np.random.default_rng(3)
-        X = rng.standard_normal((40, 6))
+        X = rng.standard_normal((40, 6)) @ rng.standard_normal((6, 300))
         a, _ = build_basis1_width(lift_input(X), gamma=7, svd_mode="exact")
         b, _ = build_basis1_width(lift_input(X), gamma=7, svd_mode="randomized", seed=5)
         assert span_equal(a, b)
@@ -177,6 +180,32 @@ class TestFirstLayerWidth:
             got, V = build_basis1_width(A, gamma), thin_svd(A).V[:, :gamma]
         want = _scaled_projection(A, V)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("m, d, gamma", [(400, 20, 30), (2500, 50, 100), (1500, 400, 50),
+                                             (200, 119, 26)])
+    def test_randomized_stays_exact_where_the_sketch_costs_more(self, m, d, gamma):
+        # min(m, d+1)^2 <= 2 m (gamma + OVERSAMPLE): tall and narrow lifts, a
+        # gamma past d+1, a lift near the crossing and one on the rule's edge
+        # (120^2 = 2 * 200 * 36) all keep the exact factor, bit for bit
+        A = lift_input(np.random.default_rng(6).standard_normal((m, d)))
+        got = build_basis1_width(A, gamma, svd_mode="randomized", seed=3)
+        want = build_basis1_width(A, gamma, svd_mode="exact")
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("m, d, gamma", [(200, 119, 25), (300, 200, 20), (60, 300, 10)])
+    def test_randomized_sketches_where_cheaper(self, m, d, gamma):
+        # just past the rule's edge, a square-ish lift and a wide one take
+        # the seeded range finder, which lands elsewhere than the exact factor
+        A = lift_input(np.random.default_rng(6).standard_normal((m, d)))
+        got = build_basis1_width(A, gamma, svd_mode="randomized", seed=3)
+        want = _scaled_projection(A, randomized_range_svd(A, gamma, seed=3).V)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert not np.array_equal(got[1], build_basis1_width(A, gamma, svd_mode="exact")[1])
+
+    def test_randomized_is_the_default(self):
+        assert TrainConfig().svd == "randomized"
+        args = build_parser().parse_args(["train", "--data", "d", "--out", "o"])
+        assert args.svd == "randomized"
 
 
 class TestInitialState:

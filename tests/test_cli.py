@@ -109,13 +109,13 @@ class TestTrain:
         assert {f.name for f in fields(TrainConfig)} - defaults.keys() == {"sgd_epochs"}
         expected = dict(mode="width", gamma=5, max_depth=4, batch=2, loss="squared",
                         lambda_grid=[0.5, 0.25], patience=3, error_threshold=1e-12,
-                        tol=1e-9, svd="randomized", seed=4)
+                        tol=1e-9, svd="exact", seed=4)
         model = tmp_path / "m.bl"
         code, _, _ = run_cli(
             ["train", "--data", str(toy), "--out", str(model), "--mode", "width",
              "--width", "5", "--depth", "4", "--batch", "2", "--loss", "squared",
              "--lambda", "0.5,0.25", "--patience", "3", "--stop-train-loss", "1e-12",
-             "--tol", "1e-9", "--svd", "randomized", "--seed", "4"],
+             "--tol", "1e-9", "--svd", "exact", "--seed", "4"],
             capsys,
         )
         assert code == 0

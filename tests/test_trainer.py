@@ -524,6 +524,18 @@ class TestDeterminism:
         net_b, _ = train(ds, None, cfg_b)
         assert not np.array_equal(net_a.head.weights, net_b.head.weights)
 
+    def test_sketched_layer1_is_seeded(self):
+        # a 120 x 81 lift at gamma 10 takes the default range finder
+        # (81^2 > 2 * 120 * 20): the same seed writes the same bytes, another
+        # seed another W1, and the exact factor yet another
+        ds = regression_ds(120, 80, 48)
+        cfg = TrainConfig(mode="width", gamma=10, batch=5, max_depth=3, lambda_grid=(1e-3,), seed=2)
+        net_a, _ = train(ds, None, cfg)
+        net_b, _ = train(ds, None, cfg)
+        assert serialize(net_a) == serialize(net_b)
+        for other in (replace(cfg, seed=3), replace(cfg, svd="exact")):
+            assert not np.array_equal(train(ds, None, other)[0].W1, net_a.W1)
+
     def test_hinge_head_is_its_one_lambda_fit(self):
         # every depth's grid steps over the order of the run's seed, so the
         # returned head is its lambda's fit alone under that seed
