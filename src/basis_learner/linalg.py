@@ -30,7 +30,12 @@ def check_matrix(A, name: str = "matrix") -> np.ndarray:
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {A.shape}")
-    if A.size and not np.isfinite(A).all():
+    # a finite sum means finite entries (an inf or NaN entry makes it inf or
+    # NaN) and allocates nothing the size of A; only a sum that overflows, or
+    # a matrix that fails, takes the entrywise test
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite_sum = np.isfinite(A.sum())
+    if not finite_sum and not np.isfinite(A).all():
         raise ValueError(f"{name} must be finite, {A.size - np.isfinite(A).sum()} of {A.size} entries are not")
     return A
 

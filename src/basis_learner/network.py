@@ -4,9 +4,11 @@ A network is a linear layer over the constant-lifted input, a stack of
 product layers whose nodes each multiply one previous-layer node with one
 first-layer node (times a fixed weight), and a linear output head over
 the concatenation of every node value. One evaluator, :func:`node_values`,
-serves deployed networks and the validation rows during training alike; it
-writes every layer into one rows x nodes result, the product layers a
-block of rows at a time, so it never holds a second copy of the values.
+serves deployed networks and the validation rows during training alike. A
+row's values depend on that row alone, so it runs every layer, from the
+lifted input on, one block of rows at a time into one rows x nodes result;
+:func:`predict` goes one step further and applies the head block by block,
+so it never holds the lifted input or the rows x nodes matrix.
 
 Models serialize to a versioned JSON document. Floats go through Python
 repr, which round-trips exactly, so save/load is lossless and the bytes
@@ -119,9 +121,9 @@ def layer_values(N1: np.ndarray, prev: np.ndarray, L: ProductLayer) -> np.ndarra
     return prev[:, L.prev] * N1[:, L.first] * L.weight
 
 
-# node_values writes each product layer in blocks of this many rows, so the
-# temporaries of layer_values hold this many rows x the layer's width
-# (1 MB each at 500 nodes), whatever the number of rows.
+# node_values and predict work in blocks of this many rows, so their
+# temporaries hold this many rows x the lifted input, the nodes or one layer
+# (1.6 MB for a 785-column lift), whatever the number of rows.
 _ROW_BLOCK = 256
 
 
@@ -129,37 +131,50 @@ def node_values(X: np.ndarray, W1: np.ndarray, layers) -> np.ndarray:
     """All node values for each row of X (unchecked), in layer order, of the
     network with first-layer weights ``W1`` and the product ``layers``.
 
-    The rows x nodes result is allocated once: layer 1, lift_input(X) @ W1 in
-    one product, goes into its first columns, and each product layer's
-    :func:`layer_values` into the next ones, ``_ROW_BLOCK`` rows at a time.
+    The rows x nodes result is allocated once and filled ``_ROW_BLOCK`` rows
+    at a time: layer 1, ``lift_input`` of the block @ W1, goes into the
+    block's first columns, and each product layer's :func:`layer_values`
+    into the next ones.
     """
     n1 = W1.shape[1]
     out = np.empty((X.shape[0], n1 + sum(L.width for L in layers)))
-    out[:, :n1] = lift_input(X) @ W1
-    lo, hi = 0, n1  # the previous layer's columns
-    for L in layers:
-        for r in range(0, X.shape[0], _ROW_BLOCK):
-            rows = out[r : r + _ROW_BLOCK]
+    for r in range(0, X.shape[0], _ROW_BLOCK):
+        rows = out[r : r + _ROW_BLOCK]
+        rows[:, :n1] = lift_input(X[r : r + _ROW_BLOCK]) @ W1
+        lo, hi = 0, n1  # the previous layer's columns
+        for L in layers:
             rows[:, hi : hi + L.width] = layer_values(rows[:, :n1], rows[:, lo:hi], L)
-        lo, hi = hi, hi + L.width
+            lo, hi = hi, hi + L.width
     return out
+
+
+def _input_rows(net: PolyNetwork, X) -> np.ndarray:
+    X = check_matrix(X, "X")
+    if X.shape[1] != net.input_dim:
+        raise ValueError(f"expected {net.input_dim} features, got {X.shape[1]}")
+    return X
 
 
 def feature_matrix(net: PolyNetwork, X) -> np.ndarray:
     """All node values of ``net`` for each row of X (checked), in layer order."""
-    X = check_matrix(X, "X")
-    if X.shape[1] != net.input_dim:
-        raise ValueError(f"expected {net.input_dim} features, got {X.shape[1]}")
-    return node_values(X, net.W1, net.product_layers)
+    return node_values(_input_rows(net, X), net.W1, net.product_layers)
 
 
 def predict(net: PolyNetwork, X) -> np.ndarray:
-    """Raw output scores: one row per input, one column per output."""
+    """Raw output scores: one row per input, one column per output.
+
+    X is checked once; then each block of ``_ROW_BLOCK`` rows goes from
+    :func:`node_values` through the head into the rows x outputs result,
+    so no more than one block's node values are held at a time.
+    """
     X = np.asarray(X, dtype=np.float64)
     single = X.ndim == 1
-    if single:
-        X = X[None, :]
-    scores = feature_matrix(net, X) @ net.head.weights
+    X = _input_rows(net, X[None, :] if single else X)
+    scores = np.empty((X.shape[0], net.outputs))
+    for r in range(0, X.shape[0], _ROW_BLOCK):
+        # one expression, so a block's node values are freed before the next's
+        scores[r : r + _ROW_BLOCK] = (
+            node_values(X[r : r + _ROW_BLOCK], net.W1, net.product_layers) @ net.head.weights)
     return scores[0] if single else scores
 
 

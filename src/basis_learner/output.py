@@ -380,7 +380,12 @@ def validation_error(features, weights, y, task: str) -> float:
     label per scored row."""
     features = np.asarray(features, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
-    pred = decide(task, features @ weights)
+    return _scores_error(task, features @ weights, y)
+
+
+def _scores_error(task: str, scores, y) -> float:
+    # validation_error's rule on scores already computed
+    pred = decide(task, scores)
     y = np.asarray(y)
     if y.shape != pred.shape:
         raise ValueError(f"{pred.shape[0]} rows scored but y has shape {y.shape}")

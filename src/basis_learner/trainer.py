@@ -31,12 +31,13 @@ from .basis import (
 )
 from .dataset import LabeledDataset, target_matrix
 from .linalg import is_finite, is_int, lift_input
-from .network import OutputHead, PolyNetwork, feature_matrix, node_values
+from .network import OutputHead, PolyNetwork, node_values, predict
 from .output import (
     LOSS_KINDS,
     LOSS_TASK,
     HeadGrid,
     OptimizerConfig,
+    _scores_error,
     decide,
     fit_head,
     loss_value,
@@ -329,11 +330,10 @@ def evaluate(net: PolyNetwork, ds: LabeledDataset) -> dict:
     if ds.task == "multiclass":
         # targets and confusion are over the model's classes, not the dataset's
         ds = replace(ds, n_classes=net.n_classes)
-    F = feature_matrix(net, ds.X)
-    scores = F @ net.head.weights
+    scores = predict(net, ds.X)
     metrics = {
         "m": ds.m,
-        "error": validation_error(F, net.head.weights, ds.labels, ds.task),
+        "error": _scores_error(ds.task, scores, ds.labels),
         "mean_loss": loss_value(net.head.loss, scores, _fit_target(ds, net.head.loss)),
     }
     if ds.task == "multiclass":

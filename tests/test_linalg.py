@@ -272,6 +272,16 @@ class TestCheckMatrix:
         with pytest.raises(ValueError, match=r"^F must be finite, 2 of 4 entries are not$"):
             check_matrix([[np.nan, 1.0], [2.0, -np.inf]], "F")
 
+    def test_finite_entries_whose_sum_overflows_pass(self, recwarn):
+        # the test is on the entries, not on their float sum
+        A = np.full((4, 3), np.finfo(np.float64).max)
+        A[0, 0] = -A[0, 0]
+        assert check_matrix(A) is A
+        assert not recwarn.list
+        A[1, 1] = np.nan
+        with pytest.raises(ValueError, match=r"^matrix must be finite, 1 of 12 entries are not$"):
+            check_matrix(A)
+
     def test_coerces_lists(self):
         A = check_matrix([[1, 2], [3, 4]])
         assert A.dtype == np.float64 and A.shape == (2, 2)

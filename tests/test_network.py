@@ -164,6 +164,15 @@ class TestNodeValues:
         assert got.shape == want.shape == (rows, 5 + sum(widths))
         assert got.tobytes() == want.tobytes()
 
+    @staticmethod
+    def predict_peak(net, X):
+        tracemalloc.start()
+        try:
+            predict(net, X)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_predict_peak_memory(self):
         # an exact-interp-sized predict: 2,000 rows, d = 8, 1,000 nodes
         rng = np.random.default_rng(60)
@@ -172,18 +181,31 @@ class TestNodeValues:
                           product_layers=tuple(random_layers(rng, 9, widths)),
                           head=OutputHead(rng.standard_normal((1000, 1)), "squared", 0.0))
         X = rng.standard_normal((m, 8))
-        tracemalloc.start()
-        try:
-            predict(net, X)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        out = m * 1000 * 8
-        # layer_values' two gathers and product for one row block of the
-        # widest layer, and the m x 9 lift and layer-1 product
-        temporaries = 3 * self.B * max(widths) * 8 + 2 * m * 9 * 8
-        assert peak <= out + temporaries + 64 * 1024, (peak, out, temporaries)
-        assert out + temporaries < 2 * out  # the old evaluator held two copies
+        peak = self.predict_peak(net, X)
+        scores = m * 1 * 8
+        # one row block's node values and scores, layer_values' two gathers
+        # and product for the widest layer, and the block's lift and layer-1
+        # product (9 columns each); no term grows with rows but the scores
+        temporaries = self.B * (1000 + 1 + 3 * max(widths) + 2 * 9) * 8
+        assert peak <= scores + temporaries + 64 * 1024, (peak, scores, temporaries)
+        assert scores + temporaries < m * 1000 * 8 / 2  # the node matrix predict once held
+
+    def test_predict_peak_memory_wide_input(self):
+        # a rect-hinge-shaped predict: d = 784, 150 nodes; the lift of all the
+        # rows alone would be larger than X
+        rng = np.random.default_rng(61)
+        d, outputs = 784, 1
+        net = PolyNetwork(input_dim=d, task="binary",
+                          W1=rng.standard_normal((d + 1, 50)) / d,
+                          product_layers=tuple(random_layers(rng, 50, (50, 50))),
+                          head=OutputHead(rng.standard_normal((150, outputs)), "hinge", 0.0))
+        peaks = {}
+        for m in (2000, 8000):
+            X = rng.standard_normal((m, d))
+            peaks[m] = self.predict_peak(net, X)
+            assert peaks[m] < X.nbytes / 4, (m, peaks[m], X.nbytes)
+        # only the rows x outputs scores grow with the rows
+        assert peaks[8000] - peaks[2000] <= (8000 - 2000) * outputs * 8 + 64 * 1024, peaks
 
 
 class TestPredict:
@@ -197,6 +219,29 @@ class TestPredict:
         out = predict(net, [5.0])
         assert out.shape == (1,)
         assert out[0] == 2.0
+
+    def test_empty_and_single_row_shapes(self):
+        net = hand_net([[1.0, 0.0, 2.0], [0.5, 1.0, 0.0]], [[(1, 2, 1.0)]],
+                       np.arange(8.0).reshape(4, 2), task="multiclass", n_classes=2,
+                       loss="mc-hinge")
+        assert predict(net, np.zeros((0, 1))).shape == (0, 2)
+        row = predict(net, [3.0])
+        assert row.shape == (2,)
+        assert np.array_equal(row, predict(net, [[3.0]])[0])
+
+    @pytest.mark.parametrize("rows", [1, network._ROW_BLOCK - 1, network._ROW_BLOCK + 1,
+                                      3 * network._ROW_BLOCK + 7])
+    def test_agrees_with_the_node_matrix(self, rows):
+        # predict scores block by block; the whole node matrix through the
+        # head gives the same scores up to the order of the head's sums
+        rng = np.random.default_rng(rows)
+        net = PolyNetwork(input_dim=6, task="multiclass", W1=rng.standard_normal((7, 8)),
+                          product_layers=tuple(random_layers(rng, 8, (10, 12))),
+                          head=OutputHead(rng.standard_normal((30, 3)), "mc-hinge", 0.0),
+                          n_classes=3)
+        X = rng.standard_normal((rows, 6))
+        want = feature_matrix(net, X) @ net.head.weights
+        assert np.allclose(predict(net, X), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     def test_interpolates_training_targets(self):
         ds, net, trace = trained_regression_net()
@@ -333,7 +378,7 @@ class TestSerialization:
                            trained_regression_net(m=200, d=20, seed=5, mode="width",
                                                   gamma=10, batch=5)):
             back = deserialize(serialize(net))
-            for rows in (1, 10, 100, 256, 2000):
+            for rows in (1, 10, 100, 255, 256, 257, 513, 2000):
                 X = np.random.default_rng(3).standard_normal((rows, ds.X.shape[1]))
                 assert predict(back, X).tobytes() == predict(net, X).tobytes(), rows
 
@@ -346,7 +391,7 @@ class TestSerialization:
             head=dataclasses.replace(net.head, weights=np.asfortranarray(net.head.weights)))
         assert hand.W1.flags.c_contiguous and hand.head.weights.flags.c_contiguous
         back = deserialize(serialize(net))
-        for rows in (1, 10, 100, 256, 2000):
+        for rows in (1, 10, 100, 255, 256, 257, 513, 2000):
             X = np.random.default_rng(3).standard_normal((rows, ds.X.shape[1]))
             assert predict(hand, X).tobytes() == predict(back, X).tobytes(), rows
 

@@ -608,6 +608,61 @@ class TestEvaluate:
         assert evaluate(net, ds)["error"] == pytest.approx(off_diag / m)
 
 
+def node_matrix_metrics(net, ds):
+    # evaluate's metrics as they were formed from the whole rows x nodes matrix
+    if ds.task == "multiclass":
+        ds = replace(ds, n_classes=net.n_classes)
+    F = feature_matrix(net, ds.X)
+    scores = F @ net.head.weights
+    metrics = {
+        "error": output.validation_error(F, net.head.weights, ds.labels, ds.task),
+        "mean_loss": output.loss_value(net.head.loss, scores,
+                                       trainer._fit_target(ds, net.head.loss)),
+    }
+    if ds.task == "multiclass":
+        metrics["confusion"] = np.zeros((net.n_classes,) * 2, dtype=np.int64)
+        np.add.at(metrics["confusion"], (ds.labels, output.decide(ds.task, scores)), 1)
+    return metrics
+
+
+class TestEvaluateScoresOnce:
+    """evaluate scores the rows once, through predict, and keeps the metrics
+    of the node-matrix formula."""
+
+    def three_class_ds(self, m, seed):
+        rng = np.random.default_rng(seed)
+        y = rng.integers(0, 3, m)
+        X = rng.standard_normal((m, 2)) * 0.3
+        X[np.arange(m), y % 2] += y + 1.0
+        return make_dataset(X, y)
+
+    @pytest.mark.parametrize("task", ["regression", "binary", "multiclass"])
+    def test_matches_the_node_matrix_formula(self, task):
+        # 600 rows span three of predict's row blocks
+        ds, loss = {"regression": (regression_ds(600, 3, 71, noise=0.1), "squared"),
+                    "binary": (binary_ds(600, 72), "hinge"),
+                    "multiclass": (self.three_class_ds(600, 73), "mc-hinge")}[task]
+        cfg = TrainConfig(mode="width", gamma=10, batch=5, max_depth=4, loss=loss,
+                          lambda_grid=(1e-3,))
+        net, _ = train(ds, None, cfg)
+        got, want = evaluate(net, ds), node_matrix_metrics(net, ds)
+        assert set(got) == {"m", *want}
+        assert got["error"] == pytest.approx(want["error"], rel=1e-12, abs=0)
+        assert got["mean_loss"] == pytest.approx(want["mean_loss"], rel=1e-12, abs=0)
+        if task == "multiclass":
+            assert np.array_equal(got["confusion"], want["confusion"])
+
+    def test_scores_once(self, monkeypatch):
+        ds = regression_ds(40, 2, 74)
+        net, _ = train(ds, None, TrainConfig(lambda_grid=(0.0,), max_depth=3))
+        calls = []
+        monkeypatch.setattr(trainer, "predict", lambda *a: calls.append(a) or predict(*a))
+        monkeypatch.setattr(trainer, "validation_error",
+                            lambda *a: pytest.fail("the rows were scored a second time"))
+        evaluate(net, ds)
+        assert len(calls) == 1
+
+
 class TestBufferReservation:
     """train reserves F, Q and R once for the run where its width is known,
     and falls back to per-layer growth when that reservation is over budget."""
