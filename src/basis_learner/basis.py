@@ -16,10 +16,12 @@ node built so far has (:func:`_distinct_candidates`), so exact mode offers
 no candidate it knows to be dependent, as multivariate Vandermonde with
 Arnoldi does. Exact mode offers them unranked, in index order; width mode
 scores them against Q and a deflated target (:class:`CandidateScores`)
-and offers the ``b`` best per round, at most ``gamma`` in all. Width mode
-forms and scores candidates in chunks of whole previous-layer columns,
-each chunk one scratch block wide enough for an efficient product with Q;
-both modes hand candidates to admission in blocks of at most ``_ADMIT_BLOCK``.
+and offers the ``b`` best per round, at most ``gamma`` in all. A width
+round forms whichever operand is narrower: the candidates, in chunks of
+whole previous-layer columns, or the new Q columns and the target basis
+times layer 1, multiplied by the previous layer; either fills one scratch
+block wide enough for an efficient product. Both modes hand candidates to
+admission in blocks of at most ``_ADMIT_BLOCK``.
 
 Every admission goes through :meth:`BasisState.admit`, the one place that
 decides independence and order: it tests a block of candidates by block
@@ -314,9 +316,10 @@ _ADMIT_BLOCK = 64
 
 # Width scoring forms and projects the candidates of several previous-layer
 # columns at once, in chunks of at most this many columns (one column's range
-# if that is wider). A one-thread Q^T block product with 152 rows of Q runs at
-# about 40 GFlop/s on 51 columns and 60 on 204-306; the m x chunk scratch
-# block is what the width costs (5 MB at m = 2,500).
+# if that is wider), or as many whole groups of n1 products of H's columns as
+# fit. A one-thread Q^T block product with 152 rows of Q runs at about 40
+# GFlop/s on 51 columns and 60 on 204-306; the m x chunk scratch block is
+# what the width costs (5 MB at m = 2,500).
 _SCORE_CHUNK = 256
 
 # Width mode's "randomized" layer 1 sketches an m x n lift only where
@@ -357,13 +360,25 @@ class CandidateScores:
     found dependent stays out (``live`` is cleared): its residual can only
     shrink as Q grows.
 
-    A round forms the candidates in chunks of whole previous-layer columns,
+    A round needs h^T c for each column h of H = [Q_new | O_V] and each
+    candidate c = F[:, lo+p] * F[:, j], and h^T c = F[:, lo+p]^T (h * F[:, j]).
+    It forms whichever side is narrower: when H's columns times ``n1`` are
+    fewer than its live ranges' columns (below), it takes the Q-form
+    (:meth:`_q_form`), else the candidate form (:meth:`_candidate_form`).
+    A layer's first round projects onto all of Q, so it forms candidates.
+
+    The candidate form works in chunks of whole previous-layer columns,
     at most ``_SCORE_CHUNK`` columns a chunk unless one column's range is
     wider. Previous-layer column p contributes the products with layer-1
     columns j0(p) <= j < j1(p), the contiguous range that covers its live
     candidates, written side by side into one scratch block with no
     gather; each chunk takes one product with the new Q columns and one
     with O_V, and the dead candidates inside a range are masked out.
+    The Q-form writes groups of H's columns times every layer-1 column
+    into a scratch block of at most ``_SCORE_CHUNK`` columns (or ``n1``)
+    and multiplies each group by the previous layer's columns, a view of
+    F; it is dense over every (p, j), dead candidates too. Either form
+    builds the few explicit residuals' candidates from F.
     """
 
     def __init__(self, state: BasisState):
@@ -382,9 +397,8 @@ class CandidateScores:
         A candidate's score is ||O_V^T r|| / ||r||; -1 marks one whose
         residual norm is at most ``tol``.
         """
-        Q, F = state.Q, state.F
+        Q = state.Q
         Q_new = Q[:, self.seen:]
-        lo, _ = state.layer_ranges[-1]
         n1 = state.layer1_cols
         scores = np.full(self.norm2.size, -1.0)
         # each previous-layer column with a live candidate, and the range
@@ -393,6 +407,33 @@ class CandidateScores:
         prevs = np.flatnonzero(live.any(axis=1))
         j0 = live[prevs].argmax(axis=1)
         j1 = n1 - live[prevs, ::-1].argmax(axis=1)
+        # form whichever operand is narrower: every H column times layer 1,
+        # or every candidate in a live range
+        if (Q_new.shape[1] + O_V.shape[1]) * n1 < (j1 - j0).sum():
+            parts = self._q_form(state, Q_new, O_V)
+        else:
+            parts = self._candidate_form(state, Q_new, O_V, prevs, j0, j1)
+        for at, T in parts:
+            norm2 = self.norm2[at]
+            r2 = norm2 - self.proj2[at]
+            nr = np.sqrt(np.maximum(r2, 0.0))
+            explicit = r2 < _EXPLICIT_RATIO**2 * norm2
+            if explicit.any():
+                _, R = _cgs2(_products(state, at[explicit]), Q)
+                nr[explicit] = np.linalg.norm(R, axis=0)
+                T[:, explicit] = O_V.T @ R
+            ok = nr > tol
+            self.live[at] = ok
+            scores[at[ok]] = np.linalg.norm(T[:, ok], axis=0) / nr[ok]
+        self.seen = state.ncols
+        return scores
+
+    def _candidate_form(self, state, Q_new, O_V, prevs, j0, j1):
+        """Per chunk of live ranges, its live candidates ``at`` and O_V^T c of
+        each, after their ||Q_new^T c||^2 is added to ``proj2``."""
+        F = state.F
+        lo, _ = state.layer_ranges[-1]
+        n1 = state.layer1_cols
         w = j1 - j0
         chunks = _chunks(w.tolist(), _SCORE_CHUNK)
         scratch = np.empty((state.m, max((int(w[c].sum()) for c in chunks), default=0)), order="F")
@@ -409,20 +450,35 @@ class CandidateScores:
             at = at[keep]
             T = (Q_new.T @ block)[:, keep]
             self.proj2[at] += np.einsum("ij,ij->j", T, T)
-            T = (O_V.T @ block)[:, keep]
-            norm2 = self.norm2[at]
-            r2 = norm2 - self.proj2[at]
-            nr = np.sqrt(np.maximum(r2, 0.0))
-            explicit = r2 < _EXPLICIT_RATIO**2 * norm2
-            if explicit.any():
-                _, R = _cgs2(block[:, keep[explicit]], Q)
-                nr[explicit] = np.linalg.norm(R, axis=0)
-                T[:, explicit] = O_V.T @ R
-            ok = nr > tol
-            self.live[at] = ok
-            scores[at[ok]] = np.linalg.norm(T[:, ok], axis=0) / nr[ok]
-        self.seen = state.ncols
-        return scores
+            yield at, (O_V.T @ block)[:, keep]
+
+    def _q_form(self, state, Q_new, O_V):
+        """Every live candidate ``at`` and O_V^T c of each, after every
+        candidate's ||Q_new^T c||^2 is added to ``proj2``.
+
+        h^T (F[:, lo+p] * F[:, j]) = F[:, lo+p]^T (h * F[:, j]), so each group of
+        H = [Q_new | O_V] columns times every layer-1 column goes into the
+        scratch block, and one product with the previous layer's columns gives
+        P x group x n1 values whose [p, :, j] are candidate p * n1 + j's.
+        """
+        F = state.F
+        lo, hi = state.layer_ranges[-1]
+        n1 = state.layer1_cols
+        group = max(1, _SCORE_CHUNK // n1)
+        scratch = np.empty((state.m, group * n1), order="F")
+        T = np.empty((O_V.shape[1], hi - lo, n1))
+        for H, into in ((Q_new, None), (O_V, T)):
+            for a in range(0, H.shape[1], group):
+                g = min(group, H.shape[1] - a)
+                for k in range(g):
+                    np.multiply(F[:, :n1], H[:, a + k, None], out=scratch[:, k * n1 : (k + 1) * n1])
+                U = (F[:, lo:hi].T @ scratch[:, : g * n1]).reshape(hi - lo, g, n1)
+                if into is None:
+                    self.proj2 += np.einsum("pkj,pkj->pj", U, U).ravel()
+                else:
+                    into[a : a + g] = U.transpose(1, 0, 2)
+        at = np.flatnonzero(self.live)
+        yield at, T.reshape(O_V.shape[1], self.norm2.size)[:, at]
 
 
 def _chunks(widths: list[int], cap: int) -> list[slice]:
@@ -462,11 +518,17 @@ def _distinct_candidates(state: BasisState) -> np.ndarray:
     return np.sort(first[rows[first, 0] >= 0])
 
 
-def _admit_products(state: BasisState, flat: np.ndarray, tol: float, nodes: list) -> int:
-    """Admit candidates ``flat`` as one block, appending their nodes; returns how many."""
+def _products(state: BasisState, flat: np.ndarray) -> np.ndarray:
+    """The m x len(flat) block of candidates ``flat``, each ``p * n1 + j``."""
     lo, _ = state.layer_ranges[-1]
     prev, j = np.divmod(flat, state.layer1_cols)
-    idx, w = state.admit(state.F[:, lo + prev] * state.F[:, j], tol)
+    return state.F[:, lo + prev] * state.F[:, j]
+
+
+def _admit_products(state: BasisState, flat: np.ndarray, tol: float, nodes: list) -> int:
+    """Admit candidates ``flat`` as one block, appending their nodes; returns how many."""
+    idx, w = state.admit(_products(state, flat), tol)
+    prev, j = np.divmod(flat, state.layer1_cols)
     nodes += [(int(prev[i]), int(j[i]), wi) for i, wi in zip(idx, w)]
     return idx.size
 

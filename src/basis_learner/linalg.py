@@ -57,8 +57,12 @@ def is_finite(x) -> bool:
 
 
 def lift_input(X) -> np.ndarray:
-    """Prepend the all-ones column: [1 X]."""
-    X = check_matrix(X, "X")
+    """Prepend the all-ones column: [1 X], of X checked by :func:`check_matrix`."""
+    return lift_rows(check_matrix(X, "X"))
+
+
+def lift_rows(X: np.ndarray) -> np.ndarray:
+    """[1 X] of a 2-d float64 X that its caller has already checked."""
     return np.concatenate([np.ones((X.shape[0], 1)), X], axis=1)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import TASKS
-from .linalg import check_matrix, is_finite, is_int, lift_input
+from .linalg import check_matrix, is_finite, is_int, lift_rows
 from .output import LOSS_KINDS, LOSS_TASK
 
 SCHEMA = "basis-learner/1"
@@ -132,15 +132,16 @@ def node_values(X: np.ndarray, W1: np.ndarray, layers) -> np.ndarray:
     network with first-layer weights ``W1`` and the product ``layers``.
 
     The rows x nodes result is allocated once and filled ``_ROW_BLOCK`` rows
-    at a time: layer 1, ``lift_input`` of the block @ W1, goes into the
-    block's first columns, and each product layer's :func:`layer_values`
+    at a time: layer 1, the block's lift [1 X] @ W1 (``lift_rows``, which
+    checks nothing: the callers have checked X), goes into the block's
+    first columns, and each product layer's :func:`layer_values`
     into the next ones.
     """
     n1 = W1.shape[1]
     out = np.empty((X.shape[0], n1 + sum(L.width for L in layers)))
     for r in range(0, X.shape[0], _ROW_BLOCK):
         rows = out[r : r + _ROW_BLOCK]
-        rows[:, :n1] = lift_input(X[r : r + _ROW_BLOCK]) @ W1
+        rows[:, :n1] = lift_rows(X[r : r + _ROW_BLOCK]) @ W1
         lo, hi = 0, n1  # the previous layer's columns
         for L in layers:
             rows[:, hi : hi + L.width] = layer_values(rows[:, :n1], rows[:, lo:hi], L)

@@ -269,6 +269,7 @@ def train(
         record = _best(heads)
         record = replace(record, train_err=validation_error(
             state.F, record.weights, train_ds.labels, train_ds.task))
+        del valid_F, grid, heads  # nothing reads them again; free them before the next layer
         records.append(record)
         best = _best(records)
 

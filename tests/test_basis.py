@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -807,6 +808,81 @@ class TestCandidateScores:
             else:
                 assert scores[ss] >= 0
                 assert norm2[ss] - proj2[ss] < basis._EXPLICIT_RATIO**2 * norm2[ss]
+
+    @staticmethod
+    def record_forms(monkeypatch):
+        """The form each ``CandidateScores.round`` takes, in order: "c" for
+        the chunked candidates, "q" for the new Q columns times layer 1."""
+        forms = []
+        for name in ("_candidate_form", "_q_form"):
+            def spy(self, *args, _form=getattr(CandidateScores, name), _tag=name[1]):
+                forms.append(_tag)
+                return _form(self, *args)
+            monkeypatch.setattr(CandidateScores, name, spy)
+        return forms
+
+    @pytest.mark.parametrize("target", ["two-columns", "none-left"])
+    def test_later_rounds_project_the_new_q_columns(self, target, monkeypatch):
+        # layer 3 at b = 2 with a 2-column target: a later round's (2 + 2) * n1
+        # H columns times layer 1 are narrower than its live ranges, so it
+        # projects those through layer 1; every round scores, keeps live and
+        # picks as an explicit CGS2 residual of each candidate does, also
+        # when the target is spent and O_V has no columns
+        forms = self.record_forms(monkeypatch)
+        state, V = chunk_case("layer3")
+        if target == "none-left":
+            V = np.zeros_like(V)
+        tol = default_tol(state.m)
+        scorer = CandidateScores(state)
+        while True:
+            V = residual(V, state.Q)
+            O_V = thin_svd(V).U
+            got = scorer.round(state, O_V, tol)
+            want = reference_scores(state, O_V, tol)
+            np.testing.assert_array_equal(got >= 0, want >= 0)
+            np.testing.assert_array_equal(scorer.live, want >= 0)
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+            take = np.argsort(-got, kind="stable")[: min(2, np.count_nonzero(got >= 0))]
+            np.testing.assert_array_equal(take, np.argsort(-want, kind="stable")[: take.size])
+            if not take.size:
+                break
+            scorer.live[take] = False
+            basis._admit_products(state, take, tol, [])
+        # the first round projects onto all of Q, so it forms the candidates
+        assert forms[0] == "c" and forms.count("q") >= 2, forms
+
+    def test_q_form_round_peak_memory(self, monkeypatch):
+        # a round that takes the Q-form holds the m x _SCORE_CHUNK scratch and
+        # arrays over the candidates, but no m-row copy of H = [Q_new | O_V]
+        # or of the previous layer
+        rng = np.random.default_rng(23)
+        X = rng.standard_normal((4000, 12))
+        y = (X[:, 0] * X[:, 1] * X[:, 2])[:, None]
+        state = initial_state(build_basis1_width(lift_input(X), gamma=13))
+        build_basis_t_width(state, y, gamma=40, b=40)
+        forms = self.record_forms(monkeypatch)
+        n1, (lo, hi) = state.layer1_cols, state.layer_ranges[-1]
+        tol = default_tol(state.m)
+        scorer = CandidateScores(state)
+        V = residual(y, state.Q)
+        take = np.argsort(-scorer.round(state, thin_svd(V).U, tol), kind="stable")[:5]
+        scorer.live[take] = False
+        basis._admit_products(state, take, tol, [])
+        O_V = thin_svd(residual(V, state.Q)).U
+        tracemalloc.start()
+        try:
+            scorer.round(state, O_V, tol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert forms == ["c", "q"]
+        group = basis._SCORE_CHUNK // n1
+        scratch = state.m * group * n1 * 8
+        # the P x group x n1 product, and a dozen arrays of one value a candidate
+        per_candidate = (group + 12) * (hi - lo) * n1 * 8
+        bound = scratch + per_candidate + 64 * 1024
+        assert peak <= bound, (peak, scratch, per_candidate)
+        assert peak + state.m * (5 + O_V.shape[1]) * 8 > bound  # a copy of H would not fit
 
     @pytest.mark.parametrize("mode", ["exact", "width"])
     def test_q_orthonormal_within_buffer(self, mode):

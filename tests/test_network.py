@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from basis_learner import TrainConfig, make_dataset, network, train
+from basis_learner import TrainConfig, linalg, make_dataset, network, train
 from basis_learner.linalg import lift_input
 from basis_learner.network import (
     ModelFormatError,
@@ -242,6 +242,24 @@ class TestPredict:
         X = rng.standard_normal((rows, 6))
         want = feature_matrix(net, X) @ net.head.weights
         assert np.allclose(predict(net, X), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def test_checks_x_once(self, monkeypatch):
+        # X is checked whole, once; node_values lifts its row blocks unchecked
+        check, checked = linalg.check_matrix, []
+
+        def counted(A, name="matrix"):
+            checked.append((name, np.shape(A)))
+            return check(A, name)
+
+        monkeypatch.setattr(linalg, "check_matrix", counted)
+        monkeypatch.setattr(network, "check_matrix", counted)
+        rng = np.random.default_rng(62)
+        net = PolyNetwork(input_dim=6, task="regression", W1=rng.standard_normal((7, 8)),
+                          product_layers=tuple(random_layers(rng, 8, (10,))),
+                          head=OutputHead(rng.standard_normal((18, 1)), "squared", 0.0))
+        X = rng.standard_normal((3 * network._ROW_BLOCK + 7, 6))
+        predict(net, X)
+        assert checked == [("X", X.shape)]
 
     def test_interpolates_training_targets(self):
         ds, net, trace = trained_regression_net()
