@@ -21,7 +21,8 @@ round forms whichever operand is narrower: the candidates, in chunks of
 whole previous-layer columns, or the new Q columns and the target basis
 times layer 1, multiplied by the previous layer; either fills one scratch
 block wide enough for an efficient product. Both modes hand candidates to
-admission in blocks of at most ``_ADMIT_BLOCK``.
+admission through one offer loop (:func:`_offer`): it reserves room, cuts
+blocks of at most ``_ADMIT_BLOCK`` and stops once F spans R^m.
 
 Every admission goes through :meth:`BasisState.admit`, the one place that
 decides independence and order: it tests a block of candidates by block
@@ -168,31 +169,30 @@ class BasisState:
         """
         self.reserve(self.ncols + C.shape[1])
         idx, weights = [], []
-        if self.ncols < self.m:
-            start = self.ncols
-            S, Y = _cgs2(C, self.Q)
-            r2 = np.einsum("ij,ij->j", Y, Y)
-            c2 = np.maximum(np.einsum("ij,ij->j", C, C), np.finfo(float).tiny)
-            untested = np.ones(C.shape[1], dtype=bool)
-            while untested.any() and self.ncols < self.m:
-                ratio2 = np.where(untested, np.maximum(r2, 0.0) / c2, -1.0)
-                j = int(np.argmax(ratio2 >= _PIVOT**2 * ratio2.max()))
-                untested[j] = False
-                k = self.ncols
-                t, r = _cgs2(Y[:, j], self.Q_buf[:, start:k])
-                nr = np.linalg.norm(r)
-                if nr <= tol:
-                    continue
-                w = math.sqrt(self.m) / np.linalg.norm(C[:, j]) if scale else 1.0
-                q = np.divide(r, nr, out=self.Q_buf[:, k])
-                np.multiply(w, C[:, j], out=self.F_buf[:, k])
-                np.multiply(w, S[:, j], out=self.R_buf[:start, k])
-                np.multiply(w, t, out=self.R_buf[start:k, k])
-                self.R_buf[k, k] = w * nr
-                self.ncols += 1
-                r2 -= (q @ Y) ** 2
-                idx.append(j)
-                weights.append(w)
+        start = self.ncols
+        S, Y = _cgs2(C, self.Q)
+        r2 = np.einsum("ij,ij->j", Y, Y)
+        c2 = np.maximum(np.einsum("ij,ij->j", C, C), np.finfo(float).tiny)
+        untested = np.ones(C.shape[1], dtype=bool)
+        while untested.any() and self.ncols < self.m:
+            ratio2 = np.where(untested, np.maximum(r2, 0.0) / c2, -1.0)
+            j = int(np.argmax(ratio2 >= _PIVOT**2 * ratio2.max()))
+            untested[j] = False
+            k = self.ncols
+            t, r = _cgs2(Y[:, j], self.Q_buf[:, start:k])
+            nr = np.linalg.norm(r)
+            if nr <= tol:
+                continue
+            w = math.sqrt(self.m) / np.linalg.norm(C[:, j]) if scale else 1.0
+            q = np.divide(r, nr, out=self.Q_buf[:, k])
+            np.multiply(w, C[:, j], out=self.F_buf[:, k])
+            np.multiply(w, S[:, j], out=self.R_buf[:start, k])
+            np.multiply(w, t, out=self.R_buf[start:k, k])
+            self.R_buf[k, k] = w * nr
+            self.ncols += 1
+            r2 -= (q @ Y) ** 2
+            idx.append(j)
+            weights.append(w)
         return np.array(idx, dtype=int), np.array(weights)
 
 
@@ -310,8 +310,8 @@ def final_width(state: BasisState, depth: int | None, gamma: int | None = None) 
 # residual norm is taken from an explicit CGS2 residual instead.
 _EXPLICIT_RATIO = 1e-4
 
-# Candidates go to BasisState.admit in blocks of at most this many
-# columns, which bounds the m x block copies one admission makes.
+# _offer hands candidates to BasisState.admit in blocks of at most this
+# many columns, which bounds the m x block copies one admission makes.
 _ADMIT_BLOCK = 64
 
 # Width scoring forms and projects the candidates of several previous-layer
@@ -525,12 +525,20 @@ def _products(state: BasisState, flat: np.ndarray) -> np.ndarray:
     return state.F[:, lo + prev] * state.F[:, j]
 
 
-def _admit_products(state: BasisState, flat: np.ndarray, tol: float, nodes: list) -> int:
-    """Admit candidates ``flat`` as one block, appending their nodes; returns how many."""
-    idx, w = state.admit(_products(state, flat), tol)
-    prev, j = np.divmod(flat, state.layer1_cols)
-    nodes += [(int(prev[i]), int(j[i]), wi) for i, wi in zip(idx, w)]
-    return idx.size
+def _offer(state: BasisState, flat: np.ndarray, quota: int, tol: float, nodes: list) -> int:
+    """Offer candidates ``flat`` to :meth:`BasisState.admit` in order, after room
+    for all it may admit is reserved, in blocks of at most ``_ADMIT_BLOCK`` and
+    the quota left, until ``quota`` are in, ``flat`` runs out or F spans R^m.
+    Appends the admitted ``(prev, first, w)`` nodes; returns how many it offered."""
+    state.reserve(state.ncols + min(quota, flat.size))
+    admitted = offered = 0
+    while admitted < quota and offered < flat.size and state.ncols < state.m:
+        take = flat[offered : offered + min(_ADMIT_BLOCK, quota - admitted)]
+        idx, w = state.admit(_products(state, take), tol)
+        nodes += zip(*np.divmod(take[idx], state.layer1_cols), w)
+        admitted += idx.size
+        offered += take.size
+    return offered
 
 
 def _append_layer(state: BasisState, nodes: list) -> ProductLayer:
@@ -548,21 +556,16 @@ def build_basis_t_exact(state: BasisState, tol: float | None = None) -> ProductL
     a later copy is the same function up to a scalar, and a product with
     the constant node copies a lower-degree node) goes to
     :meth:`BasisState.admit` unranked, in index order (previous-layer
-    column outer), in blocks of at most ``_ADMIT_BLOCK``, after room for
-    all of them is reserved; its column pivoting lets near-dependent ones
-    wait behind more independent ones. Once F spans R^m no further block is
-    offered. Mutates ``state`` and returns the layer it appended to
-    ``state.layers``; a zero-width layer, not appended, means the span is
-    saturated. ``tol`` passes :func:`resolve_tol`.
+    column outer), through :func:`_offer`, until every one is offered or F
+    spans R^m; admission's column pivoting lets near-dependent ones wait
+    behind more independent ones. Mutates ``state`` and returns the layer
+    it appended to ``state.layers``; a zero-width layer, not appended, means
+    the span is saturated. ``tol`` passes :func:`resolve_tol`.
     """
     tol = resolve_tol(tol, state.m)
     flat = _distinct_candidates(state)
-    state.reserve(state.ncols + flat.size)
     nodes: list[tuple[int, int, float]] = []
-    for start in range(0, flat.size, _ADMIT_BLOCK):
-        if state.ncols == state.m:  # F spans R^m: nothing more can be admitted
-            break
-        _admit_products(state, flat[start : start + _ADMIT_BLOCK], tol, nodes)
+    _offer(state, flat, flat.size, tol, nodes)
     return _append_layer(state, nodes)
 
 
@@ -580,11 +583,11 @@ def build_basis_t_width(
     by the norm of the projection of its unit residual onto the column
     space of the deflated target V, so candidates aligned with what the current
     features cannot yet express rank first. Each round offers the live
-    candidates in descending score (stable), in blocks of at most
-    ``_ADMIT_BLOCK``, until min(b, gamma - admitted) are in; an offered
-    candidate is in span(Q) afterwards, so no longer live. Then V is
-    deflated. Stops after a round that admits nothing; at most ``gamma``
-    columns total. Nodes are recorded in the order admission took them.
+    candidates in descending score (stable) through :func:`_offer`, until
+    min(b, gamma - admitted) are in or F spans R^m; an offered candidate is
+    in span(Q) afterwards, so no longer live. Then V is deflated. Stops
+    after a round that admits nothing; at most ``gamma`` columns total.
+    Nodes are recorded in the order admission took them.
 
     Mutates ``state`` and returns the layer it appended, as the exact builder
     does. ``tol`` passes :func:`resolve_tol`, ``gamma`` and ``b`` :func:`check_width`.
@@ -601,12 +604,8 @@ def build_basis_t_width(
         V = residual(V, state.Q)
         scores = scorer.round(state, thin_svd(V).U, tol)
         order = np.argsort(-scores, kind="stable")[: np.count_nonzero(scores >= 0)]
-        quota = min(b, gamma - len(nodes))
-        picked = 0
-        while picked < quota and order.size:
-            take, order = np.split(order, [min(_ADMIT_BLOCK, quota - picked)])
-            scorer.live[take] = False
-            picked += _admit_products(state, take, tol, nodes)
-        if picked == 0:
+        n = len(nodes)
+        scorer.live[order[: _offer(state, order, min(b, gamma - n), tol, nodes)]] = False
+        if len(nodes) == n:
             break
     return _append_layer(state, nodes)

@@ -712,7 +712,7 @@ def score_rounds(state, V, cap, monkeypatch, b=2):
         if not take.size:
             return rounds
         scorer.live[take] = False
-        basis._admit_products(state, take, tol, [])
+        basis._offer(state, take, take.size, tol, [])
 
 
 def live_ranges(live, n1):
@@ -847,7 +847,7 @@ class TestCandidateScores:
             if not take.size:
                 break
             scorer.live[take] = False
-            basis._admit_products(state, take, tol, [])
+            basis._offer(state, take, take.size, tol, [])
         # the first round projects onto all of Q, so it forms the candidates
         assert forms[0] == "c" and forms.count("q") >= 2, forms
 
@@ -867,7 +867,7 @@ class TestCandidateScores:
         V = residual(y, state.Q)
         take = np.argsort(-scorer.round(state, thin_svd(V).U, tol), kind="stable")[:5]
         scorer.live[take] = False
-        basis._admit_products(state, take, tol, [])
+        basis._offer(state, take, take.size, tol, [])
         O_V = thin_svd(residual(V, state.Q)).U
         tracemalloc.start()
         try:
@@ -977,6 +977,25 @@ class TestDistinctCandidates:
         assert full_at_call == [False]
         assert build_basis_t_exact(state).width == 0
         assert full_at_call == [False]
+
+    def test_width_mode_stops_offering_once_f_spans_r_m(self, monkeypatch):
+        # 40 x 15: 16 layer-1 columns, so the first block of 64 fills F with
+        # 24 products; a quota of 100 must not offer the rest to a full F
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((40, 15))
+        y = rng.standard_normal((40, 1))
+        state = initial_state(build_basis1_width(lift_input(X), gamma=100))
+        calls = []
+        admit = BasisState.admit
+
+        def spy(self, C, tol, scale=True):
+            calls.append((self.ncols == self.m, C.shape[1]))
+            return admit(self, C, tol, scale)
+
+        monkeypatch.setattr(BasisState, "admit", spy)
+        assert build_basis_t_width(state, y, gamma=100, b=100).width == 24
+        assert state.ncols == state.m
+        assert calls == [(False, 64)]
 
     def test_exact_builder_offers_each_multiset_once(self, monkeypatch):
         state = mode_state("exact", m=200, d=5)
