@@ -586,7 +586,8 @@ def build_basis_t_width(
     candidates in descending score (stable) through :func:`_offer`, until
     min(b, gamma - admitted) are in or F spans R^m; an offered candidate is
     in span(Q) afterwards, so no longer live. Then V is deflated. Stops
-    after a round that admits nothing; at most ``gamma`` columns total.
+    after a round that admits nothing or once F spans R^m; at most
+    ``gamma`` columns total.
     Nodes are recorded in the order admission took them.
 
     Mutates ``state`` and returns the layer it appended, as the exact builder
@@ -600,7 +601,7 @@ def build_basis_t_width(
     state.reserve(state.ncols + gamma)
     scorer = CandidateScores(state)
     nodes: list[tuple[int, int, float]] = []
-    while len(nodes) < gamma:
+    while len(nodes) < gamma and state.ncols < state.m:
         V = residual(V, state.Q)
         scores = scorer.round(state, thin_svd(V).U, tol)
         order = np.argsort(-scores, kind="stable")[: np.count_nonzero(scores >= 0)]

@@ -181,6 +181,4 @@ def residual(v, Q) -> np.ndarray:
         raise ValueError("Q must be 2-dimensional")
     if v.shape[0] != Q.shape[0]:
         raise ValueError(f"length mismatch: v has {v.shape[0]} rows, Q has {Q.shape[0]}")
-    if Q.shape[1] == 0:
-        return v.copy()
     return v - Q @ (Q.T @ v)

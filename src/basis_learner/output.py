@@ -8,7 +8,9 @@ logistic, and multiclass hinge. The regularized objective is always
 Each margin loss is a function of one margin per row: y s for hinge and
 logistic; for the multiclass hinge, the true score minus the best rival's
 (Crammer-Singer), so its loss is the hinge's. Value, gradient and the
-Pegasos solver share that definition, which takes leading head axes.
+Pegasos solver share that definition, which takes leading head axes,
+and check labels by one rule, :func:`_label_rule`, as :func:`fit_head`
+does once per fit.
 A lambda grid's heads, of any loss, are one :class:`HeadGrid`, solved
 whole on its first fit, each bit for bit as in a grid of its lambda
 alone: margin heads stepped together over one row order, squared heads
@@ -83,9 +85,22 @@ def _real_labels(y) -> np.ndarray:
     return y
 
 
-def _label_rule(kind: str, y: np.ndarray, k: int) -> np.ndarray:
-    # hinge and logistic take labels in {-1, +1}; mc-hinge takes integer
-    # class ids in [0, k), returned as int64 so they can index score columns
+def _label_rule(kind: str, y, m: int, k: int) -> np.ndarray:
+    # the one check of labels y against a loss over m x k scores: a known
+    # kind, real numbers, one label per row; then hinge and logistic take
+    # labels in {-1, +1}, mc-hinge integer class ids in [0, k), returned as
+    # int64 so they can index score columns, and squared loss an m x k
+    # float64 target
+    if kind not in LOSS_KINDS:
+        raise ValueError(f"unknown loss kind {kind!r}")
+    y = _real_labels(y)
+    if y.ndim == 0 or y.shape[0] != m:
+        raise ValueError(f"{m} rows but y has shape {y.shape}")
+    if kind == "squared":
+        Y = np.asarray(y[:, None] if y.ndim == 1 else y, dtype=np.float64)
+        if Y.shape != (m, k):
+            raise ValueError("squared loss needs one target per score")
+        return Y
     if y.ndim != 1:
         raise ValueError(f"{kind} expects a label vector")
     y = np.asarray(y, dtype=np.float64)
@@ -98,22 +113,6 @@ def _label_rule(kind: str, y: np.ndarray, k: int) -> np.ndarray:
     if not ((y == np.floor(y)) & (y >= 0) & (y < k)).all():
         raise ValueError(f"mc-hinge labels must be integer class ids in [0, {k})")
     return y.astype(np.int64)
-
-
-def _labelled(kind: str, scores, y) -> tuple[np.ndarray, np.ndarray]:
-    # m x k scores, and labels that agree with them and with the loss kind
-    if kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {kind!r}")
-    S = _scores_matrix(scores)
-    y = _real_labels(y)
-    if y.ndim == 0 or y.shape[0] != S.shape[0]:
-        raise ValueError("scores and labels disagree on m")
-    if kind != "squared":
-        return S, _label_rule(kind, y, S.shape[1])
-    Y = y[:, None] if y.ndim == 1 else y
-    if Y.shape != S.shape:
-        raise ValueError("squared loss needs one target per score")
-    return S, Y
 
 
 def _margins(kind: str, S: np.ndarray, y: np.ndarray):
@@ -129,19 +128,24 @@ def _margins(kind: str, S: np.ndarray, y: np.ndarray):
     return S[(*rows, y)] - masked[(*rows, rival)], rival
 
 
-def loss_value(kind: str, scores, y) -> float:
-    """Mean loss of the given scores against labels ``y``.
-
-    Binary losses take one score column and labels in {-1,+1}; the
-    multiclass hinge takes an m x k score matrix and class ids in [0, k).
-    """
-    S, y = _labelled(kind, scores, y)
+def _loss(kind: str, S: np.ndarray, y: np.ndarray) -> float:
+    # unchecked mean loss of m x k scores S against labels that passed the rule
     if kind == "squared":
         return float(np.sum((S - y) ** 2) / S.shape[0])
     z, _ = _margins(kind, S, y)
     if kind == "logistic":
         return float(np.logaddexp(0.0, -z).mean())
     return float(np.maximum(0.0, 1.0 - z).mean())
+
+
+def loss_value(kind: str, scores, y) -> float:
+    """Mean loss of the given scores against labels ``y``.
+
+    Binary losses take one score column and labels in {-1,+1}; the
+    multiclass hinge takes an m x k score matrix and class ids in [0, k).
+    """
+    S = _scores_matrix(scores)
+    return _loss(kind, S, _label_rule(kind, y, *S.shape))
 
 
 def decide(task: str, scores) -> np.ndarray:
@@ -184,11 +188,8 @@ def loss_gradient(kind: str, scores, y) -> np.ndarray:
     like them, after the input checks of :func:`loss_value`. At hinge kinks
     the inactive subgradient (zero) is returned. The margin-loss solver
     steps on the same definition."""
-    return _gradient(kind, *_labelled(kind, scores, y))
-
-
-def objective(kind: str, F, w, y, lam: float) -> float:
-    return loss_value(kind, F @ w, y) + 0.5 * lam * float(np.sum(np.asarray(w) ** 2))
+    S = _scores_matrix(scores)
+    return _gradient(kind, S, _label_rule(kind, y, *S.shape))
 
 
 def _shrink(U, s, Vt, B, lam: float, m: int) -> np.ndarray:
@@ -334,41 +335,35 @@ def fit_head(
     id seen. Either way it is at most ``MAX_CLASSES``. Errors are scored
     separately, by :func:`validation_error`. F is checked by
     :func:`check_matrix`, ``lam`` by :func:`is_finite` and mc-hinge's
-    ``n_classes`` by :func:`is_int`; a label count other than F's rows,
-    labels that are not real numbers or break the loss's rule (as in
-    :func:`loss_value`), and non-finite labels, weights or objective raise
-    ``ValueError``, the labels before any solve, as does an F with no rows.
+    ``n_classes`` by :func:`is_int`; y must be finite real numbers and pass
+    the label rule :func:`loss_value` and :func:`loss_gradient` apply, once
+    per fit ("6 rows but y has shape (5,)" when its count is not F's rows).
+    Any of these, an F with no rows, and non-finite weights or objective
+    raise ``ValueError``, the inputs before any solve.
     """
     F = check_matrix(F, "F")
     if F.shape[0] == 0:
         raise ValueError("F must have at least one row")
-    y = _real_labels(y)
-    if kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {kind!r}")
     if not (is_finite(lam) and lam >= 0):
         raise ValueError(f"lambda must be finite and nonnegative, got {lam!r}")
-    if y.ndim == 0 or y.shape[0] != F.shape[0]:
-        raise ValueError(f"F has {F.shape[0]} rows but y has shape {y.shape}")
+    y = _real_labels(y)  # before isfinite, which strings and objects break
     if not np.isfinite(y).all():
         raise ValueError("y must be finite")
     if opt is None:
         opt = OptimizerConfig()
 
-    if kind == "squared":
-        y = y[:, None] if y.ndim == 1 else np.asarray(y, dtype=np.float64)
-        k = y.shape[1]
-    else:
-        k = 1
-        if kind == "mc-hinge":
-            if n_classes is not None and not is_int(n_classes):
-                raise ValueError(f"n_classes must be an int, got {n_classes!r}")
-            k = n_classes if n_classes is not None else int(y.max()) + 1
-            if k > MAX_CLASSES:
-                raise ValueError(f"mc-hinge needs at most MAX_CLASSES={MAX_CLASSES} classes, got {k}")
-        y = _label_rule(kind, y, k)
+    if kind == "mc-hinge":
+        if n_classes is not None and not is_int(n_classes):
+            raise ValueError(f"n_classes must be an int, got {n_classes!r}")
+        k = n_classes if n_classes is not None else int(y.max(initial=0)) + 1
+        if k > MAX_CLASSES:
+            raise ValueError(f"mc-hinge needs at most MAX_CLASSES={MAX_CLASSES} classes, got {k}")
+    else:  # squared targets' columns, or the margin losses' one score column
+        k = y.shape[1] if y.ndim == 2 else 1
+    y = _label_rule(kind, y, F.shape[0], k)
     grid = HeadGrid((lam,), opt) if factor is None else factor
     W = grid.weights(F, y, kind, k, lam, opt)
-    loss = objective(kind, F, W, y, lam)
+    loss = _loss(kind, F @ W, y) + 0.5 * lam * float(np.sum(W ** 2))
     if not (math.isfinite(loss) and np.isfinite(W).all()):
         raise ValueError(f"{kind} head at lambda={lam!r} is not finite")
     return FitResult(weights=W, train_loss=loss)

@@ -980,22 +980,31 @@ class TestDistinctCandidates:
 
     def test_width_mode_stops_offering_once_f_spans_r_m(self, monkeypatch):
         # 40 x 15: 16 layer-1 columns, so the first block of 64 fills F with
-        # 24 products; a quota of 100 must not offer the rest to a full F
+        # 24 products; a quota of 100 must not offer the rest to a full F,
+        # nor score another round against it
         rng = np.random.default_rng(3)
         X = rng.standard_normal((40, 15))
         y = rng.standard_normal((40, 1))
         state = initial_state(build_basis1_width(lift_input(X), gamma=100))
         calls = []
+        rounds = []
         admit = BasisState.admit
+        score = CandidateScores.round
 
         def spy(self, C, tol, scale=True):
             calls.append((self.ncols == self.m, C.shape[1]))
             return admit(self, C, tol, scale)
 
+        def round_spy(self, state, *args):
+            rounds.append(state.ncols == state.m)
+            return score(self, state, *args)
+
         monkeypatch.setattr(BasisState, "admit", spy)
+        monkeypatch.setattr(CandidateScores, "round", round_spy)
         assert build_basis_t_width(state, y, gamma=100, b=100).width == 24
         assert state.ncols == state.m
         assert calls == [(False, 64)]
+        assert rounds == [False]
 
     def test_exact_builder_offers_each_multiset_once(self, monkeypatch):
         state = mode_state("exact", m=200, d=5)

@@ -34,7 +34,6 @@ from basis_learner.output import (
     fit_head,
     loss_gradient,
     loss_value,
-    objective,
     validation_error,
 )
 from basis_learner.synthetic import random_regression, rectangles
@@ -81,7 +80,7 @@ class TestLossValues:
             loss_value("absolute", [0.0], [0.0])
 
     def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError, match="disagree"):
+        with pytest.raises(ValueError, match=r"2 rows but y has shape \(1,\)"):
             loss_value("hinge", [0.0, 1.0], [1.0])
 
 
@@ -189,8 +188,8 @@ class TestLossGradient:
 # (kind, scores, labels, message): inputs that break a loss's input rule
 MALFORMED = [
     ("absolute", [0.0], [0.0], "unknown loss"),
-    ("hinge", np.zeros(5), [1.0], "disagree on m"),
-    ("logistic", np.zeros(2), 1.0, "disagree on m"),
+    ("hinge", np.zeros(5), [1.0], r"5 rows but y has shape \(1,\)"),
+    ("logistic", np.zeros(2), 1.0, r"2 rows but y has shape \(\)"),
     ("squared", np.zeros((5, 1)), np.zeros((5, 2)), "one target per score"),
     ("squared", np.zeros((5, 2)), np.zeros(5), "one target per score"),
     ("mc-hinge", np.zeros((5, 1)), np.zeros(5), "at least 2 classes"),
@@ -231,6 +230,11 @@ class TestInputRule:
         rival = np.where(np.arange(4) == y[:, None], -np.inf, S).max(axis=1)
         margin = S[np.arange(30), y] - rival
         assert loss_value("mc-hinge", S, y) == loss_value("hinge", margin, np.ones(30))
+
+
+def regularized(kind, F, w, y, lam):
+    # the objective fit_head reports as train_loss
+    return loss_value(kind, F @ w, y) + 0.5 * lam * float(np.sum(w ** 2))
 
 
 def svd_ridge(F, Y, lam):
@@ -305,10 +309,10 @@ class TestSquaredFit:
         F = rng.standard_normal((15, 3))
         y = rng.standard_normal((15, 1))
         lam = 0.05
-        best = objective("squared", F, fit_head(F, y, "squared", lam).weights, y, lam)
+        best = regularized("squared", F, fit_head(F, y, "squared", lam).weights, y, lam)
         for i in range(20):
             w = np.random.default_rng(100 + i).standard_normal((3, 1))
-            assert objective("squared", F, w, y, lam) >= best - 1e-12
+            assert regularized("squared", F, w, y, lam) >= best - 1e-12
 
 
 def relative_gap(a, b):
@@ -486,7 +490,7 @@ class TestMarginFits:
         lam = 0.05
         fit = fit_head(F, y, "logistic", lam, OptimizerConfig(epochs=80))
         w_star = newton_logistic(F, y, lam)
-        best = objective("logistic", F, w_star[:, None], y, lam)
+        best = regularized("logistic", F, w_star[:, None], y, lam)
         assert fit.train_loss >= best - 1e-12
         assert fit.train_loss <= best * 1.02
 
@@ -765,6 +769,23 @@ class TestMarginGrid:
 
 
 class TestFitHeadValidation:
+    @pytest.mark.parametrize("kind,y", [("hinge", [1.0, -1.0] * 3), ("mc-hinge", [0, 1, 2] * 2)])
+    def test_labels_checked_once_per_fit(self, monkeypatch, kind, y):
+        # the label rule runs before the solve and is not run again to
+        # score train_loss
+        calls = []
+        rule = output._label_rule
+
+        def spy(*args):
+            calls.append(args[0])
+            return rule(*args)
+
+        monkeypatch.setattr(output, "_label_rule", spy)
+        F = np.random.default_rng(47).standard_normal((6, 2))
+        fit = fit_head(F, y, kind, 0.1, OptimizerConfig(epochs=2))
+        assert calls == [kind]
+        assert fit.train_loss == regularized(kind, F, fit.weights, y, 0.1)
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown loss"):
             fit_head(np.ones((2, 1)), [1.0, -1.0], "huber", 0.0)
